@@ -79,8 +79,7 @@ def _tolerance(args) -> Tolerance:
 
 def _cmd_dist(args) -> int:
     n, sphere_set = io.load_sphere_set(_read_json(args.input))
-    m = len(sphere_set)
-    rows = [[kissing.distance(sphere_set[i], sphere_set[j]) for j in range(m)] for i in range(m)]
+    rows = np.sqrt(kissing.distance_matrix(sphere_set)).tolist()
     _emit({"n": n, "d": rows}, args.output)
     return EXIT_OK
 

@@ -129,7 +129,7 @@ def check_kissing(matrix, n: int, method: str = "inertia",
     if method == "inertia":
         if is_degenerate_zero(d):
             return Certificate(EMBEDDABLE, "inertia")
-        found = numkernel.inertia(d, tol)
+        found = numkernel.certified_eigen(d, n + 1, tol).inertia
         if found.positive != 1:
             return Certificate(
                 NOT_EMBEDDABLE, "inertia",

@@ -28,9 +28,34 @@ def _require(condition: bool, message: str) -> None:
 
 def _number(value, message: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), message)
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise SchemaError(message) from None
     _require(math.isfinite(out), message)
     return out
+
+
+_PLAIN_NUMBERS = {int, float}
+
+
+def _fill_rows(out: np.ndarray, rows: list) -> bool:
+    """Copy rows of plain JSON numbers into out, one whole row at a time.
+
+    Returns False on a row that is not a list of out's width, an entry that is
+    not an int or float (bools, strings and null included), an integer beyond
+    the float range, or a non-finite value; the caller's per-entry loop then
+    names the first bad entry.
+    """
+    width = out.shape[1]
+    try:
+        for i, row in enumerate(rows):
+            if not (isinstance(row, list) and len(row) == width and set(map(type, row)) <= _PLAIN_NUMBERS):
+                return False
+            out[i] = row
+    except OverflowError:
+        return False
+    return bool(np.isfinite(out).all())
 
 
 def load_sphere_set(obj) -> tuple[int, list[KissingSphere]]:
@@ -74,6 +99,8 @@ def _load_square(rows, what: str) -> np.ndarray:
     _require(isinstance(rows, list) and rows, f'"{what}" must be a nonempty list of rows')
     m = len(rows)
     out = np.zeros((m, m))
+    if _fill_rows(out, rows):
+        return out
     for i, row in enumerate(rows):
         _require(isinstance(row, list) and len(row) == m, f'"{what}" must be square')
         for j, value in enumerate(row):
@@ -151,6 +178,8 @@ def load_vectors(obj) -> tuple[int, np.ndarray]:
     raw = obj.get("vectors")
     _require(isinstance(raw, list) and raw, '"vectors" must be a nonempty list')
     out = np.zeros((len(raw), n + 1))
+    if _fill_rows(out, raw):
+        return n, out
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == n + 1,
                  f"vector {i} must list {n + 1} coordinates")

@@ -85,7 +85,8 @@ class InversionSphere:
 def _gap_sq(p: Sphere, q: Sphere) -> float:
     if len(p.tangent) != len(q.tangent):
         raise ValueError("ambient dimensions differ")
-    return math.fsum((a - b) ** 2 for a, b in zip(p.tangent, q.tangent))
+    # A product, not ** 2: pow need not round correctly, and distance_matrix squares by product.
+    return math.fsum((a - b) * (a - b) for a, b in zip(p.tangent, q.tangent))
 
 
 def _gap(p: Sphere, q: Sphere) -> float:
@@ -258,7 +259,14 @@ def normalize_pair(p: KissingSphere, q: KissingSphere) -> InversionSphere | None
 
 
 def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
-    """Symmetric matrix of squared pairwise distances with zero diagonal."""
+    """Symmetric matrix of squared pairwise distances with zero diagonal.
+
+    Whole-array form of distance_sq: the squared tangent gaps accumulate one
+    boundary coordinate at a time (so up to two coordinates the result is
+    bit-identical to distance_sq), then divide by the diameter products;
+    shared tangent points give an exact zero. Rows and columns of hyperplanes
+    are h / phi against spheres and zero against each other.
+    """
     items = list(spheres)
     if not items:
         raise ValueError("need at least one sphere")
@@ -266,8 +274,23 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     if len(dims) > 1:
         raise ValueError("mixed ambient dimensions")
     m = len(items)
+    origin = (0.0,) * (dims.pop() - 1 if dims else 0)
+    # Hyperplanes sit at the origin with diameter one until their rows are overwritten.
+    tangent = np.array([origin if isinstance(s, Plane) else s.tangent for s in items])
+    tangent = tangent.reshape(m, len(origin))
+    diameter = np.array([1.0 if isinstance(s, Plane) else s.diameter for s in items])
+    planes = [i for i, s in enumerate(items) if isinstance(s, Plane)]
     out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            out[i, j] = out[j, i] = distance_sq(items[i], items[j])
+    scratch = np.empty((m, m))
+    for coordinate in tangent.T:
+        np.subtract.outer(coordinate, coordinate, out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        out += scratch
+    np.multiply.outer(diameter, diameter, out=scratch)
+    out /= scratch
+    if planes:
+        heights = np.array([items[i].height for i in planes])
+        out[planes] = heights[:, None] / diameter
+        out[:, planes] = out[planes].T
+        out[np.ix_(planes, planes)] = 0.0
     return out

@@ -53,12 +53,6 @@ def distance_sq(x, y) -> float:
     return -minkowski_inner(x, y)
 
 
-def is_null(x, tol: Tolerance = DEFAULT_TOL) -> bool:
-    v = _as_vector(x)
-    scale = max(1.0, float(v @ v))
-    return abs(minkowski_inner(v, v)) <= tol.residual * scale
-
-
 def is_future(x) -> bool:
     return float(_as_vector(x)[-1]) > 0.0
 

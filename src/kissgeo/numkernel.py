@@ -132,8 +132,92 @@ def inertia(matrix, tol: Tolerance = DEFAULT_TOL) -> Inertia:
     return inertia_of_values(values, tol)
 
 
-def symmetric_rank(matrix, tol: Tolerance = DEFAULT_TOL) -> int:
-    return inertia(matrix, tol).rank
+@dataclass(frozen=True)
+class Spectrum:
+    """Inertia of a symmetric matrix with the eigenpairs that decide it.
+
+    values (descending) and the matching orthonormal columns of vectors are
+    either the full eigendecomposition or a sketched subset of it; every
+    eigenvalue not listed counts as zero. inertia counts values against
+    cutoff, the zero threshold.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+    cutoff: float
+    inertia: Inertia
+
+
+# Gaussian test columns beyond the target rank (Halko, Martinsson & Tropp,
+# SIAM Rev. 2011), and a fixed seed so that the route and its result repeat.
+SKETCH_OVERSAMPLE = 8
+SKETCH_SEED = 20110509
+_EPS = float(np.finfo(float).eps)
+
+
+def certified_eigen(matrix, rank: int, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
+    """Inertia and decisive eigenpairs, in O(m^2 rank) when a sketch certifies them.
+
+    A range sketch of width w = rank + SKETCH_OVERSAMPLE gives Ritz pairs
+    (mu, U) and the residual E = A - U diag(mu) U^T. By Weyl's inequality
+    every eigenvalue of A lies within delta >= |E|_2 of the multiset
+    mu + {0}^(m - w), so the cutoff of inertia() is known to lie in a band
+    [c_lo, c_hi]. When delta < c_lo and every mu clears the band by delta,
+    the counts equal those of inertia() in exact arithmetic and the sketch
+    decides. Otherwise, and for m < 3 w, sym_eigen decides exactly as
+    inertia() does.
+    """
+    a = as_symmetric(matrix)
+    width = rank + SKETCH_OVERSAMPLE
+    if a.shape[0] >= 3 * width:
+        found = _sketched_spectrum(a, width, tol)
+        if found is not None:
+            return found
+    # sym_eigen takes its own copy; holding this one as well would add an
+    # m-by-m array to the peak memory of the full decomposition.
+    del a
+    values, vectors = sym_eigen(matrix, tol)
+    return Spectrum(values, vectors, eigen_cutoff(values, tol), inertia_of_values(values, tol))
+
+
+def _sketched_spectrum(a: np.ndarray, width: int, tol: Tolerance) -> Spectrum | None:
+    """The certified Spectrum from a width-w range sketch of a, or None."""
+    m = a.shape[0]
+    omega = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
+    q, _ = np.linalg.qr(a @ omega)
+    aq = a @ q
+    ritz = q.T @ aq
+    mu, v = np.linalg.eigh((ritz + ritz.T) / 2.0)
+    mu, v = mu[::-1], v[:, ::-1]
+    top = float(np.abs(mu).max())
+    c_mid = max(tol.eig_zero * top, ZERO_FLOOR)
+    # |A - Q Q^T A Q Q^T|_F^2 >= |A|_F^2 - |AQ|_F^2. The rounding slack is
+    # generous: a needless rejection only hands the matrix to sym_eigen.
+    norm_sq = float(np.vdot(a, a))
+    tail_sq = norm_sq - float(np.vdot(aq, aq)) - (m + width) ** 2 * _EPS * norm_sq
+    if tail_sq > c_mid * c_mid:
+        return None
+    u = q @ v
+    e = (u * mu) @ u.T
+    np.subtract(a, e, out=e)
+    residual = float(np.linalg.norm(e))
+    loss = float(np.linalg.norm(u.T @ u - np.eye(width)))
+    # delta bounds |A - U diag(mu) U^T|_2 in exact arithmetic plus the
+    # distance of U diag(mu) U^T's spectrum from mu + {0}: the computed
+    # Frobenius norm with its summation error, the rounding in forming E
+    # (inner dimension w, then one subtraction), and U's departure from
+    # orthonormality, |U^T U - I|, including the rounding in forming U^T U.
+    delta = (residual * (1.0 + m * m * _EPS)
+             + (width + 3) * _EPS * (math.sqrt(norm_sq) + 2.0 * float(np.abs(mu).sum()))
+             + top * (loss + (m + 2) * width * _EPS))
+    c_lo = max(tol.eig_zero * (top - delta), ZERO_FLOOR)
+    c_hi = max(tol.eig_zero * (top + delta), ZERO_FLOOR)
+    size = np.abs(mu)
+    if delta >= c_lo or np.any((size <= c_hi + delta) & (size >= c_lo - delta)):
+        return None
+    positive = int(np.sum(mu > c_hi))
+    negative = int(np.sum(mu < -c_hi))
+    return Spectrum(mu, u, c_hi, Inertia(positive, negative, m - positive - negative))
 
 
 def schur_complement(matrix, pivot_indices: Iterable[int], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -208,8 +292,8 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
     scale = float(np.abs(a).max())
     if scale <= ZERO_FLOOR:
         return GramFactor(np.zeros((m, n + 1)), tuple(range(m)))
-    values, vectors = sym_eigen(a, tol)
-    found = inertia_of_values(values, tol)
+    spectrum = certified_eigen(a, n + 1, tol)
+    found = spectrum.inertia
     if found.positive != 1:
         raise GramInfeasibleError(
             found, f"exactly one positive eigenvalue required, found {found.positive}"
@@ -218,16 +302,16 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
         raise GramInfeasibleError(
             found, f"{found.negative} negative eigenvalues exceed the spatial dimension {n}"
         )
-    cutoff = eigen_cutoff(values, tol)
+    values, vectors = spectrum.values, spectrum.vectors
     x = np.zeros((m, n + 1))
     x[:, n] = math.sqrt(values[0]) * vectors[:, 0]
-    negatives = [j for j in range(m) if values[j] < -cutoff]
-    for slot, j in enumerate(sorted(negatives, key=lambda j: values[j])):
-        x[:, slot] = math.sqrt(-values[j]) * vectors[:, j]
+    negatives = np.flatnonzero(values < -spectrum.cutoff)
+    negatives = negatives[np.argsort(values[negatives], kind="stable")]
+    x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
     eta = signature_form(n + 1)
     residual = float(np.abs(-(x @ eta @ x.T) - a).max())
     if residual > tol.residual * max(1.0, scale):
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")
     row_cut = tol.eig_zero * scale
-    degenerate = tuple(i for i in range(m) if float(np.abs(a[i]).max()) <= row_cut)
-    return GramFactor(x, degenerate)
+    degenerate = np.flatnonzero(np.abs(a).max(axis=1) <= row_cut)
+    return GramFactor(x, tuple(int(i) for i in degenerate))

@@ -70,3 +70,15 @@ def cycle_graph(length, edge_len=1.0):
         (i, (i + 1) % length, edge_len) for i in range(length)
     )
     return LengthGraph(length, edges)
+
+
+def coincident_sphere_set(rng, size, n, planes=2, shared=3):
+    """Random spheres with `planes` hyperplanes and `shared` spheres that reuse
+    an earlier sphere's tangent point at a new diameter, in shuffled order, so
+    both kinds of exact zero distance occur."""
+    spheres = [random_sphere(rng, n) for _ in range(size - planes - shared)]
+    for _ in range(shared):
+        twin = spheres[int(rng.integers(len(spheres)))]
+        spheres.append(Sphere(tangent=twin.tangent, diameter=float(np.exp(rng.uniform(-1.0, 1.0)))))
+    spheres += [random_plane(rng) for _ in range(planes)]
+    return [spheres[i] for i in rng.permutation(size)]

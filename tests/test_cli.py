@@ -244,6 +244,18 @@ class TestInputHandling:
         code, _, err = run(capsys, ["dist", path])
         assert code == 2
 
+    @pytest.mark.parametrize("command, payload", [
+        (["check", "--mode", "kissing", "--n", "2"], {"d2": [[0, 10**400], [10**400, 0]]}),
+        (["dist"], {"n": 2, "spheres": [{"t": [10**400], "phi": 1.0}, {"h": 1.0}]}),
+        (["complete", "--n", "2"], {"vertices": 2, "edges": [{"u": 0, "v": 1, "len": 10**400}]}),
+    ])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, command, payload):
+        path = write(tmp_path, "huge.json", payload)
+        code, out, err = run(capsys, [command[0], path, *command[1:]])
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
     def test_output_file(self, tmp_path, capsys):
         path = write(tmp_path, "pair.json", TANGENT_PAIR)
         out_path = tmp_path / "out.json"

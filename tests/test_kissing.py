@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_inversion, random_plane, random_sphere
+from gen import coincident_sphere_set, random_inversion, random_plane, random_sphere
 from kissgeo.kissing import (
     Dilation,
     InversionSphere,
@@ -217,6 +217,42 @@ class TestDistanceMatrix:
             distance_matrix([])
         with pytest.raises(ValueError):
             distance_matrix([Sphere((0.0,), 1.0), Sphere((0.0, 0.0), 1.0)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_identical_to_pairwise_loop_up_to_two_coordinates(self, rng, n):
+        for _ in range(10):
+            spheres = coincident_sphere_set(rng, 40, n)
+            assert np.array_equal(distance_matrix(spheres), pairwise_distance_matrix(spheres))
+
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_matches_pairwise_loop_in_higher_dimensions(self, rng, n):
+        # The loop sums squared gaps with fsum, the array form in order.
+        for _ in range(10):
+            spheres = coincident_sphere_set(rng, 40, n)
+            want = pairwise_distance_matrix(spheres)
+            got = distance_matrix(spheres)
+            assert np.array_equal(got == 0.0, want == 0.0)
+            assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    def test_exact_zeros_for_shared_points_and_plane_pairs(self):
+        spheres = [Sphere((0.3, -1.2), 1.0), Plane(2.0), Sphere((0.3, -1.2), 5.0), Plane(0.5)]
+        d = distance_matrix(spheres)
+        assert d[0, 2] == d[2, 0] == 0.0
+        assert d[1, 3] == d[3, 1] == 0.0
+        assert d[1, 0] == 2.0 and d[3, 2] == 0.5 / 5.0
+
+    def test_only_planes(self):
+        assert np.array_equal(distance_matrix([Plane(1.0), Plane(3.0)]), np.zeros((2, 2)))
+
+
+def pairwise_distance_matrix(spheres):
+    """Reference for distance_matrix: distance_sq pair by pair."""
+    m = len(spheres)
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            out[i, j] = out[j, i] = distance_sq(spheres[i], spheres[j])
+    return out
 
 
 class TestMoebiusInvariance:

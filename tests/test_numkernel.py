@@ -6,13 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gen import coincident_sphere_set
+from kissgeo import numkernel
+from kissgeo.embed import check_kissing, construct_embedding, matrices_close
+from kissgeo.kissing import distance_matrix
 from kissgeo.numkernel import (
     DEFAULT_TOL,
+    SKETCH_OVERSAMPLE,
     GramInfeasibleError,
     Inertia,
     SingularPivotError,
     Tolerance,
     as_symmetric,
+    certified_eigen,
     gram_factor_lorentz,
     inertia,
     principal_minor_sums,
@@ -187,13 +193,119 @@ class TestGramFactorLorentz:
     def test_reconstruction(self, rng):
         from gen import random_sphere_set
 
-        from kissgeo import distance_matrix
-
         for _ in range(10):
             d = distance_matrix(random_sphere_set(rng, 5, 3))
             x = gram_factor_lorentz(d, 3).vectors
             eta = signature_form(4)
             assert np.abs(-(x @ eta @ x.T) - d).max() <= DEFAULT_TOL.residual * max(1.0, d.max())
+
+
+def embeddable(rng, m, n):
+    return distance_matrix(coincident_sphere_set(rng, m, n, planes=max(1, m // 50), shared=m // 10))
+
+
+def raised_within_group(rng, m, n):
+    """Distances inside a random half S raised by c: c (1_S 1_S^T - diag(1_S))
+    has rank |S|, about m / 2, and makes a second positive eigenvalue."""
+    d = embeddable(rng, m, n)
+    inside = (rng.random(m) < 0.5).astype(float)
+    block = np.outer(inside, inside)
+    np.fill_diagonal(block, 0.0)
+    return d + float(np.median(d)) * block
+
+
+def raised_between_groups(rng, m, n):
+    """Distances between disjoint groups S and T raised by c: the zero
+    diagonal rules out a rank-one term, c (1_S 1_T^T + 1_T 1_S^T) has rank two."""
+    d = embeddable(rng, m, n)
+    side = rng.integers(3, size=m)
+    term = np.outer(side == 0, side == 1).astype(float)
+    return d + float(np.median(d)) * (term + term.T)
+
+
+def one_dimension_too_many(rng, m, n):
+    """Rank n + 2: spheres in ambient dimension n + 1."""
+    return embeddable(rng, m, n + 1)
+
+
+def low_rank(rng, m, spectrum):
+    basis, _ = np.linalg.qr(rng.normal(size=(m, len(spectrum))))
+    return (basis * np.asarray(spectrum)) @ basis.T
+
+
+@pytest.fixture
+def eigh_orders(monkeypatch):
+    """Orders of the matrices sym_eigen is called on."""
+    orders = []
+    original = numkernel.sym_eigen
+
+    def spy(matrix, tol=DEFAULT_TOL):
+        orders.append(np.shape(matrix)[0])
+        return original(matrix, tol)
+
+    monkeypatch.setattr(numkernel, "sym_eigen", spy)
+    return orders
+
+
+class TestCertifiedEigen:
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    @pytest.mark.parametrize("m, n", [(40, 2), (160, 3), (400, 4)])
+    @pytest.mark.parametrize("kind, low", [
+        (embeddable, True),
+        (raised_between_groups, True),
+        (one_dimension_too_many, True),
+        (raised_within_group, False),
+    ])
+    def test_same_verdict_and_witness_as_sym_eigen(self, rng, monkeypatch, eigh_orders,
+                                                   kind, low, m, n, scale):
+        d = scale * kind(rng, m, n)
+        spectrum = certified_eigen(d, n + 1)
+        # The sketch decides low-rank data; high-rank data goes to sym_eigen.
+        assert eigh_orders == ([] if low else [m])
+        assert spectrum.inertia == inertia(d)
+        got = check_kissing(d, n)
+        monkeypatch.setattr(numkernel, "_sketched_spectrum", lambda *args: None)
+        assert got == check_kissing(d, n)
+
+    def test_sketch_decides_certificate_and_construction(self, rng, eigh_orders):
+        d = embeddable(rng, 200, 3)
+        assert check_kissing(d, 3).embeddable
+        spheres = construct_embedding(d, 3)
+        assert eigh_orders == []
+        assert matrices_close(distance_matrix(spheres), d)
+
+    def test_high_rank_goes_to_sym_eigen(self, rng, eigh_orders):
+        d = raised_within_group(rng, 120, 3)
+        assert certified_eigen(d, 4).inertia == inertia(d)
+        assert eigh_orders == [120, 120]
+
+    @pytest.mark.parametrize("spectrum, noise", [
+        # An eigenvalue on the cutoff itself.
+        ((1.0, -0.5, -0.25, 1e-9), 0.0),
+        # Every sketched eigenvalue clears the cutoff, but full-rank noise
+        # too small for the early rejection leaves the others unknown.
+        ((1.0, -0.5, -0.25, 0.2, -0.1, 0.1, -0.05, 0.05, -0.02, 0.02, -0.01, 0.01), 1e-10),
+    ])
+    def test_cutoff_band_goes_to_sym_eigen(self, rng, eigh_orders, spectrum, noise):
+        a = low_rank(rng, 100, spectrum)
+        jitter = rng.normal(size=(100, 100))
+        a += noise * (jitter + jitter.T)
+        found = certified_eigen(a, 4)
+        assert eigh_orders == [100]
+        assert found.inertia == inertia(a)
+
+    @pytest.mark.parametrize("small, want", [(1.001e-9, (2, 2, 96)), (0.999e-9, (1, 2, 97))])
+    def test_sketch_decides_just_outside_the_band(self, rng, eigh_orders, small, want):
+        a = low_rank(rng, 100, (1.0, -0.5, -0.25, small))
+        assert certified_eigen(a, 4).inertia == want
+        assert eigh_orders == []
+        assert inertia(a) == want
+
+    def test_small_order_goes_to_sym_eigen(self, rng, eigh_orders):
+        m = 3 * (4 + SKETCH_OVERSAMPLE) - 1
+        d = embeddable(rng, m, 3)
+        assert certified_eigen(d, 4).inertia == (1, 3, m - 4)
+        assert eigh_orders == [m]
 
 
 class TestPrincipalMinorSums:
