@@ -82,20 +82,42 @@ def is_degenerate_zero(matrix) -> bool:
     """Identically zero distance data.
 
     Such data is realizable by spheres sharing one tangent point even though
-    the one-positive-eigenvalue test fails on it, so the inertia-style checks
-    special-case it.
+    it has no positive eigenvalue; the signature rule lets rank zero pass,
+    and the constructions realize it directly.
     """
-    return float(np.abs(np.asarray(matrix, dtype=float)).max()) <= numkernel.ZERO_FLOOR
+    return not np.any(np.asarray(matrix, dtype=float))
+
+
+def _border(d: np.ndarray, edge: float) -> np.ndarray:
+    """d bordered by a constant row and column equal to edge, zero corner."""
+    m = d.shape[0]
+    out = np.full((m + 1, m + 1), edge)
+    out[:m, :m] = d
+    out[m, m] = 0.0
+    return out
 
 
 def cayley_menger(matrix) -> np.ndarray:
     """Border the squared-distance matrix with an all-ones row/column, zero corner."""
-    d = validate_squared_distances(matrix)
-    m = d.shape[0]
-    out = np.ones((m + 1, m + 1))
-    out[:m, :m] = d
-    out[m, m] = 0.0
-    return out
+    return _border(validate_squared_distances(matrix), 1.0)
+
+
+def _data_border(d: np.ndarray) -> np.ndarray:
+    """The Cayley-Menger matrix with its border scaled to max D (1 if D is zero).
+
+    It is congruent to cayley_menger(d) through diag(1, ..., 1, max D), so by
+    Sylvester's law it has the same inertia and rank, while every entry scales
+    with the data.
+    """
+    return _border(d, float(d.max()) or 1.0)
+
+
+def _inertia_certificate(found: Inertia, max_negative: int, method: str, **rule) -> Certificate:
+    """The certificate for found under signature_violation(found, max_negative, **rule)."""
+    violation = numkernel.signature_violation(found, max_negative, **rule)
+    if violation is not None:
+        return Certificate(NOT_EMBEDDABLE, method, InertiaWitness(found, violation))
+    return Certificate(EMBEDDABLE, method)
 
 
 def _subsets_lex(order: int, min_size: int) -> list[tuple[int, ...]]:
@@ -108,8 +130,36 @@ def _subsets_lex(order: int, min_size: int) -> list[tuple[int, ...]]:
     return subsets
 
 
-def _minor_cutoff(size: int, scale: float, tol: Tolerance) -> float:
-    return tol.eig_zero * scale**size
+def _minors_certificate(d: np.ndarray, rank_bound: int, tol: Tolerance,
+                        bordered: bool) -> Certificate:
+    """The minors route: signed principal minors, then the rank.
+
+    Over subsets J in lexicographic order (|J| >= 2, or >= 1 when bordered),
+    M_J is D_J or D_J bordered with ones, and (-1)^order(M_J) det M_J must not
+    exceed eig_zero * (max D)^k, where k is the degree of homogeneity of the
+    minor in D: |J|, or |J| - 1 when bordered. The first violation is reported
+    with its signed minor (-1)^|J| det M_J. Then the rank of D, or of D
+    bordered at its own scale, must be at most rank_bound.
+    """
+    m = d.shape[0]
+    if m > MINORS_MAX_ORDER:
+        raise ValueError(
+            f"order {m} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
+        )
+    scale = float(d.max())
+    shift = 1 if bordered else 0
+    for subset in _subsets_lex(m, 2 - shift):
+        idx = np.asarray(subset)
+        block = d[np.ix_(idx, idx)]
+        minor = float(np.linalg.det(_border(block, 1.0) if bordered else block))
+        signed = minor if len(subset) % 2 == 0 else -minor
+        tested = -signed if bordered else signed
+        if tested > tol.eig_zero * scale ** (len(subset) - shift):
+            return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed))
+    rank = numkernel.inertia(_data_border(d) if bordered else d, tol).rank
+    if rank > rank_bound:
+        return Certificate(NOT_EMBEDDABLE, "minors", RankWitness(rank, rank_bound))
+    return Certificate(EMBEDDABLE, "minors")
 
 
 def check_kissing(matrix, n: int, method: str = "inertia",
@@ -127,46 +177,10 @@ def check_kissing(matrix, n: int, method: str = "inertia",
         raise ValueError("ambient dimension n must be >= 1")
     method = method.lower()
     if method == "inertia":
-        if is_degenerate_zero(d):
-            return Certificate(EMBEDDABLE, "inertia")
-        found = numkernel.certified_eigen(d, n + 1, tol).inertia
-        if found.positive != 1:
-            return Certificate(
-                NOT_EMBEDDABLE, "inertia",
-                InertiaWitness(found, "exactly one positive eigenvalue"),
-            )
-        if found.negative > n:
-            return Certificate(
-                NOT_EMBEDDABLE, "inertia",
-                InertiaWitness(found, f"at most {n} negative eigenvalues"),
-            )
-        return Certificate(EMBEDDABLE, "inertia")
+        return _inertia_certificate(numkernel.certified_eigen(d, n + 1, tol).inertia, n, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
-    m = d.shape[0]
-    if m > MINORS_MAX_ORDER:
-        raise ValueError(
-            f"order {m} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
-        )
-    scale = max(1.0, float(d.max()))
-    for subset in _subsets_lex(m, 2):
-        idx = np.asarray(subset)
-        minor = float(np.linalg.det(d[np.ix_(idx, idx)]))
-        signed = minor if len(subset) % 2 == 0 else -minor
-        if signed > _minor_cutoff(len(subset), scale, tol):
-            return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed))
-    rank = numkernel.inertia(d, tol).rank
-    if rank > n + 1:
-        return Certificate(NOT_EMBEDDABLE, "minors", RankWitness(rank, n + 1))
-    return Certificate(EMBEDDABLE, "minors")
-
-
-def _bordered(sub: np.ndarray) -> np.ndarray:
-    k = sub.shape[0]
-    out = np.ones((k + 1, k + 1))
-    out[:k, :k] = sub
-    out[k, k] = 0.0
-    return out
+    return _minors_certificate(d, n + 1, tol, bordered=False)
 
 
 def check_euclidean(matrix, n: int, method: str = "inertia",
@@ -177,65 +191,39 @@ def check_euclidean(matrix, n: int, method: str = "inertia",
     (-1)^{|J|} det M_J >= 0 over point subsets with rank(M) <= n + 2, or
     exactly one positive and at most n + 1 negative eigenvalues of M. The
     distance_inertia method applies the eigenvalue counts to the plain
-    distance matrix instead; it is a necessary condition only.
+    distance matrix instead; it is a necessary condition only. Inertia and
+    rank are taken on the matrix bordered at the data's own scale, which has
+    the inertia of the Cayley-Menger matrix.
     """
     d = validate_squared_distances(matrix)
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     method = method.lower()
     if method == "distance_inertia":
-        if is_degenerate_zero(d):
-            return Certificate(EMBEDDABLE, "distance_inertia")
-        found = numkernel.inertia(d, tol)
-        if found.positive != 1:
-            return Certificate(
-                NOT_EMBEDDABLE, "distance_inertia",
-                InertiaWitness(found, "exactly one positive eigenvalue"),
-            )
-        if found.negative > n + 1:
-            return Certificate(
-                NOT_EMBEDDABLE, "distance_inertia",
-                InertiaWitness(found, f"at most {n + 1} negative eigenvalues"),
-            )
-        return Certificate(EMBEDDABLE, "distance_inertia")
-    bordered = cayley_menger(d)
+        return _inertia_certificate(numkernel.inertia(d, tol), n + 1, method)
     if method == "inertia":
-        found = numkernel.inertia(bordered, tol)
-        if found.positive != 1:
-            return Certificate(
-                NOT_EMBEDDABLE, "inertia",
-                InertiaWitness(found, "exactly one positive eigenvalue"),
-            )
-        if found.negative > n + 1:
-            return Certificate(
-                NOT_EMBEDDABLE, "inertia",
-                InertiaWitness(found, f"at most {n + 1} negative eigenvalues"),
-            )
-        return Certificate(EMBEDDABLE, "inertia")
+        return _inertia_certificate(numkernel.inertia(_data_border(d), tol), n + 1, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
-    m = d.shape[0]
-    if m > MINORS_MAX_ORDER:
-        raise ValueError(
-            f"order {m} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
-        )
-    scale = max(1.0, float(d.max()))
-    for subset in _subsets_lex(m, 1):
-        idx = np.asarray(subset)
-        minor = float(np.linalg.det(_bordered(d[np.ix_(idx, idx)])))
-        signed = minor if len(subset) % 2 == 0 else -minor
-        if signed < -_minor_cutoff(len(subset) + 1, scale, tol):
-            return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed))
-    rank = numkernel.inertia(bordered, tol).rank
-    if rank > n + 2:
-        return Certificate(NOT_EMBEDDABLE, "minors", RankWitness(rank, n + 2))
-    return Certificate(EMBEDDABLE, "minors")
+    return _minors_certificate(d, n + 2, tol, bordered=True)
 
 
 def matrices_close(actual, expected, rtol: float = ROUND_TRIP_RTOL) -> bool:
+    """|actual - expected| <= rtol * (|expected| + min(1, max|expected|)) entrywise.
+
+    The additive term lets entries near zero match to within rtol of the
+    matrix's own scale, capped at 1.
+    """
     a = np.asarray(actual, dtype=float)
     b = np.asarray(expected, dtype=float)
-    return float(np.max(np.abs(a - b) / (1.0 + np.abs(b)))) <= rtol
+    # In place, so that a round trip holds two work arrays, not three.
+    allowed = np.abs(b)
+    allowed += min(1.0, float(allowed.max()))
+    allowed *= rtol
+    excess = a - b
+    np.abs(excess, out=excess)
+    excess -= allowed
+    return float(excess.max()) <= 0.0
 
 
 def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[KissingSphere]:

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .kissing import KissingSphere, Plane, Sphere
-from .numkernel import DEFAULT_TOL, ZERO_FLOOR, Tolerance, signature_form
+from .numkernel import DEFAULT_TOL, Tolerance, signature_form
 
 SQRT2 = math.sqrt(2.0)
 
@@ -91,7 +91,7 @@ def from_lightcone(x, tol: Tolerance = DEFAULT_TOL) -> KissingSphere:
     """
     v = _as_vector(x)
     top = float(np.abs(v).max())
-    if top <= ZERO_FLOOR:
+    if top == 0.0:
         raise ValueError("the zero vector is not on the future lightcone")
     if abs(minkowski_inner(v, v)) > tol.residual * max(1.0, top * top):
         raise ValueError("vector is not null to tolerance")

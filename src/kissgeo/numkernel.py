@@ -15,10 +15,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-# Absolute floor for eigenvalue thresholds, so near-zero matrices still get a
-# well-defined notion of "zero eigenvalue".
-ZERO_FLOOR = 1e-14
-
 
 class NonConvergenceError(RuntimeError):
     """The symmetric eigensolver failed or violated its residual contract."""
@@ -103,7 +99,7 @@ def sym_eigen(matrix, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    scale = max(float(np.abs(a).max()), ZERO_FLOOR)
+    scale = float(np.abs(a).max())
     residual = float(np.abs(a - (vectors * values) @ vectors.T).max())
     if residual > tol.residual * scale:
         raise NonConvergenceError(
@@ -115,7 +111,7 @@ def sym_eigen(matrix, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
 def eigen_cutoff(values, tol: Tolerance = DEFAULT_TOL) -> float:
     arr = np.asarray(values, dtype=float)
     top = float(np.abs(arr).max()) if arr.size else 0.0
-    return max(tol.eig_zero * top, ZERO_FLOOR)
+    return tol.eig_zero * top
 
 
 def inertia_of_values(values, tol: Tolerance = DEFAULT_TOL) -> Inertia:
@@ -130,6 +126,27 @@ def inertia(matrix, tol: Tolerance = DEFAULT_TOL) -> Inertia:
     """Counts of positive, negative, and zero eigenvalues under the relative cutoff."""
     values, _ = sym_eigen(matrix, tol)
     return inertia_of_values(values, tol)
+
+
+def signature_violation(found: Inertia, max_negative: int, exactly_one: bool = True,
+                        note: str = "") -> str | None:
+    """The requirement of the signature rule that found breaks, or None.
+
+    The rule behind every certificate: exactly one positive eigenvalue (at
+    most one when exactly_one is False) and at most max_negative negative
+    ones; note is appended to the negative-count requirement. Rank zero, the
+    identically zero matrix, always passes: its shared-point realization needs
+    no positive eigenvalue.
+    """
+    if found.rank == 0:
+        return None
+    if exactly_one and found.positive != 1:
+        return "exactly one positive eigenvalue"
+    if found.positive > 1:
+        return "at most one positive eigenvalue"
+    if found.negative > max_negative:
+        return f"at most {max_negative} negative eigenvalues{note}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -190,7 +207,7 @@ def _sketched_spectrum(a: np.ndarray, width: int, tol: Tolerance) -> Spectrum | 
     mu, v = np.linalg.eigh((ritz + ritz.T) / 2.0)
     mu, v = mu[::-1], v[:, ::-1]
     top = float(np.abs(mu).max())
-    c_mid = max(tol.eig_zero * top, ZERO_FLOOR)
+    c_mid = tol.eig_zero * top
     # |A - Q Q^T A Q Q^T|_F^2 >= |A|_F^2 - |AQ|_F^2. The rounding slack is
     # generous: a needless rejection only hands the matrix to sym_eigen.
     norm_sq = float(np.vdot(a, a))
@@ -210,8 +227,8 @@ def _sketched_spectrum(a: np.ndarray, width: int, tol: Tolerance) -> Spectrum | 
     delta = (residual * (1.0 + m * m * _EPS)
              + (width + 3) * _EPS * (math.sqrt(norm_sq) + 2.0 * float(np.abs(mu).sum()))
              + top * (loss + (m + 2) * width * _EPS))
-    c_lo = max(tol.eig_zero * (top - delta), ZERO_FLOOR)
-    c_hi = max(tol.eig_zero * (top + delta), ZERO_FLOOR)
+    c_lo = tol.eig_zero * (top - delta)
+    c_hi = tol.eig_zero * (top + delta)
     size = np.abs(mu)
     if delta >= c_lo or np.any((size <= c_hi + delta) & (size >= c_lo - delta)):
         return None
@@ -239,7 +256,7 @@ def schur_complement(matrix, pivot_indices: Iterable[int], tol: Tolerance = DEFA
         return np.zeros((0, 0))
     block = a[np.ix_(pivots, pivots)]
     singular_values = np.linalg.svd(block, compute_uv=False)
-    if singular_values[-1] <= tol.residual * max(float(singular_values[0]), ZERO_FLOOR):
+    if singular_values[-1] <= tol.residual * float(singular_values[0]):
         raise SingularPivotError(f"pivot block {tuple(pivots)} is singular to tolerance")
     cross = a[np.ix_(pivots, rest)]
     solved = np.linalg.solve(block, cross)
@@ -279,29 +296,20 @@ class GramFactor:
 def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFactor:
     """Vectors x_i in signature (n, 1) with -<x_i, x_j> equal to the input.
 
-    Requires exactly one positive eigenvalue and at most n negative ones,
-    except that an identically zero matrix factors as zero vectors (all rows
-    flagged degenerate). The single positive eigendirection is placed in the
-    time coordinate; negative directions fill spatial slots in order of
-    magnitude. Column signs are left to callers.
+    Requires the signature rule at n: exactly one positive eigenvalue and at
+    most n negative ones, or rank zero, where every row is zero and flagged
+    degenerate. The single positive eigendirection is placed in the time
+    coordinate; negative directions fill spatial slots in order of magnitude.
+    Column signs are left to callers.
     """
     a = as_symmetric(matrix)
     if n < 1:
         raise ValueError("spatial dimension n must be >= 1")
     m = a.shape[0]
-    scale = float(np.abs(a).max())
-    if scale <= ZERO_FLOOR:
-        return GramFactor(np.zeros((m, n + 1)), tuple(range(m)))
     spectrum = certified_eigen(a, n + 1, tol)
-    found = spectrum.inertia
-    if found.positive != 1:
-        raise GramInfeasibleError(
-            found, f"exactly one positive eigenvalue required, found {found.positive}"
-        )
-    if found.negative > n:
-        raise GramInfeasibleError(
-            found, f"{found.negative} negative eigenvalues exceed the spatial dimension {n}"
-        )
+    violation = signature_violation(spectrum.inertia, n)
+    if violation is not None:
+        raise GramInfeasibleError(spectrum.inertia, violation)
     values, vectors = spectrum.values, spectrum.vectors
     x = np.zeros((m, n + 1))
     x[:, n] = math.sqrt(values[0]) * vectors[:, 0]
@@ -309,9 +317,9 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
     negatives = negatives[np.argsort(values[negatives], kind="stable")]
     x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
     eta = signature_form(n + 1)
+    scale = float(np.abs(a).max())
     residual = float(np.abs(-(x @ eta @ x.T) - a).max())
-    if residual > tol.residual * max(1.0, scale):
+    if residual > tol.residual * scale:
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")
-    row_cut = tol.eig_zero * scale
-    degenerate = np.flatnonzero(np.abs(a).max(axis=1) <= row_cut)
+    degenerate = np.flatnonzero(np.abs(a).max(axis=1) <= tol.eig_zero * scale)
     return GramFactor(x, tuple(int(i) for i in degenerate))

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numkernel
-from .embed import EMBEDDABLE, MINORS_MAX_ORDER, NOT_EMBEDDABLE, Certificate, InertiaWitness
+from .embed import MINORS_MAX_ORDER, Certificate, _inertia_certificate
 from .lightcone import SQRT2, minkowski_inner
 from .numkernel import DEFAULT_TOL, Inertia, Tolerance
 
@@ -146,16 +146,9 @@ def check_spheres(matrix, n: int, method: str = "inertia",
         counts = _descartes_inertia(sums, m, max(1.0, float(np.abs(s).max())), tol)
     else:
         raise ValueError(f"unknown method {method!r}")
-    if counts.positive > 1:
-        return Certificate(
-            NOT_EMBEDDABLE, method, InertiaWitness(counts, "at most one positive eigenvalue")
-        )
-    if counts.negative > n + 1:
-        return Certificate(
-            NOT_EMBEDDABLE, method,
-            InertiaWitness(counts, f"at most {n + 1} negative eigenvalues (rank at most {n + 2})"),
-        )
-    return Certificate(EMBEDDABLE, method)
+    return _inertia_certificate(
+        counts, n + 1, method, exactly_one=False, note=f" (rank at most {n + 2})"
+    )
 
 
 def kissing_cone_embed(anchor, vector, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -82,3 +82,44 @@ def coincident_sphere_set(rng, size, n, planes=2, shared=3):
         spheres.append(Sphere(tangent=twin.tangent, diameter=float(np.exp(rng.uniform(-1.0, 1.0)))))
     spheres += [random_plane(rng) for _ in range(planes)]
     return [spheres[i] for i in rng.permutation(size)]
+
+
+def shared_point_chordal_graph(rng, vertices, n=3, shared_share=0.03, max_clique=4):
+    """Chordal length graph from one plane and spheres of which a
+    ``shared_share`` reuse an earlier sphere's tangent point, so that
+    separators with exact zero distances occur.
+
+    Tangent points are Gaussian with spread 2 and diameters and the plane's
+    height log-uniform on [1/e, e]. Each new vertex joins a random nonempty
+    subset of at most max_clique - 1 vertices of a clique made earlier.
+    Lengths are computed with plain numpy: |t_u - t_v| / sqrt(phi_u phi_v)
+    between spheres and sqrt(h / phi) between the plane and a sphere.
+    """
+    tangent = 2.0 * rng.normal(size=(vertices, n - 1))
+    diameter = np.exp(rng.uniform(-1.0, 1.0, size=vertices))
+    height = np.zeros(vertices)
+    plane = rng.choice(vertices, size=1, replace=False)
+    height[plane] = np.exp(rng.uniform(-1.0, 1.0, size=1))
+    spheres = np.flatnonzero(height == 0.0)
+    for i in spheres[1:][rng.random(spheres.size - 1) < shared_share]:
+        tangent[i] = tangent[rng.choice(spheres[spheres < i])]
+    cliques = [[0]]
+    pairs = []
+    for v in range(1, vertices):
+        base = cliques[int(rng.integers(len(cliques)))]
+        take = int(rng.integers(1, min(len(base), max_clique - 1) + 1))
+        picked = sorted(int(u) for u in rng.choice(base, size=take, replace=False))
+        pairs.extend((u, v) for u in picked)
+        cliques.append(picked + [v])
+    is_plane = height > 0.0
+    inv = np.where(is_plane, 0.0, 1.0 / diameter)
+    tangent[is_plane] = 0.0
+    edges = []
+    for u, v in pairs:
+        diff = tangent[u] - tangent[v]
+        gap = 0.0
+        for k in range(n - 1):
+            gap = gap + diff[k] * diff[k]
+        d2 = gap * (inv[u] * inv[v]) + (height[u] * inv[v] + inv[u] * height[v])
+        edges.append((u, v, float(np.sqrt(d2))))
+    return LengthGraph(vertices, tuple(edges))

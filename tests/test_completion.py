@@ -3,7 +3,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gen import cycle_graph, graph_from_configuration, random_sphere
+from gen import cycle_graph, graph_from_configuration, random_sphere, shared_point_chordal_graph
+from kissgeo import completion
 from kissgeo.completion import (
     COMPLETED,
     INFEASIBLE,
@@ -302,6 +303,56 @@ class TestCompleteChordal:
         result = complete_chordal(g, 2)
         assert result.verdict == INFEASIBLE
         assert "gluing" in str(result.witness)
+
+
+class TestGluingFallbacks:
+    """Realizable graphs whose gluing needs the fallbacks behind the alignment
+    to the parent clique. In each, a two-vertex separator with a small squared
+    distance (0.0075 or 0.051) leaves that alignment's residual just above
+    tolerance. The 800-vertex graphs are the benchmark's completion inputs for
+    seeds 1009 and 1020."""
+
+    @staticmethod
+    def complete_with_spies(monkeypatch, graph):
+        anchored = []
+        aligned = []
+        solve, align = completion._anchored_null_vector, completion.lorentz_align
+
+        def solve_spy(*args):
+            anchored.append(solve(*args))
+            return anchored[-1]
+
+        def align_spy(source, target, tol):
+            try:
+                out = align(source, target, tol)
+            except completion.AlignmentError:
+                aligned.append((np.array(source), False))
+                raise
+            aligned.append((np.array(source), True))
+            return out
+
+        monkeypatch.setattr(completion, "_anchored_null_vector", solve_spy)
+        monkeypatch.setattr(completion, "lorentz_align", align_spy)
+        result = complete_chordal(graph, 3)
+        assert result.verdict == COMPLETED
+        assert verify_target_matrix(result.full_matrix, graph, 3).satisfied
+        retries = sum(
+            1 for (x0, ok0), (x1, ok1) in zip(aligned, aligned[1:])
+            if not ok0 and ok1 and np.array_equal(x0, x1)
+        )
+        return len(anchored), retries
+
+    @pytest.mark.parametrize("vertices, share, seed, solves", [(40, 0.2, 261, 1), (800, 0.03, 1009, 3)])
+    def test_anchored_solve_completes(self, monkeypatch, vertices, share, seed, solves):
+        graph = shared_point_chordal_graph(np.random.default_rng(seed), vertices, shared_share=share)
+        anchored, _ = self.complete_with_spies(monkeypatch, graph)
+        assert anchored == solves
+
+    @pytest.mark.parametrize("vertices, share, seed", [(60, 0.1, 103), (800, 0.03, 1020)])
+    def test_placed_alignment_retry_completes(self, monkeypatch, vertices, share, seed):
+        graph = shared_point_chordal_graph(np.random.default_rng(seed), vertices, shared_share=share)
+        anchored, retries = self.complete_with_spies(monkeypatch, graph)
+        assert (anchored, retries) == (0, 1)
 
 
 class TestVerifyTargetMatrix:

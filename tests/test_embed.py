@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gen import random_sphere, random_sphere_set
+from gen import coincident_sphere_set, random_sphere, random_sphere_set
 from kissgeo.embed import (
     Certificate,
     InadmissiblePivotError,
@@ -289,3 +291,104 @@ class TestDegenerationBridges:
             )
             bordered = cayley_menger(euclid)
             assert np.abs(d - bordered).max() <= 1e-12 * max(1.0, bordered.max())
+
+
+class TestMatricesClose:
+    def test_rejects_a_large_error_at_small_scale(self):
+        expected = 1e-9 * TRIANGLE_345
+        wrong = expected.copy()
+        wrong[0, 1] = wrong[1, 0] = 1.5 * expected[0, 1]
+        assert not matrices_close(wrong, expected)
+        assert matrices_close(expected * (1.0 + 1e-9), expected)
+
+    def test_zero_entries_match_to_the_matrix_scale(self):
+        expected = 1e-12 * BOUNDARY_GAP
+        near = expected.copy()
+        near[2, 3] = near[3, 2] = 1e-20
+        assert matrices_close(near, expected)
+        near[2, 3] = near[3, 2] = 1e-18
+        assert not matrices_close(near, expected)
+
+    def test_unchanged_when_the_largest_entry_is_at_least_one(self, rng):
+        for _ in range(50):
+            expected = distance_matrix(random_sphere_set(rng, 5, 3))
+            expected *= float(rng.uniform(1.0, 1e6)) / min(1.0, expected.max())
+            actual = expected * (1.0 + rng.normal(scale=1e-7, size=expected.shape))
+            old = float(np.max(np.abs(actual - expected) / (1.0 + np.abs(expected)))) <= 1e-7
+            assert matrices_close(actual, expected) == old
+
+
+ROUTES = (
+    (check_kissing, "inertia"),
+    (check_kissing, "minors"),
+    (check_euclidean, "distance_inertia"),
+    (check_euclidean, "inertia"),
+    (check_euclidean, "minors"),
+)
+
+
+def sample_squared_distances(rng, kind, size):
+    """A mix of kissing, shared-point, Euclidean, raised and arbitrary inputs."""
+    if kind == "spheres":
+        return distance_matrix(random_sphere_set(rng, size, 3, plane_chance=0.3))
+    if kind == "shared":
+        return distance_matrix(coincident_sphere_set(rng, size, 3, planes=1, shared=2))
+    if kind == "points":
+        points = rng.normal(size=(size, 2))
+        return ((points[:, None] - points[None]) ** 2).sum(axis=-1)
+    if kind == "raised":
+        d = distance_matrix(random_sphere_set(rng, size, 2))
+        group = np.arange(size) < size // 2
+        raised = np.outer(group, group).astype(float)
+        np.fill_diagonal(raised, 0.0)
+        return d + float(np.median(d)) * raised
+    a = rng.uniform(0.0, 5.0, size=(size, size))
+    d = a + a.T
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+class TestScaleCovariance:
+    def test_tiny_tangent_quadruple_is_not_embeddable_on_the_line(self):
+        # J - I has inertia (1, 3, 0) at every positive scale; an absolute
+        # zero floor used to read it as embeddable at 1e-15.
+        for scale in (1.0, 1e-15, 1e-20, 1e20):
+            d = scale * (np.ones((4, 4)) - np.eye(4))
+            assert check_kissing(d, 1).witness.inertia == Inertia(1, 3, 0)
+            for check, method in ROUTES:
+                assert not check(d, 1, method).embeddable, (scale, method)
+
+    def test_broken_triangle_rejected_at_every_scale(self):
+        # Lengths 1, 1 and 2.001 break the triangle inequality. Its bordered
+        # minor scales as c^(|J| - 1) = c^2 and the bordered inertia is read
+        # with a border at the data's scale, so neither route can miss it.
+        broken = np.array([[0.0, 1.0, 4.004], [1.0, 0.0, 1.0], [4.004, 1.0, 0.0]])
+        for scale in (1e-4, 1.0, 1e4):
+            for method in ("inertia", "minors"):
+                assert not check_euclidean(scale * broken, 2, method).embeddable, (scale, method)
+        signed = check_euclidean(1e4 * broken, 2, "minors").witness.signed_minor
+        assert signed == pytest.approx(1e8 * check_euclidean(broken, 2, "minors").witness.signed_minor)
+
+    def test_construct_embedding_at_extreme_scales(self, rng):
+        for scale in (1e-20, 1e-10, 1e10, 1e20):
+            for _ in range(10):
+                d = scale * distance_matrix(random_sphere_set(rng, 6, 3, plane_chance=0.3))
+                spheres = construct_embedding(d, 3)
+                assert matrices_close(distance_matrix(spheres), d)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("spheres", "shared", "points", "raised", "random")),
+    size=st.integers(4, 7),
+    n=st.integers(1, 3),
+    exponent=st.floats(min_value=-20.0, max_value=20.0),
+)
+@settings(max_examples=60)
+def test_verdicts_invariant_under_scaling_and_relabelling(seed, kind, size, n, exponent):
+    rng = np.random.default_rng(seed)
+    d = sample_squared_distances(rng, kind, size)
+    perm = rng.permutation(size)
+    moved = 10.0**exponent * d[np.ix_(perm, perm)]
+    for check, method in ROUTES:
+        assert check(moved, n, method).verdict == check(d, n, method).verdict, method

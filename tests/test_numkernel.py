@@ -24,6 +24,7 @@ from kissgeo.numkernel import (
     principal_minor_sums,
     schur_complement,
     signature_form,
+    signature_violation,
     sym_eigen,
 )
 
@@ -190,6 +191,14 @@ class TestGramFactorLorentz:
         with pytest.raises(GramInfeasibleError, match="negative"):
             gram_factor_lorentz(d, 2)
 
+    def test_reason_is_the_certificate_requirement(self):
+        d = np.ones((4, 4)) - np.eye(4)
+        for scale in (1.0, 1e-15):
+            with pytest.raises(GramInfeasibleError) as err:
+                gram_factor_lorentz(scale * d, 2)
+            assert err.value.reason == check_kissing(scale * d, 2).witness.requirement
+            assert err.value.reason == "at most 2 negative eigenvalues"
+
     def test_reconstruction(self, rng):
         from gen import random_sphere_set
 
@@ -329,6 +338,28 @@ def test_inertia_sums_to_order_property(flat):
     a = sym_from_flat(np.array(flat), 3)
     found = inertia(a)
     assert found.positive + found.negative + found.zero == 3
+
+
+class TestSignatureViolation:
+    def test_requirements(self):
+        assert signature_violation(Inertia(1, 2, 0), 2) is None
+        assert signature_violation(Inertia(1, 3, 0), 2) == "at most 2 negative eigenvalues"
+        assert signature_violation(Inertia(2, 0, 1), 2) == "exactly one positive eigenvalue"
+        assert signature_violation(Inertia(0, 1, 1), 2) == "exactly one positive eigenvalue"
+
+    def test_at_most_one_positive(self):
+        assert signature_violation(Inertia(0, 3, 0), 3, exactly_one=False) is None
+        assert signature_violation(Inertia(2, 0, 1), 3, exactly_one=False) == (
+            "at most one positive eigenvalue"
+        )
+        assert signature_violation(Inertia(1, 4, 0), 3, exactly_one=False, note=" (rank)") == (
+            "at most 3 negative eigenvalues (rank)"
+        )
+
+    def test_rank_zero_passes(self):
+        assert signature_violation(Inertia(0, 0, 5), 1) is None
+        assert inertia(np.zeros((3, 3))) == Inertia(0, 0, 3)
+        assert inertia(1e-300 * (np.ones((3, 3)) - np.eye(3))) == Inertia(1, 2, 0)
 
 
 def test_tolerance_validation():
