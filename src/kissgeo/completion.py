@@ -13,6 +13,7 @@ clique stays feasible while the cycle itself cannot close up.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,20 +120,24 @@ class CompletionResult:
 
 
 def mcs_order(graph: LengthGraph) -> tuple[int, ...]:
-    """Maximum-cardinality search order; ties go to the lowest vertex index."""
+    """Maximum-cardinality search order; ties go to the lowest vertex index.
+
+    A heap keyed (-weight, vertex) keeps stale entries until they are popped;
+    a placed vertex's weight is None, so all its entries are stale.
+    """
     adjacency = graph.adjacency
-    m = graph.vertex_count
-    weight = [0] * m
-    remaining = set(range(m))
+    weight: list[int | None] = [0] * graph.vertex_count
+    heap = [(0, v) for v in range(graph.vertex_count)]
     order = []
-    while remaining:
-        best = max(weight[v] for v in remaining)
-        v = min(u for u in remaining if weight[u] == best)
-        order.append(v)
-        remaining.remove(v)
-        for w in adjacency[v]:
-            if w in remaining:
-                weight[w] += 1
+    while heap:
+        key, v = heapq.heappop(heap)
+        if -key == weight[v]:
+            weight[v] = None
+            order.append(v)
+            for w in adjacency[v]:
+                if weight[w] is not None:
+                    weight[w] += 1
+                    heapq.heappush(heap, (-weight[w], w))
     return tuple(order)
 
 
@@ -207,49 +212,45 @@ def is_chordal(graph: LengthGraph) -> Chordality:
 
 
 def maximal_cliques(graph: LengthGraph, peo) -> CliqueTree:
-    """Clique tree of a chordal graph along an elimination ordering.
+    """Clique tree of a chordal graph, read off a perfect elimination ordering.
 
-    The tree is the maximum-weight spanning tree of the clique-intersection
-    graph with separator sizes as weights, ties broken lexicographically, so
-    the running-intersection property holds.
+    One pass in reverse elimination order (Blair & Peyton, 1993): a vertex
+    whose later neighbours are exactly the clique holding the first of them
+    joins that clique; otherwise they separate the clique it starts from that
+    one. Further components hang off clique 0 at their smallest index by an
+    empty separator. Edges (i < j, separator) are sorted. An ordering that
+    is not perfect raises ValueError.
     """
     if sorted(peo) != list(range(graph.vertex_count)):
         raise ValueError("elimination ordering must be a permutation of the vertices")
-    if _peo_violation(graph, peo) is not None:
-        raise ValueError("ordering is not a perfect elimination ordering (graph not chordal?)")
     pos = {v: i for i, v in enumerate(peo)}
     adjacency = graph.adjacency
-    candidates = [
-        frozenset({v} | {w for w in adjacency[v] if pos[w] > pos[v]}) for v in peo
-    ]
-    maximal = {
-        tuple(sorted(c))
-        for c in candidates
-        if not any(c < other for other in candidates)
-    }
-    cliques = tuple(sorted(maximal))
-    k = len(cliques)
-    pairs = sorted(
-        ((i, j) for i in range(k) for j in range(i + 1, k)),
-        key=lambda ij: (-len(set(cliques[ij[0]]) & set(cliques[ij[1]])), ij),
-    )
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    edges = []
-    for i, j in pairs:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        separator = tuple(sorted(set(cliques[i]) & set(cliques[j])))
-        edges.append((i, j, separator))
-    return CliqueTree(cliques, tuple(edges))
+    members: list[set[int]] = []
+    component: list[int] = []
+    home: dict[int, int] = {}
+    links = []
+    for v in reversed(peo):
+        later = {w for w in adjacency[v] if pos[w] > pos[v]}
+        if later:
+            up = home[min(later, key=pos.__getitem__)]
+            if not later <= members[up]:
+                raise ValueError("ordering is not a perfect elimination ordering (graph not chordal?)")
+            if later == members[up]:
+                members[up].add(v)
+                home[v] = up
+                continue
+            links.append((len(members), up, tuple(sorted(later))))
+        home[v] = len(members)
+        component.append(component[up] if later else len(members))
+        members.append(later | {v})
+    cliques = [tuple(sorted(c)) for c in members]
+    rank = sorted(range(len(cliques)), key=cliques.__getitem__)
+    index = {c: i for i, c in enumerate(rank)}
+    # In reverse sorted order, so each component keeps its smallest index.
+    first = {component[c]: index[c] for c in reversed(rank)}
+    edges = [(*sorted((index[c], index[up])), separator) for c, up, separator in links]
+    edges += [(0, i, ()) for i in first.values() if i]
+    return CliqueTree(tuple(cliques[c] for c in rank), tuple(sorted(edges)))
 
 
 def _all_maximal_cliques(graph: LengthGraph) -> tuple[tuple[int, ...], ...]:
@@ -373,7 +374,8 @@ class TargetReport:
     """The four target-matrix conditions, reported independently.
 
     Edge agreement is enforced in the forward direction only: entries on
-    edges must match the squared lengths; non-edge entries are free.
+    edges must match the squared lengths by the rule of matrices_close;
+    non-edge entries are free.
     """
 
     diagonal_ok: bool
@@ -393,14 +395,14 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int, tol: Tolerance = DE
     if d.shape[0] != graph.vertex_count:
         raise ValueError("matrix order must equal the vertex count")
     failures = []
-    scale = max(1.0, float(np.abs(d).max()))
-    diagonal_ok = float(np.abs(np.diag(d)).max()) <= 1e-12 * scale
+    diagonal_ok = float(np.abs(np.diag(d)).max()) <= 1e-12 * float(np.abs(d).max())
     if not diagonal_ok:
         failures.append("diagonal is not zero")
     edges_ok = True
+    floor = min(1.0, max((length * length for _, _, length in graph.edges), default=0.0))
     for u, v, length in graph.edges:
         expected = length * length
-        if abs(d[u, v] - expected) > edge_rtol * (1.0 + expected):
+        if abs(d[u, v] - expected) > edge_rtol * (expected + floor):
             edges_ok = False
             failures.append(f"edge ({u}, {v}) entry {d[u, v]!r} != squared length {expected!r}")
     if is_degenerate_zero(d):
@@ -534,7 +536,7 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
     gram = vectors @ eta @ vectors.T
     full = -(gram + gram.T) / 2.0
     lowest = float(full.min())
-    if lowest < -tol.residual * max(1.0, float(np.abs(full).max())):
+    if lowest < -tol.residual * float(np.abs(full).max()):
         return CompletionResult(
             INFEASIBLE, witness=f"completed matrix has a negative entry {lowest!r}"
         )

@@ -69,7 +69,7 @@ class Certificate:
 def validate_squared_distances(matrix) -> np.ndarray:
     """Check symmetry, zero diagonal, and nonnegative entries; return a clean copy."""
     a = numkernel.as_symmetric(matrix)
-    scale = max(1.0, float(np.abs(a).max()))
+    scale = float(np.abs(a).max())
     if float(np.abs(np.diag(a)).max()) > 1e-12 * scale:
         raise ValueError("squared-distance matrix must have a zero diagonal")
     if float(a.min()) < -1e-12 * scale:

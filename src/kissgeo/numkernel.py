@@ -74,8 +74,7 @@ def as_symmetric(matrix, rtol: float = 1e-8) -> np.ndarray:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    scale = max(1.0, float(np.abs(a).max()))
-    if float(np.abs(a - a.T).max()) > rtol * scale:
+    if float(np.abs(a - a.T).max()) > rtol * float(np.abs(a).max()):
         raise ValueError("matrix is not symmetric")
     return (a + a.T) / 2.0
 
@@ -182,17 +181,14 @@ def certified_eigen(matrix, rank: int, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     [c_lo, c_hi]. When delta < c_lo and every mu clears the band by delta,
     the counts equal those of inertia() in exact arithmetic and the sketch
     decides. Otherwise, and for m < 3 w, sym_eigen decides exactly as
-    inertia() does.
+    inertia() does. matrix must be exactly symmetric, as as_symmetric
+    returns it; it is not validated again.
     """
-    a = as_symmetric(matrix)
     width = rank + SKETCH_OVERSAMPLE
-    if a.shape[0] >= 3 * width:
-        found = _sketched_spectrum(a, width, tol)
+    if matrix.shape[0] >= 3 * width:
+        found = _sketched_spectrum(matrix, width, tol)
         if found is not None:
             return found
-    # sym_eigen takes its own copy; holding this one as well would add an
-    # m-by-m array to the peak memory of the full decomposition.
-    del a
     values, vectors = sym_eigen(matrix, tol)
     return Spectrum(values, vectors, eigen_cutoff(values, tol), inertia_of_values(values, tol))
 

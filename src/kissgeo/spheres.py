@@ -67,7 +67,7 @@ def separation_matrix(spheres: Sequence[EuclideanSphere]) -> np.ndarray:
 
 def validate_separation_matrix(matrix) -> np.ndarray:
     a = numkernel.as_symmetric(matrix)
-    scale = max(1.0, float(np.abs(a).max()))
+    scale = float(np.abs(a).max())
     if float(np.abs(np.diag(a) + 1.0).max()) > 1e-12 * scale:
         raise ValueError("separation matrix must have diagonal -1")
     np.fill_diagonal(a, -1.0)

@@ -3,7 +3,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gen import cycle_graph, graph_from_configuration, random_sphere, shared_point_chordal_graph
+from gen import (
+    cycle_graph,
+    graph_from_configuration,
+    random_chordal_graph,
+    random_sphere,
+    shared_point_chordal_graph,
+)
 from kissgeo import completion
 from kissgeo.completion import (
     COMPLETED,
@@ -139,6 +145,36 @@ class TestMaximalCliques:
         assert tree.cliques == ((0, 1, 2), (1, 2, 3))
         assert tree.edges == ((0, 1, (1, 2)),)
 
+    def test_components_hang_off_clique_zero(self):
+        # Components {0, 4, 5}, {1, 2, 6} and {3} interleave in sorted order.
+        g = LengthGraph(7, ((0, 4, 1.0), (4, 5, 1.0), (1, 2, 1.0), (2, 6, 1.0)))
+        tree = maximal_cliques(g, is_chordal(g).peo)
+        assert tree.cliques == ((0, 4), (1, 2), (2, 6), (3,), (4, 5))
+        assert tree.edges == ((0, 1, ()), (0, 3, ()), (0, 4, (4,)), (1, 2, (2,)))
+
+    def test_orderings_checked_like_the_elimination_check(self, rng):
+        # Random permutations, and perfect elimination orderings other than
+        # the one is_chordal returns: MCS orders of a relabelled copy.
+        rejected = 0
+        for k in range(300):
+            g = relabelled_chordal_graph(rng, 1 + k % 3)
+            cliques = maximal_cliques(g, is_chordal(g).peo).cliques
+            label = rng.permutation(g.vertex_count)
+            if k % 2:
+                copy = LengthGraph(g.vertex_count, tuple(
+                    (int(label[u]), int(label[v]), 1.0) for u, v, _ in g.edges))
+                inverse = np.argsort(label)
+                order = tuple(int(inverse[v]) for v in is_chordal(copy).peo)
+            else:
+                order = tuple(int(v) for v in label)
+            if completion._peo_violation(g, order) is None:
+                assert maximal_cliques(g, order).cliques == cliques
+            else:
+                rejected += 1
+                with pytest.raises(ValueError, match="not a perfect elimination ordering"):
+                    maximal_cliques(g, order)
+        assert 100 <= rejected <= 150
+
     def test_running_intersection(self, rng):
         for _ in range(20):
             g, _ = graph_from_configuration(rng, 8, 2)
@@ -166,6 +202,97 @@ class TestMaximalCliques:
                                 nxt.append(j)
                     frontier = nxt
                 assert seen == holding
+
+
+def reference_mcs_order(graph):
+    """The quadratic maximum-cardinality search: scan every remaining vertex
+    for the largest weight, ties to the lowest index."""
+    weight = [0] * graph.vertex_count
+    remaining = set(range(graph.vertex_count))
+    order = []
+    while remaining:
+        best = max(weight[v] for v in remaining)
+        v = min(u for u in remaining if weight[u] == best)
+        order.append(v)
+        remaining.remove(v)
+        for w in graph.adjacency[v]:
+            if w in remaining:
+                weight[w] += 1
+    return tuple(order)
+
+
+def relabelled_chordal_graph(rng, pieces=1):
+    """Disjoint union of random chordal graphs and isolated vertices, with
+    the vertices shuffled."""
+    edges = []
+    count = 0
+    for _ in range(pieces):
+        size = int(rng.integers(2, 14))
+        edges += [(u + count, v + count) for u, v in
+                  random_chordal_graph(rng, size, int(rng.integers(2, 6)))]
+        count += size + int(rng.integers(0, 2))
+    label = rng.permutation(count)
+    return LengthGraph(count, tuple((int(label[u]), int(label[v]), 1.0) for u, v in edges))
+
+
+def random_graph(rng):
+    m = int(rng.integers(1, 12))
+    pairs = list(combinations(range(m), 2))
+    keep = rng.uniform(size=len(pairs)) < rng.uniform(0.1, 0.7)
+    return LengthGraph(m, tuple((u, v, 1.0) for (u, v), k in zip(pairs, keep) if k))
+
+
+def test_mcs_order_matches_quadratic_reference(rng):
+    for k in range(300):
+        g = relabelled_chordal_graph(rng, 1 + k % 3) if k % 2 else random_graph(rng)
+        assert completion.mcs_order(g) == reference_mcs_order(g)
+
+
+class TestNetworkxOracle:
+    """Chordality, maximal cliques and clique trees against networkx."""
+
+    @pytest.fixture
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def as_nx(nx, graph):
+        out = nx.Graph()
+        out.add_nodes_from(range(graph.vertex_count))
+        out.add_edges_from((u, v) for u, v, _ in graph.edges)
+        return out
+
+    def test_chordality(self, nx, rng):
+        for k in range(300):
+            g = relabelled_chordal_graph(rng, 1 + k % 3) if k % 2 else random_graph(rng)
+            assert is_chordal(g).chordal == nx.is_chordal(self.as_nx(nx, g))
+
+    def test_clique_tree(self, nx, rng):
+        for k in range(200):
+            g = relabelled_chordal_graph(rng, 1 + k % 3)
+            tree = maximal_cliques(g, is_chordal(g).peo)
+            cliques = [set(c) for c in tree.cliques]
+            assert set(map(frozenset, cliques)) == set(nx.chordal_graph_cliques(self.as_nx(nx, g)))
+            components = nx.number_connected_components(self.as_nx(nx, g))
+            assert len(tree.edges) == len(cliques) - 1
+            assert sum(1 for _, _, sep in tree.edges if sep) == len(cliques) - components
+            for i, j, separator in tree.edges:
+                assert i < j
+                assert separator == tuple(sorted(cliques[i] & cliques[j]))
+            links = nx.Graph(tree_edge[:2] for tree_edge in tree.edges)
+            links.add_nodes_from(range(len(cliques)))
+            assert nx.is_tree(links)
+            for v in range(g.vertex_count):
+                holding = [i for i, c in enumerate(cliques) if v in c]
+                assert nx.is_connected(links.subgraph(holding))
+            overlaps = nx.Graph()
+            overlaps.add_nodes_from(range(len(cliques)))
+            overlaps.add_weighted_edges_from(
+                (i, j, len(cliques[i] & cliques[j]))
+                for i, j in combinations(range(len(cliques)), 2) if cliques[i] & cliques[j]
+            )
+            best = nx.maximum_spanning_tree(overlaps).size(weight="weight")
+            assert sum(len(sep) for _, _, sep in tree.edges) == best
 
 
 class TestCliqueFeasible:
@@ -366,6 +493,16 @@ class TestVerifyTargetMatrix:
         report = verify_target_matrix(np.array([[1.0, 1.0], [1.0, 0.0]]), g, 2)
         assert not report.diagonal_ok
         assert not report.satisfied
+
+    def test_checked_at_the_data_scale(self):
+        g = complete_graph(3, 1e-5)
+        result = complete_chordal(g, 2)
+        assert result.verdict == COMPLETED
+        assert verify_target_matrix(result.full_matrix, g, 2).satisfied
+        report = verify_target_matrix(1.5 * result.full_matrix, g, 2)
+        assert report.diagonal_ok and not report.edges_ok
+        report = verify_target_matrix(result.full_matrix + 1e-14 * np.eye(3), g, 2)
+        assert not report.diagonal_ok and report.edges_ok
 
     def test_edge_violation_named(self):
         g = LengthGraph(2, ((0, 1, 2.0),))

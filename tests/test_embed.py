@@ -75,6 +75,14 @@ class TestCheckKissing:
         with pytest.raises(ValueError):
             check_kissing(np.array([[1.0, 1.0], [1.0, 0.0]]), 2)
 
+    @pytest.mark.parametrize("bad, match", [
+        (1e-15 * (np.ones((3, 3)) - np.eye(3)) + 1e-13 * np.eye(3), "zero diagonal"),
+        (1e-15 * np.array([[0.0, 1.0, -0.1], [1.0, 0.0, 1.0], [-0.1, 1.0, 0.0]]), "nonnegative"),
+    ])
+    def test_validation_at_the_data_scale(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            check_kissing(bad, 3)
+
     def test_minors_mode_matches(self):
         for n in (1, 2, 3):
             for d in (TANGENT_TRIPLE, TRIANGLE_345, BOUNDARY_GAP):

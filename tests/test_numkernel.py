@@ -79,6 +79,10 @@ class TestSymEigen:
         with pytest.raises(ValueError, match="symmetric"):
             sym_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
+    def test_rejects_asymmetric_at_small_scale(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            sym_eigen(1e-15 * np.array([[0.0, 1.0], [2.0, 0.0]]))
+
 
 class TestInertia:
     def test_all_off_diagonal_ones(self):
