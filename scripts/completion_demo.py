@@ -6,13 +6,18 @@ configuration, completes the missing distances through the clique tree, and
 verifies the target conditions. Then shows the failure mode: a chordless
 cycle with the adversarial length assignment, where every clique is feasible
 but the graph is refused.
+
+Exits 1 when the realizable instance is not completed, when its completion
+misses a target condition, or when the 5-cycle is not refused.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
 from kissgeo.completion import (
+    NOT_CHORDAL,
     LengthGraph,
     clique_feasible,
     complete_chordal,
@@ -55,14 +60,19 @@ def main():
     tree = maximal_cliques(graph, is_chordal(graph).peo)
     print(f"maximal cliques: {tree.cliques}")
 
+    failures = []
     result = complete_chordal(graph, args.n)
     print(f"verdict: {result.verdict}")
-    if result.completed:
+    if not result.completed:
+        failures.append(f"realizable instance not completed: {result.witness}")
+    else:
         known = len(graph.edges)
         total = graph.vertex_count * (graph.vertex_count - 1) // 2
         print(f"filled in {total - known} of {total} off-diagonal entries")
         report = verify_target_matrix(result.full_matrix, graph, args.n)
         print(f"target conditions satisfied: {report.satisfied}")
+        if not report.satisfied:
+            failures.append("completion misses the target: " + "; ".join(report.failures))
         with np.printoptions(precision=4, suppress=True):
             print(result.full_matrix)
 
@@ -72,8 +82,15 @@ def main():
     feasible, _ = clique_feasible(witness, args.n)
     print(f"adversarial lengths on a 5-cycle: {[(u, v, l) for u, v, l in witness.edges]}")
     print(f"every clique feasible: {feasible}")
-    print(f"completion verdict: {complete_chordal(witness, args.n).verdict}")
+    refusal = complete_chordal(witness, args.n).verdict
+    print(f"completion verdict: {refusal}")
+    if refusal != NOT_CHORDAL:
+        failures.append(f"5-cycle witness not refused: {refusal}")
+
+    for failure in failures:
+        print(f"FAILED: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

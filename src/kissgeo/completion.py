@@ -426,10 +426,11 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
     Each maximal clique is realized and mapped to future null vectors; the
     clique tree is traversed from the root, composing per-edge separator
     alignments so that every clique's vectors land in the root frame (which
-    makes the completed matrix independent of the root choice). When a
-    separator is too degenerate to align, the child's private vertices are
-    re-solved directly against the already-placed anchors. The completed
-    matrix is verified against the target conditions before being returned.
+    makes the completed matrix independent of the root choice). When the
+    alignment to the parent fails, or the parent has no transport, the
+    child's private vertices are solved one by one against the placed anchors
+    instead. The completed matrix is verified against the target conditions
+    before being returned.
     """
     chordality = is_chordal(graph)
     if not chordality.chordal:
@@ -478,7 +479,6 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
                 visited.add(child)
                 child_vertices = cliques[child]
                 child_vectors = embeddings[child]
-                sep_local = [child_vertices.index(v) for v in separator]
                 transport = None
                 if not separator:
                     transport = (
@@ -486,29 +486,21 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
                         if transports[parent] is not None
                         else np.eye(n + 1)
                     )
-                else:
-                    x_sep = child_vectors[sep_local]
-                    if transports[parent] is not None:
-                        parent_local = [cliques[parent].index(v) for v in separator]
-                        y_sep = embeddings[parent][parent_local]
-                        try:
-                            edge_map = lorentz_align(x_sep, y_sep, tol)
-                            transport = transports[parent] @ edge_map
-                        except AlignmentError:
-                            transport = None
-                    if transport is None:
-                        y_placed = np.stack([placed[v] for v in separator])
-                        try:
-                            transport = lorentz_align(x_sep, y_placed, tol)
-                        except AlignmentError:
-                            transport = None
+                elif transports[parent] is not None:
+                    x_sep = child_vectors[[child_vertices.index(v) for v in separator]]
+                    y_sep = embeddings[parent][[cliques[parent].index(v) for v in separator]]
+                    try:
+                        transport = transports[parent] @ lorentz_align(x_sep, y_sep, tol)
+                    except AlignmentError:
+                        pass
                 if transport is not None:
                     transports[child] = transport
                     for local, vertex in enumerate(child_vertices):
                         if vertex not in placed:
                             placed[vertex] = transport @ child_vectors[local]
                 else:
-                    # Degenerate separator: solve the child's private vertices
+                    # No alignment (degenerate separator, or a parent placed by
+                    # this fallback): solve the child's private vertices
                     # against the placed anchors, sequentially.
                     try:
                         anchor_vertices = list(separator)

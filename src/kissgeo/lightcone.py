@@ -23,12 +23,6 @@ from .numkernel import DEFAULT_TOL, Tolerance, signature_form
 
 SQRT2 = math.sqrt(2.0)
 
-# A null vector is read as a hyperplane image only when x_0 + t cancels at
-# rounding level. Anything larger is a genuine (possibly enormous) diameter:
-# snapping it would silently discard its middle coordinates and perturb
-# distances far beyond the round-trip contracts.
-PLANE_SNAP_RTOL = 1e-12
-
 
 class AlignmentError(ValueError):
     """No orthochronous Lorentz map reconciles the two vector systems."""
@@ -82,28 +76,27 @@ def to_lightcone(p: KissingSphere, n: int | None = None) -> np.ndarray:
 def from_lightcone(x, tol: Tolerance = DEFAULT_TOL) -> KissingSphere:
     """Kissing sphere whose null image is x; requires a future null vector.
 
-    With w = x_0 + t: positive w gives diameter sqrt(2)/w and tangent point
-    (middle spatial coordinates)/w, while w cancelling at rounding level gives
-    the hyperplane at height sqrt(2) * t. Near the hyperplane locus the direct
-    sum x_0 + t is dominated by cancellation noise, so w is recovered from the
-    null relation instead: w = |mid|^2 / (t - x_0), whose denominator never
-    cancels there.
+    With mid the middle coordinates, the sphere has diameter sqrt(2)/w and
+    tangent point mid/w, where w = x_0 + t. For x_0 < 0 that sum cancels, so
+    w is read from the null relation instead, w = |mid|^2 / (t - x_0); the
+    two agree on the cone and neither cancels on its own side. The vector is
+    the hyperplane at height sqrt(2) * t only when w is zero, which is
+    exactly the image to_lightcone gives a Plane, or when sqrt(2)/w
+    overflows. The null test is relative to the vector's own scale.
     """
     v = _as_vector(x)
     top = float(np.abs(v).max())
     if top == 0.0:
         raise ValueError("the zero vector is not on the future lightcone")
-    if abs(minkowski_inner(v, v)) > tol.residual * max(1.0, top * top):
+    if abs(minkowski_inner(v, v)) > tol.residual * top * top:
         raise ValueError("vector is not null to tolerance")
-    if v[-1] <= 0.0:
+    x0, t, mid = float(v[0]), float(v[-1]), v[1:-1]
+    if t <= 0.0:
         raise ValueError("vector is not future-directed")
-    w = float(v[0] + v[-1])
-    if w <= 1e-6 * top:
-        spread = float(v[-1] - v[0])
-        w = float(v[1:-1] @ v[1:-1]) / spread if spread > 0.0 else 0.0
-    if w <= PLANE_SNAP_RTOL * top:
-        return Plane(height=SQRT2 * float(v[-1]))
-    return Sphere(tangent=tuple(v[1:-1] / w), diameter=SQRT2 / w)
+    w = x0 + t if x0 >= 0.0 else float(mid @ mid) / (t - x0)
+    if w == 0.0 or math.isinf(SQRT2 / w):
+        return Plane(height=SQRT2 * t)
+    return Sphere(tangent=tuple(mid / w), diameter=SQRT2 / w)
 
 
 def to_lightcone_curved(direction, diameter: float, kappa: float,

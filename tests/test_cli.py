@@ -201,6 +201,34 @@ class TestComplete:
         assert payload["verdict"] == "NotChordal"
         assert len(payload["witness_cycle"]) == 4
 
+    def test_infeasible_clique_payload(self, tmp_path, capsys):
+        graph = {"vertices": 3, "edges": [
+            {"u": u, "v": v, "len": 1.0} for u, v in ((0, 1), (0, 2), (1, 2))
+        ]}
+        path = write(tmp_path, "triangle.json", graph)
+        code, out, _ = run(capsys, ["complete", path, "--n", "1"])
+        assert code == 1
+        payload = json.loads(out)
+        assert set(payload) == {"verdict", "clique", "certificate", "diagnostic"}
+        assert payload["verdict"] == "Infeasible"
+        assert payload["clique"] == [0, 1, 2]
+        assert payload["certificate"]["verdict"] == "NotEmbeddable"
+        assert payload["certificate"]["n"] == 1
+        assert payload["diagnostic"] == payload["certificate"]["witness"]["requirement"]
+
+    def test_infeasible_gluing_payload(self, tmp_path, capsys):
+        # Every clique is feasible, but the zero-distance pair (0, 1) would
+        # need diameter ratio 4 in clique (0, 1, 2) and 9 in clique (0, 1, 3).
+        lengths = ((0, 1, 0.0), (0, 2, 1.0), (1, 2, 2.0), (0, 3, 1.0), (1, 3, 3.0))
+        graph = {"vertices": 4, "edges": [{"u": u, "v": v, "len": w} for u, v, w in lengths]}
+        path = write(tmp_path, "zero_pair.json", graph)
+        code, out, _ = run(capsys, ["complete", path, "--n", "2"])
+        assert code == 1
+        payload = json.loads(out)
+        assert set(payload) == {"verdict", "diagnostic"}
+        assert payload["verdict"] == "Infeasible"
+        assert "separator (0, 1)" in payload["diagnostic"]
+
 
 class TestWitness:
     def test_four_cycle(self, tmp_path, capsys):

@@ -433,53 +433,41 @@ class TestCompleteChordal:
 
 
 class TestGluingFallbacks:
-    """Realizable graphs whose gluing needs the fallbacks behind the alignment
-    to the parent clique. In each, a two-vertex separator with a small squared
-    distance (0.0075 or 0.051) leaves that alignment's residual just above
-    tolerance. The 800-vertex graphs are the benchmark's completion inputs for
-    seeds 1009 and 1020."""
+    """Realizable graphs glued by aligning each clique to its parent, with the
+    anchored solve as the one fallback. On 261 and 1020 a two-vertex
+    separator with a small squared distance (0.0075 or 0.051) leaves that
+    alignment's residual just above tolerance, and the anchored solve places
+    the child's vertices. The 800-vertex graphs are the benchmark's
+    completion inputs for their seeds; 1017, 1034 and 1039 came back
+    Infeasible while from_lightcone snapped near-plane spheres to planes."""
 
-    @staticmethod
-    def complete_with_spies(monkeypatch, graph):
+    @pytest.mark.parametrize("vertices, share, seed, solves", [
+        (40, 0.2, 261, 1),
+        (800, 0.03, 1020, 1),
+        (800, 0.03, 1009, 0),
+        (60, 0.1, 103, 0),
+    ])
+    def test_anchored_solve_completes(self, monkeypatch, vertices, share, seed, solves):
         anchored = []
-        aligned = []
-        solve, align = completion._anchored_null_vector, completion.lorentz_align
+        solve = completion._anchored_null_vector
 
         def solve_spy(*args):
             anchored.append(solve(*args))
             return anchored[-1]
 
-        def align_spy(source, target, tol):
-            try:
-                out = align(source, target, tol)
-            except completion.AlignmentError:
-                aligned.append((np.array(source), False))
-                raise
-            aligned.append((np.array(source), True))
-            return out
-
         monkeypatch.setattr(completion, "_anchored_null_vector", solve_spy)
-        monkeypatch.setattr(completion, "lorentz_align", align_spy)
+        graph = shared_point_chordal_graph(np.random.default_rng(seed), vertices, shared_share=share)
         result = complete_chordal(graph, 3)
         assert result.verdict == COMPLETED
         assert verify_target_matrix(result.full_matrix, graph, 3).satisfied
-        retries = sum(
-            1 for (x0, ok0), (x1, ok1) in zip(aligned, aligned[1:])
-            if not ok0 and ok1 and np.array_equal(x0, x1)
-        )
-        return len(anchored), retries
+        assert len(anchored) == solves
 
-    @pytest.mark.parametrize("vertices, share, seed, solves", [(40, 0.2, 261, 1), (800, 0.03, 1009, 3)])
-    def test_anchored_solve_completes(self, monkeypatch, vertices, share, seed, solves):
-        graph = shared_point_chordal_graph(np.random.default_rng(seed), vertices, shared_share=share)
-        anchored, _ = self.complete_with_spies(monkeypatch, graph)
-        assert anchored == solves
-
-    @pytest.mark.parametrize("vertices, share, seed", [(60, 0.1, 103), (800, 0.03, 1020)])
-    def test_placed_alignment_retry_completes(self, monkeypatch, vertices, share, seed):
-        graph = shared_point_chordal_graph(np.random.default_rng(seed), vertices, shared_share=share)
-        anchored, retries = self.complete_with_spies(monkeypatch, graph)
-        assert (anchored, retries) == (0, 1)
+    @pytest.mark.parametrize("seed", [1017, 1034, 1039])
+    def test_near_plane_spheres_glue(self, seed):
+        graph = shared_point_chordal_graph(np.random.default_rng(seed), 800, shared_share=0.03)
+        result = complete_chordal(graph, 3)
+        assert result.verdict == COMPLETED
+        assert verify_target_matrix(result.full_matrix, graph, 3).satisfied
 
 
 class TestVerifyTargetMatrix:
@@ -503,6 +491,21 @@ class TestVerifyTargetMatrix:
         assert report.diagonal_ok and not report.edges_ok
         report = verify_target_matrix(result.full_matrix + 1e-14 * np.eye(3), g, 2)
         assert not report.diagonal_ok and report.edges_ok
+
+    def test_signature_violation_named(self):
+        g = LengthGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))
+        block = np.array([[0.0, 1.0], [1.0, 0.0]])
+        report = verify_target_matrix(np.kron(np.eye(2), block), g, 3)
+        assert report.diagonal_ok and report.edges_ok and report.rank_ok
+        assert not report.signature_ok
+        assert report.failures == ("2 positive eigenvalues instead of one",)
+
+    def test_rank_violation_named(self):
+        g = complete_graph(3)
+        report = verify_target_matrix(np.ones((3, 3)) - np.eye(3), g, 1)
+        assert report.diagonal_ok and report.edges_ok and report.signature_ok
+        assert not report.rank_ok
+        assert report.failures == ("rank 3 exceeds n + 1 = 2",)
 
     def test_edge_violation_named(self):
         g = LengthGraph(2, ((0, 1, 2.0),))

@@ -133,6 +133,31 @@ class TestFromLightcone:
                 assert back.tangent == pytest.approx(p.tangent, abs=1e-9)
                 assert back.diameter == pytest.approx(p.diameter, rel=1e-9)
 
+    def test_near_plane_sphere_is_kept(self):
+        spheres = [Sphere((2e6, 0.0), 1e12), Sphere((1.0, 0.0), 1.0), Sphere((0.0, 0.0), 1.0)]
+        back = [from_lightcone(to_lightcone(s)) for s in spheres]
+        assert all(isinstance(s, Sphere) for s in back)
+        for p, q in zip(spheres, back):
+            assert q.diameter == pytest.approx(p.diameter, rel=1e-15)
+            assert q.tangent == pytest.approx(p.tangent, rel=1e-15)
+        for i in range(3):
+            for j in range(i + 1, 3):
+                want = distance_sq(spheres[i], spheres[j])
+                assert distance_sq(back[i], back[j]) == pytest.approx(want, rel=1e-15)
+
+    def test_plane_only_at_zero_w(self):
+        got = from_lightcone([-1.0, 0.0, 0.0, 1.0])
+        assert got == Plane(SQRT2)
+        assert isinstance(from_lightcone([-1.0, 1e-155, 0.0, 1.0]), Plane)
+        assert isinstance(from_lightcone([-1.0, 1e-100, 0.0, 1.0]), Sphere)
+
+    def test_null_test_is_scale_relative(self):
+        for scale in (1.0, 1e-10, 1e10):
+            with pytest.raises(ValueError, match="null"):
+                from_lightcone(scale * np.array([1.0, 0.0, 1.1]))
+        got = from_lightcone(1e-10 * np.array([SQRT2 / 2, 0.0, SQRT2 / 2]))
+        assert got.diameter == pytest.approx(1e10, rel=1e-15)
+
     def test_rejects_bad_vectors(self):
         with pytest.raises(ValueError, match="null"):
             from_lightcone([1.0, 0.0, 2.0])
