@@ -112,11 +112,12 @@ def _cmd_check(args) -> int:
 def _cmd_embed(args) -> int:
     tol = _tolerance(args)
     _, matrix = io.load_matrix(_read_json(args.input))
-    certificate = embed.check_kissing(matrix, args.n, "inertia", tol)
-    if not certificate.embeddable:
-        _emit(_certificate_payload(certificate, args.n), args.output)
+    try:
+        realized = embed.construct_embedding(matrix, args.n, tol)
+    except GramInfeasibleError as exc:
+        refused = embed._inertia_certificate(exc.inertia, args.n, "inertia")
+        _emit(_certificate_payload(refused, args.n), args.output)
         return EXIT_INFEASIBLE
-    realized = embed.construct_embedding(matrix, args.n, tol)
     _emit(io.dump_sphere_set(args.n, realized), args.output)
     return EXIT_OK
 

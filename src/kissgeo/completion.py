@@ -23,11 +23,11 @@ import numpy as np
 
 from . import numkernel
 from .embed import (
+    EMBEDDABLE,
     Certificate,
     RealizationError,
-    check_kissing,
+    _inertia_certificate,
     construct_embedding,
-    is_degenerate_zero,
 )
 from .lightcone import AlignmentError, lorentz_align, to_lightcone
 from .numkernel import DEFAULT_TOL, GramInfeasibleError, Tolerance, signature_form
@@ -282,14 +282,34 @@ def _clique_matrix(graph: LengthGraph, clique) -> np.ndarray:
     return d
 
 
+def _realize_clique(graph: LengthGraph, clique, n: int,
+                    tol: Tolerance) -> tuple[CliqueCheck, list | None]:
+    """The clique's CliqueCheck and spheres, or None, from one construct_embedding.
+
+    A refusal carries GramInfeasibleError's witness, with its requirement as
+    the diagnostic; a RealizationError leaves the clique Embeddable but
+    unrealized, with its message as the diagnostic.
+    """
+    passed = Certificate(EMBEDDABLE, "inertia")
+    try:
+        spheres = construct_embedding(_clique_matrix(graph, clique), n, tol)
+    except GramInfeasibleError as exc:
+        refused = _inertia_certificate(exc.inertia, n, "inertia")
+        return CliqueCheck(clique, refused, False, exc.reason), None
+    except RealizationError as exc:
+        return CliqueCheck(clique, passed, False, str(exc)), None
+    return CliqueCheck(clique, passed, True, None), spheres
+
+
 def clique_feasible(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL,
                     ) -> tuple[bool, tuple[CliqueCheck, ...]]:
     """Per-clique realizability at dimension n, with certificates.
 
     Each maximal clique is fully specified, so its squared-length matrix is
-    checked and then actually realized; a clique whose certificate passes but
-    whose construction fails (a degenerate zero-distance pattern) is demoted
-    to infeasible. Non-chordal graphs are handled through full maximal-clique
+    realized, and the attempt decides the certificate: a refusal carries the
+    signature witness, and a clique whose certificate passes but whose
+    construction fails (a degenerate zero-distance pattern) is demoted to
+    infeasible. Non-chordal graphs are handled through full maximal-clique
     enumeration, capped at clique size 12.
     """
     chordality = is_chordal(graph)
@@ -299,22 +319,8 @@ def clique_feasible(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL,
         cliques = _all_maximal_cliques(graph)
         if any(len(c) > 12 for c in cliques):
             raise ValueError("clique size cap exceeded on a non-chordal input")
-    checks = []
-    for clique in cliques:
-        d = _clique_matrix(graph, clique)
-        certificate = check_kissing(d, n, "inertia", tol)
-        realized = False
-        diagnostic = None
-        if certificate.embeddable:
-            try:
-                construct_embedding(d, n, tol)
-                realized = True
-            except RealizationError as exc:
-                diagnostic = str(exc)
-        else:
-            diagnostic = "certificate: not embeddable"
-        checks.append(CliqueCheck(clique, certificate, realized, diagnostic))
-    return all(c.realized for c in checks), tuple(checks)
+    checks = tuple(_realize_clique(graph, clique, n, tol)[0] for clique in cliques)
+    return all(c.realized for c in checks), checks
 
 
 def _anchored_null_vector(anchors: np.ndarray, targets: np.ndarray, eta: np.ndarray,
@@ -405,17 +411,14 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int, tol: Tolerance = DE
         if abs(d[u, v] - expected) > edge_rtol * (expected + floor):
             edges_ok = False
             failures.append(f"edge ({u}, {v}) entry {d[u, v]!r} != squared length {expected!r}")
-    if is_degenerate_zero(d):
-        rank_ok = True
-        signature_ok = True
-    else:
-        counts = numkernel.inertia(d, tol)
-        rank_ok = counts.rank <= n + 1
-        if not rank_ok:
-            failures.append(f"rank {counts.rank} exceeds n + 1 = {n + 1}")
-        signature_ok = counts.positive == 1
-        if not signature_ok:
-            failures.append(f"{counts.positive} positive eigenvalues instead of one")
+    counts = numkernel.inertia(d, tol)
+    rank_ok = counts.rank <= n + 1
+    if not rank_ok:
+        failures.append(f"rank {counts.rank} exceeds n + 1 = {n + 1}")
+    # Rank zero, the identically zero matrix, passes as in signature_violation.
+    signature_ok = counts.positive == 1 or counts.rank == 0
+    if not signature_ok:
+        failures.append(f"{counts.positive} positive eigenvalues instead of one")
     return TargetReport(diagonal_ok, edges_ok, rank_ok, signature_ok, tuple(failures))
 
 
@@ -429,8 +432,8 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
     makes the completed matrix independent of the root choice). When the
     alignment to the parent fails, or the parent has no transport, the
     child's private vertices are solved one by one against the placed anchors
-    instead. The completed matrix is verified against the target conditions
-    before being returned.
+    instead. Rounding below zero is clipped, and the completed matrix is
+    verified against the target conditions before being returned.
     """
     chordality = is_chordal(graph)
     if not chordality.chordal:
@@ -445,15 +448,9 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
 
     embeddings = []
     for clique in cliques:
-        d = _clique_matrix(graph, clique)
-        try:
-            spheres = construct_embedding(d, n, tol)
-        except (GramInfeasibleError, RealizationError) as exc:
-            certificate = check_kissing(d, n, "inertia", tol)
-            return CompletionResult(
-                INFEASIBLE,
-                witness=CliqueCheck(clique, certificate, False, str(exc)),
-            )
+        check, spheres = _realize_clique(graph, clique, n, tol)
+        if spheres is None:
+            return CompletionResult(INFEASIBLE, witness=check)
         embeddings.append(np.stack([to_lightcone(s, n) for s in spheres]))
 
     neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(count)]
@@ -526,13 +523,7 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
 
     vectors = np.stack([placed[v] for v in range(graph.vertex_count)])
     gram = vectors @ eta @ vectors.T
-    full = -(gram + gram.T) / 2.0
-    lowest = float(full.min())
-    if lowest < -tol.residual * float(np.abs(full).max()):
-        return CompletionResult(
-            INFEASIBLE, witness=f"completed matrix has a negative entry {lowest!r}"
-        )
-    full = np.maximum(full, 0.0)
+    full = np.maximum(-(gram + gram.T) / 2.0, 0.0)
     np.fill_diagonal(full, 0.0)
     report = verify_target_matrix(full, graph, n, tol)
     if not report.satisfied:

@@ -78,16 +78,6 @@ def validate_squared_distances(matrix) -> np.ndarray:
     return np.maximum(a, 0.0)
 
 
-def is_degenerate_zero(matrix) -> bool:
-    """Identically zero distance data.
-
-    Such data is realizable by spheres sharing one tangent point even though
-    it has no positive eigenvalue; the signature rule lets rank zero pass,
-    and the constructions realize it directly.
-    """
-    return not np.any(np.asarray(matrix, dtype=float))
-
-
 def _border(d: np.ndarray, edge: float) -> np.ndarray:
     """d bordered by a constant row and column equal to edge, zero corner."""
     m = d.shape[0]
@@ -229,19 +219,24 @@ def matrices_close(actual, expected, rtol: float = ROUND_TRIP_RTOL) -> bool:
 def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[KissingSphere]:
     """Kissing spheres realizing the matrix, via null-vector factorization.
 
-    The factor columns are oriented to the future (a global sign flip when
-    every time coordinate is negative; mixed orientations fail), mapped back
-    to spheres, and validated by a round trip at 1e-7 relative. Identically
-    zero data is realized directly by spheres sharing one tangent point. A
-    zero factor row, mixed orientations, or a failed round trip raise
-    RealizationError: these are the degenerate patterns on which the algebraic
-    certificates are not sufficient.
+    Certifying and realizing are one computation, so the outcome is the
+    inertia-route verdict of check_kissing. A matrix that breaks the
+    signature rule raises GramInfeasibleError, whose inertia and reason are
+    check_kissing's InertiaWitness. Identically zero data, which the rule lets
+    pass at rank zero, is realized directly by spheres sharing one tangent
+    point. Otherwise the factor columns are oriented to the future (a global
+    sign flip when every time coordinate is negative), mapped back to spheres,
+    and validated by a round trip at 1e-7 relative. A zero factor row, mixed
+    orientations, a factor row off the future cone, or a failed round trip
+    raise RealizationError: the certificate passed, but the factor gives no
+    sphere set, as on the degenerate zero-distance patterns the signature
+    rule does not exclude.
     """
     d = validate_squared_distances(matrix)
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     m = d.shape[0]
-    if is_degenerate_zero(d):
+    if not d.any():
         origin = (0.0,) * (n - 1)
         return [Sphere(tangent=origin, diameter=float(i + 1)) for i in range(m)]
     factor = numkernel.gram_factor_lorentz(d, n, tol)
@@ -255,7 +250,12 @@ def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[Ki
         vectors = -vectors
     elif not np.all(times > 0.0):
         raise RealizationError("mixed time orientations in the factorization")
-    spheres = [from_lightcone(row, tol) for row in vectors]
+    spheres = []
+    for i, row in enumerate(vectors):
+        try:
+            spheres.append(from_lightcone(row, tol))
+        except ValueError as exc:
+            raise RealizationError(f"factor row {i} is not a future null vector: {exc}") from exc
     if not matrices_close(distance_matrix(spheres), d):
         raise RealizationError("round trip failed: realized distances do not reproduce the input")
     return spheres

@@ -1,8 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from gen import graph_from_configuration
+from kissgeo import numkernel
 from kissgeo.cli import main
 
 TANGENT_PAIR = {"n": 2, "spheres": [{"t": [0.0], "phi": 1.0}, {"t": [1.0], "phi": 1.0}]}
@@ -28,6 +31,13 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def off_cone_graph():
+    """A realizable graph at n = 3 whose clique (1, 5, 6, 18) has a Gram
+    factor row inside the factor's residual check but off the null cone."""
+    graph, _ = graph_from_configuration(np.random.default_rng(257), 38, 3)
+    return graph
 
 
 class TestDist:
@@ -137,6 +147,43 @@ class TestEmbed:
         assert code == 1
         assert json.loads(out)["verdict"] == "NotEmbeddable"
 
+    @pytest.mark.parametrize("source", ["tangent_triple", "bench_m200"])
+    def test_refusal_is_the_check_payload(self, tmp_path, capsys, source):
+        if source == "tangent_triple":
+            payload, n = TANGENT_TRIPLE_MATRIX, 1
+        else:
+            # Large enough that certified_eigen tries its sketch first.
+            from bench.inputs import N, not_embeddable_matrix
+
+            matrix = not_embeddable_matrix(np.random.default_rng(6), 200)
+            payload, n = {"d2": matrix.d2.tolist()}, N
+        path = write(tmp_path, "m.json", payload)
+        embed_code, embed_out, _ = run(capsys, ["embed", path, "--n", str(n)])
+        check_code, check_out, _ = run(capsys, ["check", path, "--n", str(n), "--mode", "kissing"])
+        assert embed_code == check_code == 1
+        assert embed_out == check_out
+
+    @pytest.mark.parametrize("n, expected", [(2, 0), (1, 1)])
+    def test_one_eigensolve_per_call(self, tmp_path, capsys, monkeypatch, n, expected):
+        calls = []
+        real = numkernel.certified_eigen
+        monkeypatch.setattr(numkernel, "certified_eigen",
+                            lambda *args: calls.append(args) or real(*args))
+        path = write(tmp_path, "m.json", TANGENT_TRIPLE_MATRIX)
+        code, _, _ = run(capsys, ["embed", path, "--n", str(n)])
+        assert code == expected
+        assert len(calls) == 1
+
+    def test_off_cone_factor_row_is_numerical(self, tmp_path, capsys):
+        graph = off_cone_graph()
+        clique = (1, 5, 6, 18)
+        d2 = [[graph.length(u, v) ** 2 if u != v else 0.0 for v in clique] for u in clique]
+        path = write(tmp_path, "clique.json", {"d2": d2})
+        code, out, err = run(capsys, ["embed", path, "--n", "3"])
+        assert code == 3
+        assert json.loads(out)["error"].startswith("factor row 1 is not a future null vector: ")
+        assert "numerical failure" in err
+
     def test_realization_failure_is_numerical(self, tmp_path, capsys):
         gap = {"d2": [[0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
                       [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]}
@@ -160,6 +207,15 @@ class TestLightcone:
         recovered = json.loads(out)["spheres"]
         assert recovered[0]["t"][0] == pytest.approx(0.0, abs=1e-12)
         assert recovered[0]["phi"] == pytest.approx(1.0, rel=1e-12)
+
+    def test_inverse_of_the_plane_image(self, tmp_path, capsys):
+        half = math.sqrt(2.0) / 2.0
+        path = write(tmp_path, "plane.json", {"n": 2, "vectors": [[-half, 0.0, half]]})
+        code, out, _ = run(capsys, ["lightcone", path, "--inverse"])
+        assert code == 0
+        (plane,) = json.loads(out)["spheres"]
+        assert set(plane) == {"h"}
+        assert abs(plane["h"] - 1.0) <= 1e-15
 
 
 class TestSpheresCommand:
@@ -215,6 +271,18 @@ class TestComplete:
         assert payload["certificate"]["verdict"] == "NotEmbeddable"
         assert payload["certificate"]["n"] == 1
         assert payload["diagnostic"] == payload["certificate"]["witness"]["requirement"]
+
+    def test_off_cone_factor_row_is_a_clique_verdict(self, tmp_path, capsys):
+        graph = off_cone_graph()
+        edges = [{"u": u, "v": v, "len": w} for u, v, w in graph.edges]
+        path = write(tmp_path, "graph.json", {"vertices": graph.vertex_count, "edges": edges})
+        code, out, _ = run(capsys, ["complete", path, "--n", "3"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "Infeasible"
+        assert payload["clique"] == [1, 5, 6, 18]
+        assert payload["certificate"]["verdict"] == "Embeddable"
+        assert payload["diagnostic"].startswith("factor row 1 is not a future null vector: ")
 
     def test_infeasible_gluing_payload(self, tmp_path, capsys):
         # Every clique is feasible, but the zero-distance pair (0, 1) would

@@ -322,6 +322,12 @@ class TestCliqueFeasible:
         assert not ok
         assert not checks[0].certificate.embeddable
 
+    def test_refusal_diagnostic_is_the_witness_requirement(self):
+        _, (check,) = clique_feasible(complete_graph(3), 1)
+        assert check.certificate == check_kissing(np.ones((3, 3)) - np.eye(3), 1)
+        assert check.diagnostic == check.certificate.witness.requirement
+        assert check.diagnostic == "at most 1 negative eigenvalues"
+
     def test_non_chordal_graph_checks_all_cliques(self):
         ok, checks = clique_feasible(cycle_graph(4), 2)
         assert ok
@@ -430,6 +436,55 @@ class TestCompleteChordal:
         result = complete_chordal(g, 2)
         assert result.verdict == INFEASIBLE
         assert "gluing" in str(result.witness)
+
+
+class TestOneDecisionPerClique:
+    """Each clique is decided by one construct_embedding call, never by a
+    second certificate."""
+
+    def test_check_kissing_is_never_called(self, monkeypatch):
+        import kissgeo.embed
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("completion ran check_kissing")
+
+        monkeypatch.setattr(kissgeo.embed, "check_kissing", forbidden)
+        assert not hasattr(completion, "check_kissing")
+        triangle = complete_graph(3)
+        unrealized = LengthGraph(3, ((0, 1, 1.0), (1, 2, 0.0), (0, 2, 0.0)))
+        assert clique_feasible(triangle, 2)[0]
+        assert complete_chordal(triangle, 2).verdict == COMPLETED
+        # Refused on the line; certified but not realizable in the plane.
+        for graph, n in ((triangle, 1), (unrealized, 2)):
+            assert not clique_feasible(graph, n)[0]
+            assert complete_chordal(graph, n).verdict == INFEASIBLE
+
+    def test_off_cone_factor_row_is_a_clique_verdict(self):
+        # A realizable graph whose clique (1, 5, 6, 18) has a Gram factor with
+        # an all-zero spatial column: row 1 lies inside the factor's residual
+        # check but 4.6e-8 off the cone relative to its own size.
+        graph, _ = graph_from_configuration(np.random.default_rng(257), 38, 3)
+        result = complete_chordal(graph, 3)
+        assert result.verdict == INFEASIBLE
+        check = result.witness
+        assert check.clique == (1, 5, 6, 18)
+        assert check.certificate.embeddable and not check.realized
+        assert check.diagnostic.startswith("factor row 1 is not a future null vector: ")
+        ok, checks = clique_feasible(graph, 3)
+        assert not ok
+        assert [c for c in checks if not c.realized] == [check]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("graph", [
+        LengthGraph(2, ((0, 1, 0.0),)),
+        LengthGraph(3, ((0, 1, 0.0), (1, 2, 0.0))),
+        LengthGraph(4, ((0, 1, 0.0), (0, 2, 0.0), (0, 3, 0.0))),
+    ], ids=["edge", "path", "star"])
+    def test_zero_data_completes_to_zero(self, graph, n):
+        result = complete_chordal(graph, n)
+        assert result.verdict == COMPLETED
+        assert not result.full_matrix.any()
+        assert verify_target_matrix(result.full_matrix, graph, n).satisfied
 
 
 class TestGluingFallbacks:

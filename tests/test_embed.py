@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import coincident_sphere_set, random_sphere, random_sphere_set
+from gen import coincident_sphere_set, graph_from_configuration, random_sphere, random_sphere_set
 from kissgeo.embed import (
     Certificate,
     InadmissiblePivotError,
@@ -216,6 +216,17 @@ class TestConstructEmbedding:
         d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         spheres = construct_embedding(d, 2)
         assert matrices_close(distance_matrix(spheres), d)
+
+    def test_off_cone_factor_row_is_a_realization_error(self):
+        # Clique (1, 5, 6, 18) of a realizable graph at n = 3: its factor row 1
+        # passes the factor's residual check but not from_lightcone's null test.
+        graph, _ = graph_from_configuration(np.random.default_rng(257), 38, 3)
+        clique = (1, 5, 6, 18)
+        d = np.array([[graph.length(u, v) ** 2 if u != v else 0.0 for v in clique]
+                      for u in clique])
+        assert check_kissing(d, 3).embeddable
+        with pytest.raises(RealizationError, match="^factor row 1 is not a future null vector: "):
+            construct_embedding(d, 3)
 
     def test_zero_row_contradiction_detected(self):
         # One point at distance zero from both ends of a unit pair cannot exist.
