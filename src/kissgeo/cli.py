@@ -56,11 +56,14 @@ def _witness_payload(witness) -> object:
     if isinstance(witness, embed.RankWitness):
         return {"type": "rank", "rank": witness.rank, "bound": witness.bound}
     if isinstance(witness, embed.InertiaWitness):
-        return {
+        payload = {
             "type": "inertia",
             "inertia": list(witness.inertia),
             "requirement": witness.requirement,
         }
+        if not witness.exact:
+            payload["exact"] = False
+        return payload
     return {"type": "diagnostic", "detail": str(witness)}
 
 
@@ -115,7 +118,7 @@ def _cmd_embed(args) -> int:
     try:
         realized = embed.construct_embedding(matrix, args.n, tol)
     except GramInfeasibleError as exc:
-        refused = embed._inertia_certificate(exc.inertia, args.n, "inertia")
+        refused = embed._inertia_certificate(exc.inertia, args.n, "inertia", exc.exact)
         _emit(_certificate_payload(refused, args.n), args.output)
         return EXIT_INFEASIBLE
     _emit(io.dump_sphere_set(args.n, realized), args.output)

@@ -294,7 +294,7 @@ def _realize_clique(graph: LengthGraph, clique, n: int,
     try:
         spheres = construct_embedding(_clique_matrix(graph, clique), n, tol)
     except GramInfeasibleError as exc:
-        refused = _inertia_certificate(exc.inertia, n, "inertia")
+        refused = _inertia_certificate(exc.inertia, n, "inertia", exc.exact)
         return CliqueCheck(clique, refused, False, exc.reason), None
     except RealizationError as exc:
         return CliqueCheck(clique, passed, False, str(exc)), None
@@ -410,7 +410,8 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int, tol: Tolerance = DE
         expected = length * length
         if abs(d[u, v] - expected) > edge_rtol * (expected + floor):
             edges_ok = False
-            failures.append(f"edge ({u}, {v}) entry {d[u, v]!r} != squared length {expected!r}")
+            failures.append(
+                f"edge ({u}, {v}) entry {float(d[u, v])!r} != squared length {expected!r}")
     counts = numkernel.inertia(d, tol)
     rank_ok = counts.rank <= n + 1
     if not rank_ok:

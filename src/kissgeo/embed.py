@@ -51,8 +51,12 @@ class RankWitness:
 
 @dataclass(frozen=True)
 class InertiaWitness:
+    """The eigenvalue counts and the requirement they break. When exact is
+    False, the positive and negative counts are proven lower bounds."""
+
     inertia: Inertia
     requirement: str
+    exact: bool = True
 
 
 @dataclass(frozen=True)
@@ -102,12 +106,21 @@ def _data_border(d: np.ndarray) -> np.ndarray:
     return _border(d, float(d.max()) or 1.0)
 
 
-def _inertia_certificate(found: Inertia, max_negative: int, method: str, **rule) -> Certificate:
-    """The certificate for found under signature_violation(found, max_negative, **rule)."""
-    violation = numkernel.signature_violation(found, max_negative, **rule)
+def _inertia_certificate(found: Inertia, max_negative: int, method: str, exact: bool = True,
+                         **rule) -> Certificate:
+    """The certificate for found under signature_violation(found, max_negative, **rule);
+    exact=False marks found as lower bounds."""
+    violation = numkernel.signature_violation(found, max_negative, exact=exact, **rule)
     if violation is not None:
-        return Certificate(NOT_EMBEDDABLE, method, InertiaWitness(found, violation))
+        return Certificate(NOT_EMBEDDABLE, method, InertiaWitness(found, violation, exact))
     return Certificate(EMBEDDABLE, method)
+
+
+def _spectrum_certificate(matrix: np.ndarray, max_negative: int, method: str, tol: Tolerance,
+                          **rule) -> Certificate:
+    """The inertia certificate of a matrix, decided by certified_eigen."""
+    spectrum = numkernel.certified_eigen(matrix, max_negative + 1, tol)
+    return _inertia_certificate(spectrum.inertia, max_negative, method, spectrum.exact, **rule)
 
 
 def _subsets_lex(order: int, min_size: int) -> list[tuple[int, ...]]:
@@ -167,7 +180,7 @@ def check_kissing(matrix, n: int, method: str = "inertia",
         raise ValueError("ambient dimension n must be >= 1")
     method = method.lower()
     if method == "inertia":
-        return _inertia_certificate(numkernel.certified_eigen(d, n + 1, tol).inertia, n, method)
+        return _spectrum_certificate(d, n, method, tol)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
     return _minors_certificate(d, n + 1, tol, bordered=False)
@@ -190,9 +203,9 @@ def check_euclidean(matrix, n: int, method: str = "inertia",
         raise ValueError("ambient dimension n must be >= 1")
     method = method.lower()
     if method == "distance_inertia":
-        return _inertia_certificate(numkernel.inertia(d, tol), n + 1, method)
+        return _spectrum_certificate(d, n + 1, method, tol)
     if method == "inertia":
-        return _inertia_certificate(numkernel.inertia(_data_border(d), tol), n + 1, method)
+        return _spectrum_certificate(_data_border(d), n + 1, method, tol)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
     return _minors_certificate(d, n + 2, tol, bordered=True)
@@ -221,10 +234,10 @@ def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[Ki
 
     Certifying and realizing are one computation, so the outcome is the
     inertia-route verdict of check_kissing. A matrix that breaks the
-    signature rule raises GramInfeasibleError, whose inertia and reason are
-    check_kissing's InertiaWitness. Identically zero data, which the rule lets
-    pass at rank zero, is realized directly by spheres sharing one tangent
-    point. Otherwise the factor columns are oriented to the future (a global
+    signature rule raises GramInfeasibleError, whose inertia, reason and
+    exact are check_kissing's InertiaWitness. Identically zero data, which
+    the rule lets pass at rank zero, is realized directly by spheres sharing
+    one tangent point. Otherwise the factor columns are oriented to the future (a global
     sign flip when every time coordinate is negative), mapped back to spheres,
     and validated by a round trip at 1e-7 relative. A zero factor row, mixed
     orientations, a factor row off the future cone, or a failed round trip

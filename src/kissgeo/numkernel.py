@@ -27,10 +27,11 @@ class SingularPivotError(ValueError):
 class GramInfeasibleError(ValueError):
     """Inertia incompatible with a signature-(n, 1) Gram factorization."""
 
-    def __init__(self, inertia: "Inertia", reason: str):
+    def __init__(self, inertia: "Inertia", reason: str, exact: bool = True):
         super().__init__(reason)
         self.inertia = inertia
         self.reason = reason
+        self.exact = exact
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,21 @@ def inertia(matrix, tol: Tolerance = DEFAULT_TOL) -> Inertia:
 
 
 def signature_violation(found: Inertia, max_negative: int, exactly_one: bool = True,
-                        note: str = "") -> str | None:
+                        note: str = "", exact: bool = True) -> str | None:
     """The requirement of the signature rule that found breaks, or None.
 
     The rule behind every certificate: exactly one positive eigenvalue (at
     most one when exactly_one is False) and at most max_negative negative
     ones; note is appended to the negative-count requirement. Rank zero, the
     identically zero matrix, always passes: its shared-point realization needs
-    no positive eigenvalue.
+    no positive eigenvalue. When exact is False, found holds proven lower
+    bounds on the counts, which can break only the upper limits: more than
+    one positive, or more than max_negative negative eigenvalues.
     """
     if found.rank == 0:
         return None
-    if exactly_one and found.positive != 1:
-        return "exactly one positive eigenvalue"
-    if found.positive > 1:
-        return "at most one positive eigenvalue"
+    if found.positive > 1 or (exact and exactly_one and found.positive == 0):
+        return "exactly one positive eigenvalue" if exactly_one else "at most one positive eigenvalue"
     if found.negative > max_negative:
         return f"at most {max_negative} negative eigenvalues{note}"
     return None
@@ -152,16 +153,25 @@ def signature_violation(found: Inertia, max_negative: int, exactly_one: bool = T
 class Spectrum:
     """Inertia of a symmetric matrix with the eigenpairs that decide it.
 
-    values (descending) and the matching orthonormal columns of vectors are
-    either the full eigendecomposition or a sketched subset of it; every
-    eigenvalue not listed counts as zero. inertia counts values against
-    cutoff, the zero threshold.
+    route names what decided: "sketch" (the Weyl certificate), "interlacing"
+    (a refusal proven from the sketch's Ritz values) or "eigh" (the full
+    decomposition). values (descending) and the matching orthonormal columns
+    of vectors are the full eigendecomposition on route "eigh" and the Ritz
+    pairs otherwise. inertia counts values against cutoff, the zero
+    threshold. On routes "sketch" and "eigh" the counts are exact and every
+    eigenvalue not listed counts as zero; on route "interlacing" the positive
+    and negative counts are proven lower bounds.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     cutoff: float
     inertia: Inertia
+    route: str
+
+    @property
+    def exact(self) -> bool:
+        return self.route != "interlacing"
 
 
 # Gaussian test columns beyond the target rank (Halko, Martinsson & Tropp,
@@ -180,22 +190,26 @@ def certified_eigen(matrix, rank: int, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     mu + {0}^(m - w), so the cutoff of inertia() is known to lie in a band
     [c_lo, c_hi]. When delta < c_lo and every mu clears the band by delta,
     the counts equal those of inertia() in exact arithmetic and the sketch
-    decides. Otherwise, and for m < 3 w, sym_eigen decides exactly as
-    inertia() does. matrix must be exactly symmetric, as as_symmetric
-    returns it; it is not validated again.
+    decides (route "sketch"). When the sketch misses too much of A for that,
+    interlacing may still prove that A breaks signature_violation's rule
+    with max_negative = rank - 1, the convention of every caller (route
+    "interlacing", lower-bound counts). Otherwise, and for m < 3 w, sym_eigen
+    decides exactly as inertia() does (route "eigh"). matrix must be exactly
+    symmetric, as as_symmetric returns it; it is not validated again.
     """
-    width = rank + SKETCH_OVERSAMPLE
-    if matrix.shape[0] >= 3 * width:
-        found = _sketched_spectrum(matrix, width, tol)
+    if matrix.shape[0] >= 3 * (rank + SKETCH_OVERSAMPLE):
+        found = _sketched_spectrum(matrix, rank, tol)
         if found is not None:
             return found
     values, vectors = sym_eigen(matrix, tol)
-    return Spectrum(values, vectors, eigen_cutoff(values, tol), inertia_of_values(values, tol))
+    return Spectrum(values, vectors, eigen_cutoff(values, tol),
+                    inertia_of_values(values, tol), "eigh")
 
 
-def _sketched_spectrum(a: np.ndarray, width: int, tol: Tolerance) -> Spectrum | None:
-    """The certified Spectrum from a width-w range sketch of a, or None."""
+def _sketched_spectrum(a: np.ndarray, rank: int, tol: Tolerance) -> Spectrum | None:
+    """The certified Spectrum from a range sketch of a, or None."""
     m = a.shape[0]
+    width = rank + SKETCH_OVERSAMPLE
     omega = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
     q, _ = np.linalg.qr(a @ omega)
     aq = a @ q
@@ -209,7 +223,7 @@ def _sketched_spectrum(a: np.ndarray, width: int, tol: Tolerance) -> Spectrum | 
     norm_sq = float(np.vdot(a, a))
     tail_sq = norm_sq - float(np.vdot(aq, aq)) - (m + width) ** 2 * _EPS * norm_sq
     if tail_sq > c_mid * c_mid:
-        return None
+        return _interlacing_refusal(q, mu, v, norm_sq, rank, tol)
     u = q @ v
     e = (u * mu) @ u.T
     np.subtract(a, e, out=e)
@@ -230,7 +244,38 @@ def _sketched_spectrum(a: np.ndarray, width: int, tol: Tolerance) -> Spectrum | 
         return None
     positive = int(np.sum(mu > c_hi))
     negative = int(np.sum(mu < -c_hi))
-    return Spectrum(mu, u, c_hi, Inertia(positive, negative, m - positive - negative))
+    return Spectrum(mu, u, c_hi, Inertia(positive, negative, m - positive - negative), "sketch")
+
+
+def _interlacing_refusal(q: np.ndarray, mu: np.ndarray, v: np.ndarray, norm_sq: float,
+                         rank: int, tol: Tolerance) -> Spectrum | None:
+    """The lower-bound Spectrum that refuses A, or None.
+
+    mu (descending) with eigenvectors v are the Ritz values of A on the
+    computed basis q, and norm_sq is the computed |A|_F^2. For an exactly
+    orthonormal basis the Poincare separation theorem gives
+    lambda_k(A) >= mu_k and lambda_{m-w+k}(A) <= mu_k. Since |A|_2 <= |A|_F,
+    a Ritz value beyond eig_zero * |A|_F proves an eigenvalue of its sign
+    beyond inertia()'s cutoff eig_zero * max|lambda|. A refuses when these
+    lower bounds break the signature rule with max_negative = rank - 1.
+    """
+    m, width = q.shape
+    loss = float(np.linalg.norm(q.T @ q - np.eye(width))) + (m + 2) * width * _EPS
+    # frob bounds |A|_F from above despite the summation error in norm_sq.
+    # The allowance bounds the distance of the computed mu from the Ritz
+    # values on the orthonormal polar factor of q: loss (2 + loss) |A|_2 for
+    # q's departure from orthonormality (loss bounds |q^T q - I|, including
+    # the rounding in forming q^T q), plus the rounding in forming q^T A q
+    # (inner dimension m, then w) and in its symmetric eigensolve.
+    frob = math.sqrt(norm_sq) * (1.0 + m * m * _EPS)
+    allowance = frob * (loss * (2.0 + loss) + 2.0 * (m + width) * width * _EPS)
+    cutoff = tol.eig_zero * frob + allowance
+    positive = int(np.sum(mu > cutoff))
+    negative = int(np.sum(mu < -cutoff))
+    found = Inertia(positive, negative, m - positive - negative)
+    if signature_violation(found, rank - 1, exactly_one=False, exact=False) is None:
+        return None
+    return Spectrum(mu, q @ v, cutoff, found, "interlacing")
 
 
 def schur_complement(matrix, pivot_indices: Iterable[int], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -303,9 +348,9 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
         raise ValueError("spatial dimension n must be >= 1")
     m = a.shape[0]
     spectrum = certified_eigen(a, n + 1, tol)
-    violation = signature_violation(spectrum.inertia, n)
+    violation = signature_violation(spectrum.inertia, n, exact=spectrum.exact)
     if violation is not None:
-        raise GramInfeasibleError(spectrum.inertia, violation)
+        raise GramInfeasibleError(spectrum.inertia, violation, spectrum.exact)
     values, vectors = spectrum.values, spectrum.vectors
     x = np.zeros((m, n + 1))
     x[:, n] = math.sqrt(values[0]) * vectors[:, 0]

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numkernel
-from .embed import MINORS_MAX_ORDER, Certificate, _inertia_certificate
+from .embed import MINORS_MAX_ORDER, Certificate, _inertia_certificate, _spectrum_certificate
 from .lightcone import SQRT2, minkowski_inner
 from .numkernel import DEFAULT_TOL, Inertia, Tolerance
 
@@ -135,20 +135,18 @@ def check_spheres(matrix, n: int, method: str = "inertia",
         raise ValueError("ambient dimension n must be >= 1")
     method = method.lower()
     m = s.shape[0]
+    rule = {"exactly_one": False, "note": f" (rank at most {n + 2})"}
     if method == "inertia":
-        counts = numkernel.inertia(s, tol)
-    elif method == "minors":
-        if m > MINORS_MAX_ORDER:
-            raise ValueError(
-                f"order {m} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
-            )
-        sums = numkernel.principal_minor_sums(s)
-        counts = _descartes_inertia(sums, m, max(1.0, float(np.abs(s).max())), tol)
-    else:
+        return _spectrum_certificate(s, n + 1, method, tol, **rule)
+    if method != "minors":
         raise ValueError(f"unknown method {method!r}")
-    return _inertia_certificate(
-        counts, n + 1, method, exactly_one=False, note=f" (rank at most {n + 2})"
-    )
+    if m > MINORS_MAX_ORDER:
+        raise ValueError(
+            f"order {m} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
+        )
+    sums = numkernel.principal_minor_sums(s)
+    counts = _descartes_inertia(sums, m, max(1.0, float(np.abs(s).max())), tol)
+    return _inertia_certificate(counts, n + 1, method, **rule)
 
 
 def kissing_cone_embed(anchor, vector, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from gen import graph_from_configuration
+from gen import coincident_sphere_set, graph_from_configuration
 from kissgeo import numkernel
 from kissgeo.cli import main
+from kissgeo.kissing import distance_matrix
 
 TANGENT_PAIR = {"n": 2, "spheres": [{"t": [0.0], "phi": 1.0}, {"t": [1.0], "phi": 1.0}]}
 TANGENT_TRIPLE_MATRIX = {"d2": [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]}
@@ -124,6 +125,25 @@ class TestCheck:
         code, _, err = run(capsys, ["check", path, "--mode", "spheres", "--n", "2"])
         assert code == 2
         assert "diag" in err
+
+    @pytest.mark.parametrize("kind, exact", [("not_embeddable", False), ("rank_n_plus_2", True)])
+    def test_exact_key_only_on_interlacing_route(self, tmp_path, capsys, kind, exact):
+        from bench.inputs import N, not_embeddable_matrix
+
+        rng = np.random.default_rng(6)
+        if kind == "not_embeddable":
+            # High rank: refused from the sketch's Ritz values, lower-bound counts.
+            d2 = not_embeddable_matrix(rng, 200).d2
+        else:
+            # Rank n + 2: the Weyl sketch decides, exact counts.
+            d2 = distance_matrix(coincident_sphere_set(rng, 200, N + 1, planes=2, shared=20))
+        path = write(tmp_path, "m.json", {"d2": d2.tolist()})
+        code, out, _ = run(capsys, ["check", path, "--mode", "kissing", "--n", str(N)])
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert ("exact" in witness) is not exact
+        assert witness.get("exact", True) is exact
+        assert witness["inertia"][0] + witness["inertia"][1] > N + 1
 
     def test_asymmetric_input_is_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {"d2": [[0.0, 1.0], [2.0, 0.0]]})
@@ -283,6 +303,18 @@ class TestComplete:
         assert payload["clique"] == [1, 5, 6, 18]
         assert payload["certificate"]["verdict"] == "Embeddable"
         assert payload["diagnostic"].startswith("factor row 1 is not a future null vector: ")
+
+    def test_diagnostic_prints_plain_floats(self, tmp_path, capsys):
+        # The glued edges of the all-zero triangle come back about 1e-17.
+        graph = {"vertices": 3, "edges": [
+            {"u": u, "v": v, "len": 0.0} for u, v in ((0, 1), (0, 2), (1, 2))
+        ]}
+        path = write(tmp_path, "zero_triangle.json", graph)
+        code, out, _ = run(capsys, ["complete", path, "--n", "2"])
+        assert code == 1
+        diagnostic = json.loads(out)["diagnostic"]
+        assert diagnostic.startswith("target verification failed: edge (")
+        assert "np.float64" not in diagnostic
 
     def test_infeasible_gluing_payload(self, tmp_path, capsys):
         # Every clique is feasible, but the zero-distance pair (0, 1) would

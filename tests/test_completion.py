@@ -568,6 +568,15 @@ class TestVerifyTargetMatrix:
         assert not report.edges_ok
         assert "(0, 1)" in " ".join(report.failures)
 
+    def test_edge_failure_text_prints_plain_floats(self):
+        g = LengthGraph(2, ((0, 1, 2.0),))
+        report = verify_target_matrix(np.array([[0.0, 1e-17], [1e-17, 0.0]]), g, 2)
+        assert report.failures == ("edge (0, 1) entry 1e-17 != squared length 4.0",)
+        zero = LengthGraph(3, ((0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0)))
+        result = complete_chordal(zero, 2)
+        assert result.verdict == INFEASIBLE
+        assert "np.float64" not in str(result.witness)
+
 
 class TestNonChordalWitness:
     def test_four_cycle(self):

@@ -21,6 +21,7 @@ from kissgeo.embed import (
     schur_embedding,
     verify_schur_relations,
 )
+from kissgeo import numkernel
 from kissgeo.kissing import Plane, Sphere, distance_matrix
 from kissgeo.numkernel import GramInfeasibleError, Inertia, SingularPivotError
 
@@ -173,6 +174,24 @@ class TestCheckEuclidean:
                     check_euclidean(d, n, "minors").verdict
                     == check_euclidean(d, n, "inertia").verdict
                 )
+
+
+    @pytest.mark.parametrize("method, max_negative", [("inertia", 4), ("distance_inertia", 4)])
+    def test_large_refusal_skips_sym_eigen(self, rng, monkeypatch, eigh_orders,
+                                          method, max_negative):
+        # 120 points in 40 dimensions: rank far above n + 2 = 5.
+        points = rng.normal(size=(120, 40))
+        sq = np.sum(points * points, axis=1)
+        d = np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
+        np.fill_diagonal(d, 0.0)
+        cert = check_euclidean(d, 3, method)
+        assert eigh_orders == []
+        assert not cert.embeddable and not cert.witness.exact
+        assert cert.witness.requirement == f"at most {max_negative} negative eigenvalues"
+        monkeypatch.setattr(numkernel, "_sketched_spectrum", lambda *args: None)
+        exact = check_euclidean(d, 3, method).witness
+        assert exact.exact and exact.requirement == cert.witness.requirement
+        assert cert.witness.inertia.negative <= exact.inertia.negative
 
 
 class TestConstructEmbedding:

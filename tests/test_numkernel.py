@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from gen import coincident_sphere_set
 from kissgeo import numkernel
-from kissgeo.embed import check_kissing, construct_embedding, matrices_close
+from kissgeo.embed import check_euclidean, check_kissing, construct_embedding, matrices_close
 from kissgeo.kissing import distance_matrix
+from kissgeo.spheres import check_spheres
 from kissgeo.numkernel import (
     DEFAULT_TOL,
     SKETCH_OVERSAMPLE,
@@ -246,18 +247,15 @@ def low_rank(rng, m, spectrum):
     return (basis * np.asarray(spectrum)) @ basis.T
 
 
-@pytest.fixture
-def eigh_orders(monkeypatch):
-    """Orders of the matrices sym_eigen is called on."""
-    orders = []
-    original = numkernel.sym_eigen
-
-    def spy(matrix, tol=DEFAULT_TOL):
-        orders.append(np.shape(matrix)[0])
-        return original(matrix, tol)
-
-    monkeypatch.setattr(numkernel, "sym_eigen", spy)
-    return orders
+def assert_proven_refusal(found, requirement, exact, max_negative):
+    """found holds lower bounds on exact, and requirement is one that the
+    exact counts break too."""
+    assert found.positive <= exact.positive and found.negative <= exact.negative
+    if "positive" in requirement:
+        assert found.positive > 1 and exact.positive > 1
+    else:
+        assert requirement.startswith(f"at most {max_negative} negative eigenvalues")
+        assert found.negative > max_negative and exact.negative > max_negative
 
 
 class TestCertifiedEigen:
@@ -273,24 +271,39 @@ class TestCertifiedEigen:
                                                    kind, low, m, n, scale):
         d = scale * kind(rng, m, n)
         spectrum = certified_eigen(d, n + 1)
-        # The sketch decides low-rank data; high-rank data goes to sym_eigen.
-        assert eigh_orders == ([] if low else [m])
-        assert spectrum.inertia == inertia(d)
         got = check_kissing(d, n)
+        # The sketch decides low-rank data, and interlacing refuses high-rank
+        # data, with lower-bound counts; neither runs a full eigensolve.
+        assert eigh_orders == []
+        assert spectrum.route == ("sketch" if low else "interlacing")
+        exact = inertia(d)
+        if low:
+            assert spectrum.inertia == exact
+        else:
+            assert not got.embeddable and not got.witness.exact
+            assert got.witness.inertia == spectrum.inertia
+            assert_proven_refusal(spectrum.inertia, got.witness.requirement, exact, n)
         monkeypatch.setattr(numkernel, "_sketched_spectrum", lambda *args: None)
-        assert got == check_kissing(d, n)
+        forced = check_kissing(d, n)
+        assert got == forced if low else got.verdict == forced.verdict
 
     def test_sketch_decides_certificate_and_construction(self, rng, eigh_orders):
         d = embeddable(rng, 200, 3)
+        assert certified_eigen(d, 4).route == "sketch"
         assert check_kissing(d, 3).embeddable
         spheres = construct_embedding(d, 3)
         assert eigh_orders == []
         assert matrices_close(distance_matrix(spheres), d)
 
-    def test_high_rank_goes_to_sym_eigen(self, rng, eigh_orders):
+    def test_high_rank_refusal_skips_sym_eigen(self, rng, eigh_orders):
         d = raised_within_group(rng, 120, 3)
-        assert certified_eigen(d, 4).inertia == inertia(d)
-        assert eigh_orders == [120, 120]
+        found = certified_eigen(d, 4)
+        with pytest.raises(GramInfeasibleError) as err:
+            gram_factor_lorentz(d, 3)
+        assert eigh_orders == []
+        assert found.route == "interlacing" and not found.exact
+        assert err.value.inertia == found.inertia and not err.value.exact
+        assert_proven_refusal(found.inertia, err.value.reason, inertia(d), 3)
 
     @pytest.mark.parametrize("spectrum, noise", [
         # An eigenvalue on the cutoff itself.
@@ -319,6 +332,101 @@ class TestCertifiedEigen:
         d = embeddable(rng, m, 3)
         assert certified_eigen(d, 4).inertia == (1, 3, m - 4)
         assert eigh_orders == [m]
+
+    def test_high_rank_without_refusal_goes_to_eigh(self, rng, monkeypatch, eigh_orders):
+        # Symmetric noise at half the cutoff: at eig_zero = 1e-2 its Frobenius
+        # norm trips the high-rank test, but no Ritz value proves anything.
+        tol = Tolerance(eig_zero=1e-2)
+        a = low_rank(rng, 100, (1.0, -0.5, -0.25))
+        jitter = rng.normal(size=(100, 100))
+        jitter += jitter.T
+        a += 0.5e-2 * jitter / np.linalg.norm(jitter, 2)
+        tried = []
+        original = numkernel._interlacing_refusal
+        monkeypatch.setattr(numkernel, "_interlacing_refusal",
+                            lambda *args: tried.append(original(*args)))
+        found = certified_eigen(a, 4, tol)
+        assert tried == [None] and eigh_orders == [100]
+        assert found.route == "eigh" and found.exact
+        assert found.inertia == inertia(a, tol) == (1, 2, 97)
+
+
+def random_nonnegative(rng, m):
+    upper = np.triu(rng.random((m, m)), 1)
+    return upper + upper.T
+
+
+class TestInterlacingRefusal:
+    SCALES = [1e-20, 1e-10, 1.0, 1e10, 1e20]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda rng: raised_within_group(rng, 120, 3), id="raised_within_group"),
+        pytest.param(lambda rng: random_nonnegative(rng, 120), id="random_nonnegative"),
+    ])
+    def test_cutoff_is_at_least_the_frobenius_threshold(self, rng, make, scale):
+        # Poincare separation bounds A's eigenvalues by the Ritz values, and
+        # eig_zero |A|_F is at least inertia()'s cutoff eig_zero |A|_2; a
+        # smaller threshold, such as eig_zero max|mu|, is unsound.
+        a = scale * make(rng)
+        found = certified_eigen(a, 4)
+        assert found.route == "interlacing"
+        assert found.cutoff >= DEFAULT_TOL.eig_zero * np.linalg.norm(a)
+        counts = found.inertia
+        assert np.all(found.values[:counts.positive] > found.cutoff)
+        assert np.all(found.values[found.values.size - counts.negative:] < -found.cutoff)
+        assert counts.positive > 1 or counts.negative > 3
+
+    def test_no_proven_positive_is_not_a_broken_exactly_one(self, rng):
+        # -I + 1.001 e e^T has inertia (1, 99, 0), but the sketch's Ritz values
+        # are all negative: a lower bound of 0 positives refuses only by the
+        # negative count.
+        e = rng.normal(size=100)
+        e /= np.linalg.norm(e)
+        a = as_symmetric(1.001 * np.outer(e, e) - np.eye(100))
+        found = certified_eigen(a, 4)
+        assert found.route == "interlacing" and found.inertia.positive == 0
+        with pytest.raises(GramInfeasibleError) as err:
+            gram_factor_lorentz(a, 3)
+        assert err.value.reason == "at most 3 negative eigenvalues"
+        assert inertia(a) == (1, 99, 0)
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        """A seeded differential corpus: (matrix, n) pairs of every kind."""
+        rng = np.random.default_rng(7)
+        out = []
+        for m, n in ((40, 1), (72, 2), (120, 3)):
+            out += [(raised_within_group(rng, m, n), n), (raised_between_groups(rng, m, n), n),
+                    (one_dimension_too_many(rng, m, n), n), (random_nonnegative(rng, m), n),
+                    (np.ones((m, m)) - np.eye(m), n)]
+        return out
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_verdicts_match_sym_eigen_route(self, monkeypatch, corpus, scale):
+        """The three inertia entry points give the forced sym_eigen verdicts."""
+        refused_by_interlacing = 0
+        for d0, n in corpus:
+            d = scale * d0
+            s = d.copy()
+            np.fill_diagonal(s, -1.0)
+            calls = [(lambda: check_kissing(d, n), n),
+                     (lambda: check_euclidean(d, n, "inertia"), n + 1),
+                     (lambda: check_euclidean(d, n, "distance_inertia"), n + 1),
+                     (lambda: check_spheres(s, n), n + 1)]
+            for call, max_negative in calls:
+                got = call()
+                with monkeypatch.context() as patch:
+                    patch.setattr(numkernel, "_sketched_spectrum", lambda *args: None)
+                    want = call()
+                if got.witness is not None and not got.witness.exact:
+                    refused_by_interlacing += 1
+                    assert got.verdict == want.verdict
+                    assert_proven_refusal(got.witness.inertia, got.witness.requirement,
+                                          want.witness.inertia, max_negative)
+                else:
+                    assert got == want
+        assert refused_by_interlacing > 0
 
 
 class TestPrincipalMinorSums:

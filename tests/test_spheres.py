@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kissgeo import numkernel
 from kissgeo.embed import InertiaWitness
 from kissgeo.kissing import Sphere as TangentSphere
 from kissgeo.kissing import distance as kissing_distance
@@ -172,6 +173,21 @@ class TestCheckSpheres:
     def test_diagonal_validation(self):
         with pytest.raises(ValueError, match="-1"):
             check_spheres(np.zeros((2, 2)), 2)
+
+
+    def test_large_refusal_skips_sym_eigen(self, rng, monkeypatch, eigh_orders):
+        # 120 spheres in 40 dimensions: rank 42, far above n + 2 = 5.
+        items = [EuclideanSphere(tuple(rng.normal(size=40) * 3.0), float(rng.uniform(0.5, 1.5)))
+                 for _ in range(120)]
+        s = separation_matrix(items)
+        cert = check_spheres(s, 3)
+        assert eigh_orders == []
+        assert not cert.embeddable and not cert.witness.exact
+        assert cert.witness.requirement == "at most 4 negative eigenvalues (rank at most 5)"
+        monkeypatch.setattr(numkernel, "_sketched_spectrum", lambda *args: None)
+        exact = check_spheres(s, 3).witness
+        assert exact.exact and exact.requirement == cert.witness.requirement
+        assert cert.witness.inertia.negative <= exact.inertia.negative == 41
 
 
 class TestKissingConeEmbed:
