@@ -73,13 +73,13 @@ class Certificate:
 def validate_squared_distances(matrix) -> np.ndarray:
     """Check symmetry, zero diagonal, and nonnegative entries; return a clean copy."""
     a = numkernel.as_symmetric(matrix)
-    scale = float(np.abs(a).max())
+    scale = numkernel.max_abs(a)
     if float(np.abs(np.diag(a)).max()) > 1e-12 * scale:
         raise ValueError("squared-distance matrix must have a zero diagonal")
     if float(a.min()) < -1e-12 * scale:
         raise ValueError("squared-distance entries must be nonnegative")
     np.fill_diagonal(a, 0.0)
-    return np.maximum(a, 0.0)
+    return np.maximum(a, 0.0, out=a)
 
 
 def _border(d: np.ndarray, edge: float) -> np.ndarray:
@@ -215,18 +215,26 @@ def matrices_close(actual, expected, rtol: float = ROUND_TRIP_RTOL) -> bool:
     """|actual - expected| <= rtol * (|expected| + min(1, max|expected|)) entrywise.
 
     The additive term lets entries near zero match to within rtol of the
-    matrix's own scale, capped at 1.
+    matrix's own scale, capped at 1. A NaN in either matrix fails. The
+    comparison runs over numkernel.row_blocks in two block-sized work arrays.
     """
     a = np.asarray(actual, dtype=float)
     b = np.asarray(expected, dtype=float)
-    # In place, so that a round trip holds two work arrays, not three.
-    allowed = np.abs(b)
-    allowed += min(1.0, float(allowed.max()))
-    allowed *= rtol
-    excess = a - b
-    np.abs(excess, out=excess)
-    excess -= allowed
-    return float(excess.max()) <= 0.0
+    floor = min(1.0, numkernel.max_abs(b))
+    blocks = numkernel.row_blocks(b.shape[0])
+    work = np.empty((2, *b[blocks[0]].shape))
+    for rows in blocks:
+        block = b[rows]
+        allowed, excess = work[:, :block.shape[0]]
+        np.abs(block, out=allowed)
+        allowed += floor
+        allowed *= rtol
+        np.subtract(a[rows], block, out=excess)
+        np.abs(excess, out=excess)
+        excess -= allowed
+        if not float(excess.max()) <= 0.0:
+            return False
+    return True
 
 
 def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[KissingSphere]:

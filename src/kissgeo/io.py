@@ -12,6 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import numkernel
 from .completion import LengthGraph
 from .kissing import KissingSphere, Plane, Sphere
 from .spheres import EuclideanSphere
@@ -111,8 +112,11 @@ def _load_square(rows, what: str) -> np.ndarray:
 def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarray]:
     """{"labels": [...] optional, "d2": [[...]], "diag": -1 marker for separations}.
 
-    Validates symmetry to 1e-12 absolute and the expected diagonal; asymmetric
-    input is rejected, never silently symmetrized.
+    Validates symmetry to 1e-12 relative, max|d2 - d2^T| <= 1e-12 * max|d2|,
+    and the expected diagonal to the same relative tolerance, so that the
+    contract holds at every scale of the data. Asymmetric input is rejected,
+    never silently symmetrized: only rounding-level asymmetry passes, and the
+    exactly symmetric (d2 + d2^T) / 2 is returned.
     """
     _require(isinstance(obj, dict), "matrix input must be a JSON object")
     matrix = _load_square(obj.get("d2"), "d2")
@@ -124,8 +128,11 @@ def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarra
     if diagonal == -1.0:
         marker = obj.get("diag")
         _require(marker == -1, 'separation input must carry the marker "diag": -1')
-    _require(float(np.abs(matrix - matrix.T).max()) <= 1e-12, "matrix must be symmetric (1e-12 absolute)")
-    _require(float(np.abs(np.diag(matrix) - diagonal).max()) <= 1e-12,
+    try:
+        matrix = numkernel.as_symmetric(matrix, rtol=1e-12)
+    except ValueError:
+        raise SchemaError("matrix must be symmetric (1e-12 relative)") from None
+    _require(float(np.abs(np.diag(matrix) - diagonal).max()) <= 1e-12 * numkernel.max_abs(matrix),
              f"matrix diagonal must be {diagonal:g}")
     return labels, matrix
 

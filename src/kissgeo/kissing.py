@@ -20,6 +20,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .numkernel import row_blocks
+
 
 def _as_point(coords) -> tuple[float, ...]:
     point = tuple(float(c) for c in coords)
@@ -265,7 +267,8 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     boundary coordinate at a time (so up to two coordinates the result is
     bit-identical to distance_sq), then divide by the diameter products;
     shared tangent points give an exact zero. Rows and columns of hyperplanes
-    are h / phi against spheres and zero against each other.
+    are h / phi against spheres and zero against each other. The rows are
+    formed in numkernel.row_blocks, so the only full-size array is the result.
     """
     items = list(spheres)
     if not items:
@@ -281,13 +284,17 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     diameter = np.array([1.0 if isinstance(s, Plane) else s.diameter for s in items])
     planes = [i for i, s in enumerate(items) if isinstance(s, Plane)]
     out = np.zeros((m, m))
-    scratch = np.empty((m, m))
-    for coordinate in tangent.T:
-        np.subtract.outer(coordinate, coordinate, out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
-        out += scratch
-    np.multiply.outer(diameter, diameter, out=scratch)
-    out /= scratch
+    blocks = row_blocks(m)
+    work = np.empty_like(out[blocks[0]])
+    for rows in blocks:
+        block = out[rows]
+        scratch = work[:block.shape[0]]
+        for coordinate in tangent.T:
+            np.subtract.outer(coordinate[rows], coordinate, out=scratch)
+            np.multiply(scratch, scratch, out=scratch)
+            block += scratch
+        np.multiply.outer(diameter[rows], diameter, out=scratch)
+        block /= scratch
     if planes:
         heights = np.array([items[i].height for i in planes])
         out[planes] = heights[:, None] / diameter

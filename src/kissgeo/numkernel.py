@@ -68,16 +68,62 @@ class Inertia(NamedTuple):
         return self.positive + self.negative + self.zero
 
 
+# Side of the square tiles in which whole-matrix passes read an m x m matrix:
+# 128 x 128 doubles (128 KiB), so that a tile, its mirror and a work tile stay
+# in a typical L2 cache. Row-wise passes take blocks of about as many entries.
+TILE = 128
+
+
+def row_blocks(m: int) -> list[slice]:
+    """Consecutive row slices covering range(m), each of about TILE * TILE
+    entries of an m-column matrix."""
+    rows = max(1, TILE * TILE // m)
+    return [slice(i, i + rows) for i in range(0, m, rows)]
+
+
+def max_abs(a: np.ndarray) -> float:
+    """max|a| of a nonempty array, without forming |a|."""
+    return max(float(a.max()), -float(a.min()))
+
+
 def as_symmetric(matrix, rtol: float = 1e-8) -> np.ndarray:
-    """Validate a square symmetric matrix; return an exactly symmetric copy."""
+    """Validate a square symmetric matrix; return an exactly symmetric copy.
+
+    Entries must be finite and max|a - a^T| may not exceed rtol * max|a|; the
+    copy is (a + a^T) / 2, bit for bit. One pass over pairs of mirrored
+    TILE x TILE tiles brings every entry from memory once and does all its
+    work on it in cache; the only full-size array it allocates is the copy
+    it returns.
+    """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    if float(np.abs(a - a.T).max()) > rtol * float(np.abs(a).max()):
+    m = a.shape[0]
+    out = np.empty((m, m))
+    work = np.empty(min(m, TILE) ** 2)
+    top = skew = 0.0
+    for i in range(0, m, TILE):
+        rows = slice(i, i + TILE)
+        for j in range(i, m, TILE):
+            cols = slice(j, j + TILE)
+            upper, lower = a[rows, cols], a[cols, rows].T
+            tile = work[:upper.size].reshape(upper.shape)
+            # A diagonal tile is its own mirror.
+            for block in (upper, lower) if j > i else (upper,):
+                big = float(np.abs(block, out=tile).max())
+                if not math.isfinite(big):
+                    raise ValueError("matrix entries must be finite")
+                top = max(top, big)
+            np.subtract(upper, lower, out=tile)
+            skew = max(skew, float(np.abs(tile, out=tile).max()))
+            half = out[rows, cols]
+            np.add(upper, lower, out=half)
+            half /= 2.0
+            if j > i:
+                out[cols, rows] = half.T
+    if skew > rtol * top:
         raise ValueError("matrix is not symmetric")
-    return (a + a.T) / 2.0
+    return out
 
 
 def signature_form(dim: int) -> np.ndarray:
@@ -99,8 +145,11 @@ def sym_eigen(matrix, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    scale = float(np.abs(a).max())
-    residual = float(np.abs(a - (vectors * values) @ vectors.T).max())
+    scale = max_abs(a)
+    # |(V diag(values)) V^T - a| in the one buffer the product occupies.
+    product = (vectors * values) @ vectors.T
+    product -= a
+    residual = float(np.abs(product, out=product).max())
     if residual > tol.residual * scale:
         raise NonConvergenceError(
             f"reconstruction residual {residual:.3g} exceeds {tol.residual * scale:.3g}"
@@ -357,10 +406,13 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
     negatives = np.flatnonzero(values < -spectrum.cutoff)
     negatives = negatives[np.argsort(values[negatives], kind="stable")]
     x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
-    eta = signature_form(n + 1)
-    scale = float(np.abs(a).max())
-    residual = float(np.abs(-(x @ eta @ x.T) - a).max())
+    # |-(x eta x^T) - a| = |x eta x^T + a|, in the one buffer the product occupies.
+    product = x @ signature_form(n + 1) @ x.T
+    product += a
+    residual = float(np.abs(product, out=product).max())
+    row_top = np.maximum(a.max(axis=1), -a.min(axis=1))
+    scale = float(row_top.max())
     if residual > tol.residual * scale:
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")
-    degenerate = np.flatnonzero(np.abs(a).max(axis=1) <= tol.eig_zero * scale)
+    degenerate = np.flatnonzero(row_top <= tol.eig_zero * scale)
     return GramFactor(x, tuple(int(i) for i in degenerate))

@@ -151,6 +151,28 @@ class TestCheck:
         assert code == 2
         assert "symmetric" in err
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e10])
+    def test_symmetry_contract_is_relative(self, tmp_path, capsys, scale):
+        from gen import random_sphere_set
+
+        from kissgeo.embed import check_kissing
+
+        d2 = scale * distance_matrix(random_sphere_set(np.random.default_rng(11), 12, 3))
+        # One ulp of asymmetry is rounding, accepted at every scale.
+        d2[2, 7] = np.nextafter(d2[2, 7], np.inf)
+        path = write(tmp_path, "ulp.json", {"d2": d2.tolist()})
+        code, out, _ = run(capsys, ["check", path, "--mode", "kissing", "--n", "3"])
+        assert code == 0
+        assert json.loads(out)["verdict"] == check_kissing(d2, 3).verdict
+        code, out, _ = run(capsys, ["embed", path, "--n", "3"])
+        assert code == 0
+        # A factor of two is an asymmetry at every scale, refused as input.
+        d2[2, 7] *= 2.0
+        path = write(tmp_path, "bad.json", {"d2": d2.tolist()})
+        code, _, err = run(capsys, ["check", path, "--mode", "kissing", "--n", "3"])
+        assert code == 2
+        assert "input error" in err and "symmetric" in err
+
 
 class TestEmbed:
     def test_recovers_spheres(self, tmp_path, capsys):

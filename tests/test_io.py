@@ -30,6 +30,16 @@ class TestLoadMatrix:
         with pytest.raises(io.SchemaError, match=r'\[0\]\[2\]'):
             io.load_matrix({"d2": rows})
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e10])
+    def test_diagonal_is_checked_relative_to_the_data(self, scale):
+        rows = (scale * np.array(square(4))).tolist()
+        rows[1][1] = 0.5e-12 * 3.0 * scale
+        _, matrix = io.load_matrix({"d2": rows})
+        assert np.array_equal(matrix, matrix.T)
+        rows[1][1] = 2e-12 * 3.0 * scale
+        with pytest.raises(io.SchemaError, match="diagonal must be 0"):
+            io.load_matrix({"d2": rows})
+
     @pytest.mark.parametrize("row", [[0.0, 1.0], "row", None])
     def test_row_that_is_not_a_full_list(self, row):
         rows = square(3)

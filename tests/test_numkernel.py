@@ -14,6 +14,7 @@ from kissgeo.spheres import check_spheres
 from kissgeo.numkernel import (
     DEFAULT_TOL,
     SKETCH_OVERSAMPLE,
+    TILE,
     GramInfeasibleError,
     Inertia,
     SingularPivotError,
@@ -427,6 +428,75 @@ class TestInterlacingRefusal:
                 else:
                     assert got == want
         assert refused_by_interlacing > 0
+
+
+class TestTiledPasses:
+    """as_symmetric reads mirrored TILE x TILE tiles; distance_matrix and
+    matrices_close read row blocks. An off-by-one hides at the tile edges and
+    in the last, partial tile, so the orders straddle TILE."""
+
+    @pytest.mark.parametrize("m", [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 44])
+    def test_as_symmetric_is_bit_identical_to_the_mean(self, rng, m):
+        s = rng.normal(size=(m, m))
+        a = (s + s.T) * (1.0 + 1e-12 * rng.normal(size=(m, m)))
+        want = ((a + a.T) / 2.0).tobytes()
+        assert as_symmetric(a).tobytes() == want
+        assert as_symmetric(np.asfortranarray(a)).tobytes() == want
+
+    @pytest.mark.parametrize("at", [(TILE - 1, TILE), (TILE, TILE - 1), (0, 2 * TILE),
+                                    (2 * TILE + 43, 2 * TILE - 1), (2 * TILE + 42, 2 * TILE + 43),
+                                    (2 * TILE + 43, 0)])
+    def test_single_entry_is_refused_at_tile_edges(self, rng, at):
+        m = 2 * TILE + 44
+        s = rng.random((m, m)) + 1.0
+        a = s + s.T
+        a[at] *= 2.0
+        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+            as_symmetric(a)
+        # A non-finite entry outranks an asymmetry anywhere else.
+        a[1, 0] *= 2.0
+        a[at] = np.inf
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_symmetric(a)
+
+    def test_matrices_close_sees_the_last_partial_row_block(self, rng):
+        m = 2 * TILE + 44
+        last = numkernel.row_blocks(m)[-1]
+        assert m - last.start < last.stop - last.start
+        expected = distance_matrix(coincident_sphere_set(rng, m, 3, planes=2, shared=10))
+        assert matrices_close(expected.copy(), expected)
+        for at in [(m - 1, 0), (last.start, m - 1)]:
+            actual = expected.copy()
+            actual[at] = 1.01 * actual[at] + 1e-3
+            assert not matrices_close(actual, expected)
+
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_matrices_close_fails_on_nan(self, rng, row):
+        expected = distance_matrix(coincident_sphere_set(rng, 300, 3, planes=2, shared=10))
+        broken = expected.copy()
+        broken[row, 1] = np.nan
+        assert not matrices_close(broken, expected)
+        assert not matrices_close(expected, broken)
+
+    @pytest.mark.parametrize("name", ["as_symmetric", "distance_matrix", "matrices_close"])
+    def test_no_full_size_temporary(self, rng, name):
+        import tracemalloc
+
+        m = 600
+        full = m * m * 8
+        spheres = coincident_sphere_set(rng, m, 3, planes=2, shared=10)
+        d = distance_matrix(spheres)
+        near = d * (1.0 + 1e-9)
+        call, returned = {"as_symmetric": (lambda: as_symmetric(d), full),
+                          "distance_matrix": (lambda: distance_matrix(spheres), full),
+                          "matrices_close": (lambda: matrices_close(near, d), 0)}[name]
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - returned < full
 
 
 class TestPrincipalMinorSums:
