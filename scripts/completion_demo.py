@@ -22,7 +22,6 @@ from kissgeo.completion import (
     clique_feasible,
     complete_chordal,
     is_chordal,
-    maximal_cliques,
     non_chordal_witness,
     verify_target_matrix,
 )
@@ -57,7 +56,7 @@ def main():
 
     graph = sample_instance(rng, args.vertices, args.n)
     print(f"chordal instance on {graph.vertex_count} vertices, {len(graph.edges)} edges")
-    tree = maximal_cliques(graph, is_chordal(graph).peo)
+    tree = is_chordal(graph).tree
     print(f"maximal cliques: {tree.cliques}")
 
     failures = []

@@ -85,18 +85,21 @@ class LengthGraph:
 
 
 @dataclass(frozen=True)
-class Chordality:
-    chordal: bool
-    peo: tuple[int, ...] | None
-    cycle: tuple[int, ...] | None
-
-
-@dataclass(frozen=True)
 class CliqueTree:
     """Maximal cliques (sorted tuples) and tree edges labeled by separators."""
 
     cliques: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
+class Chordality:
+    """A perfect elimination ordering and its clique tree, or a chordless cycle."""
+
+    chordal: bool
+    peo: tuple[int, ...] | None
+    cycle: tuple[int, ...] | None
+    tree: CliqueTree | None
 
 
 @dataclass(frozen=True)
@@ -141,20 +144,6 @@ def mcs_order(graph: LengthGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _peo_violation(graph: LengthGraph, peo) -> tuple[int, int, int] | None:
-    pos = {v: i for i, v in enumerate(peo)}
-    adjacency = graph.adjacency
-    for v in peo:
-        later = [w for w in adjacency[v] if pos[w] > pos[v]]
-        if not later:
-            continue
-        first = min(later, key=pos.__getitem__)
-        for w in later:
-            if w != first and w not in adjacency[first]:
-                return (v, first, w)
-    return None
-
-
 def _shortest_path(adjacency, start: int, goal: int, blocked: set[int]) -> list[int] | None:
     if start == goal:
         return [start]
@@ -197,18 +186,21 @@ def _chordless_cycle(graph: LengthGraph) -> tuple[int, ...] | None:
 
 
 def is_chordal(graph: LengthGraph) -> Chordality:
-    """Chordality via maximum-cardinality search with elimination verification.
+    """Chordality via the clique-tree pass over a maximum-cardinality search.
 
-    On success carries the perfect elimination ordering; on failure carries a
+    The reversed search order is a perfect elimination ordering exactly when
+    the graph is chordal, and maximal_cliques refuses one that is not. On
+    success carries that ordering and its clique tree; on failure carries a
     chordless cycle of length at least four.
     """
     peo = tuple(reversed(mcs_order(graph)))
-    if _peo_violation(graph, peo) is None:
-        return Chordality(True, peo, None)
-    cycle = _chordless_cycle(graph)
+    try:
+        return Chordality(True, peo, None, maximal_cliques(graph, peo))
+    except ValueError:
+        cycle = _chordless_cycle(graph)
     if cycle is None:
-        raise RuntimeError("elimination check failed but no chordless cycle was found")
-    return Chordality(False, None, cycle)
+        raise RuntimeError("the MCS ordering is not perfect but no chordless cycle was found")
+    return Chordality(False, None, cycle, None)
 
 
 def maximal_cliques(graph: LengthGraph, peo) -> CliqueTree:
@@ -273,13 +265,7 @@ def _all_maximal_cliques(graph: LengthGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def _clique_matrix(graph: LengthGraph, clique) -> np.ndarray:
-    k = len(clique)
-    d = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            length = graph.length(clique[i], clique[j])
-            d[i, j] = d[j, i] = length * length
-    return d
+    return np.square([[graph.length(u, v) if u != v else 0.0 for v in clique] for u in clique])
 
 
 def _realize_clique(graph: LengthGraph, clique, n: int,
@@ -314,7 +300,7 @@ def clique_feasible(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL,
     """
     chordality = is_chordal(graph)
     if chordality.chordal:
-        cliques = maximal_cliques(graph, chordality.peo).cliques
+        cliques = chordality.tree.cliques
     else:
         cliques = _all_maximal_cliques(graph)
         if any(len(c) > 12 for c in cliques):
@@ -329,8 +315,11 @@ def _anchored_null_vector(anchors: np.ndarray, targets: np.ndarray, eta: np.ndar
 
     Least-squares on the linear product constraints, then a null-space
     correction chosen along an eigendirection of the residual form to land on
-    the cone exactly.
+    the cone exactly. It runs on anchors divided by a power of two s and
+    targets by s^2, exactly, so that its thresholds act at the data's scale.
     """
+    unit = numkernel.power_of_two_below(float(np.abs(anchors).max()))
+    anchors, targets = anchors / unit, targets / (unit * unit)
     system = anchors @ eta
     rhs = -targets
     particular, *_ = np.linalg.lstsq(system, rhs, rcond=None)
@@ -372,7 +361,7 @@ def _anchored_null_vector(anchors: np.ndarray, targets: np.ndarray, eta: np.ndar
             raise AlignmentError("anchored gluing: no null solution along the residual form")
     if candidate[-1] <= 0.0:
         raise AlignmentError("anchored gluing: solution is not future-directed")
-    return candidate
+    return candidate * unit
 
 
 @dataclass(frozen=True)
@@ -401,17 +390,16 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int, tol: Tolerance = DE
     if d.shape[0] != graph.vertex_count:
         raise ValueError("matrix order must equal the vertex count")
     failures = []
-    diagonal_ok = float(np.abs(np.diag(d)).max()) <= 1e-12 * float(np.abs(d).max())
+    diagonal_ok = float(np.abs(np.diag(d)).max()) <= 1e-12 * numkernel.max_abs(d)
     if not diagonal_ok:
         failures.append("diagonal is not zero")
-    edges_ok = True
-    floor = min(1.0, max((length * length for _, _, length in graph.edges), default=0.0))
-    for u, v, length in graph.edges:
-        expected = length * length
-        if abs(d[u, v] - expected) > edge_rtol * (expected + floor):
-            edges_ok = False
-            failures.append(
-                f"edge ({u}, {v}) entry {float(d[u, v])!r} != squared length {expected!r}")
+    u, v, length = np.array(graph.edges, dtype=float).reshape(-1, 3).T
+    u, v, expected = u.astype(int), v.astype(int), length * length
+    floor = min(1.0, float(expected.max(initial=0.0)))
+    off = np.flatnonzero(np.abs(d[u, v] - expected) > edge_rtol * (expected + floor))
+    edges_ok = not off.size
+    failures += [f"edge ({u[k]}, {v[k]}) entry {float(d[u[k], v[k]])!r} != squared length "
+                 f"{float(expected[k])!r}" for k in off]
     counts = numkernel.inertia(d, tol)
     rank_ok = counts.rank <= n + 1
     if not rank_ok:
@@ -439,8 +427,7 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
     chordality = is_chordal(graph)
     if not chordality.chordal:
         return CompletionResult(NOT_CHORDAL, witness=chordality.cycle)
-    tree = maximal_cliques(graph, chordality.peo)
-    cliques = tree.cliques
+    cliques = chordality.tree.cliques
     count = len(cliques)
     if root_index is None:
         root_index = 0
@@ -455,7 +442,7 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
         embeddings.append(np.stack([to_lightcone(s, n) for s in spheres]))
 
     neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(count)]
-    for i, j, separator in tree.edges:
+    for i, j, separator in chordality.tree.edges:
         neighbors[i].append((j, separator))
         neighbors[j].append((i, separator))
 

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .kissing import KissingSphere, Plane, Sphere
-from .numkernel import DEFAULT_TOL, Tolerance, signature_form
+from .numkernel import DEFAULT_TOL, Tolerance, power_of_two_below, signature_form
 
 SQRT2 = math.sqrt(2.0)
 
@@ -208,10 +208,13 @@ def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     y = np.array(target, dtype=float, ndmin=2)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] == 0:
         raise AlignmentError("need equally many source and target vectors")
-    count, dim = x.shape
+    dim = x.shape[1]
     if dim < 2:
         raise ValueError("vectors must have at least 2 coordinates")
     eta = signature_form(dim)
+    # An exact division by one power of two puts every threshold below at the data's scale.
+    scale = power_of_two_below(max(float(np.abs(x).max()), float(np.abs(y).max())))
+    x, y = x / scale, y / scale
 
     gram_x = x @ eta @ x.T
     gram_y = y @ eta @ y.T
@@ -227,17 +230,18 @@ def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     zero_y = norms_y <= zero_cut
     if np.any(zero_x != zero_y):
         raise AlignmentError("zero vectors must correspond to zero vectors")
-    for rows, zeros, label in ((x, zero_x, "source"), (y, zero_y, "target")):
-        for i in range(count):
-            if zeros[i]:
-                continue
-            if abs(minkowski_inner(rows[i], rows[i])) > tol.residual * max(1.0, norms_x[i] ** 2, norms_y[i] ** 2):
+    null_cut = tol.residual * np.maximum(1.0, np.maximum(norms_x, norms_y) ** 2)
+    for rows, gram, label in ((x, gram_x, "source"), (y, gram_y, "target")):
+        off_cone = ~zero_x & (np.abs(np.diag(gram)) > null_cut)
+        past = ~zero_x & (rows[:, -1] <= 0.0)
+        if off_cone.any() or past.any():
+            i = int(np.argmax(off_cone | past))
+            if off_cone[i]:
                 raise AlignmentError(f"{label} vector {i} is not null")
-            if rows[i][-1] <= 0.0:
-                raise AlignmentError(f"irreconcilable time orientation: {label} vector {i} is not future-directed")
+            raise AlignmentError(f"irreconcilable time orientation: {label} vector {i} is not future-directed")
 
-    live = [i for i in range(count) if not zero_x[i]]
-    if not live:
+    live = np.flatnonzero(~zero_x)
+    if not live.size:
         return np.eye(dim)
 
     basis: list[int] = []
@@ -252,12 +256,9 @@ def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     b = x[basis].T
     c = y[basis].T
-    for i in live:
-        coeff, *_ = np.linalg.lstsq(b, x[i], rcond=None)
-        if np.linalg.norm(c @ coeff - y[i]) > tol.residual * vec_scale:
-            raise AlignmentError(
-                "dependent vectors map inconsistently (degenerate configuration)"
-            )
+    coeff, *_ = np.linalg.lstsq(b, x[live].T, rcond=None)
+    if float(np.linalg.norm(c @ coeff - y[live].T, axis=0).max()) > tol.residual * vec_scale:
+        raise AlignmentError("dependent vectors map inconsistently (degenerate configuration)")
 
     if len(basis) == 1:
         b = np.column_stack([b, _null_partner(b[:, 0])])
@@ -281,7 +282,7 @@ def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     if not is_lorentz(transform, tol):
         raise AlignmentError("alignment failed the Lorentz checks")
-    residual = max(float(np.linalg.norm(transform @ x[i] - y[i])) for i in range(count))
+    residual = float(np.linalg.norm(x @ transform.T - y, axis=1).max())
     if residual > tol.residual * vec_scale:
-        raise AlignmentError(f"alignment residual {residual:.3g} out of tolerance")
+        raise AlignmentError(f"alignment residual {residual * scale:.3g} out of tolerance")
     return transform

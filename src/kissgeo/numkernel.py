@@ -86,6 +86,11 @@ def max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
+def power_of_two_below(x: float) -> float:
+    """The greatest power of two at most |x| (1 for zero): |x| divided by it is in [1, 2)."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
+
+
 def as_symmetric(matrix, rtol: float = 1e-8) -> np.ndarray:
     """Validate a square symmetric matrix; return an exactly symmetric copy.
 

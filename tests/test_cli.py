@@ -291,6 +291,19 @@ class TestComplete:
         assert d[0, 1] == pytest.approx(1.0, rel=1e-9)
         assert len(payload["embedding"]) == 3
 
+    @pytest.mark.parametrize("length", [1e-10, 1e10])
+    def test_path_graph_at_extreme_scales(self, tmp_path, capsys, length):
+        graph = {
+            "vertices": 3,
+            "edges": [{"u": 0, "v": 1, "len": length}, {"u": 1, "v": 2, "len": length}],
+        }
+        path = write(tmp_path, "g.json", graph)
+        code, out, _ = run(capsys, ["complete", path, "--n", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "Completed"
+        assert payload["d2"][1][2] == pytest.approx(length * length, rel=1e-9)
+
     def test_four_cycle_witness_lengths(self, tmp_path, capsys):
         path = write(tmp_path, "c4.json", FOUR_CYCLE)
         code, out, _ = run(capsys, ["complete", path, "--n", "2"])

@@ -24,7 +24,9 @@ from kissgeo.completion import (
     verify_target_matrix,
 )
 from kissgeo.embed import check_kissing, matrices_close
-from kissgeo.kissing import distance
+from kissgeo.kissing import Sphere, distance
+from kissgeo.lightcone import AlignmentError, minkowski_inner, to_lightcone
+from kissgeo.numkernel import signature_form
 
 
 def complete_graph(vertices, length=1.0):
@@ -167,7 +169,7 @@ class TestMaximalCliques:
                 order = tuple(int(inverse[v]) for v in is_chordal(copy).peo)
             else:
                 order = tuple(int(v) for v in label)
-            if completion._peo_violation(g, order) is None:
+            if is_perfect_elimination_ordering(g, order):
                 assert maximal_cliques(g, order).cliques == cliques
             else:
                 rejected += 1
@@ -202,6 +204,17 @@ class TestMaximalCliques:
                                 nxt.append(j)
                     frontier = nxt
                 assert seen == holding
+
+
+def is_perfect_elimination_ordering(graph, order):
+    """The definition: every vertex's neighbours later in the order are
+    pairwise adjacent."""
+    pos = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = [w for w in graph.adjacency[v] if pos[w] > pos[v]]
+        if any(not graph.has_edge(a, b) for a, b in combinations(later, 2)):
+            return False
+    return True
 
 
 def reference_mcs_order(graph):
@@ -381,6 +394,19 @@ class TestCompleteChordal:
                     length**2, rel=1e-7, abs=1e-9
                 )
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_verdict_invariant_under_scaling(self, seed):
+        # D -> cD, lengths times sqrt(c). Absolute floors in the gluing code
+        # once refused every one of these graphs at c = 1e-20.
+        graph, _ = graph_from_configuration(np.random.default_rng(seed), 40, 3)
+        assert complete_chordal(graph, 3).verdict == COMPLETED
+        for c in (1e-20, 1e-10, 1e10, 1e20):
+            scaled = LengthGraph(graph.vertex_count, tuple(
+                (u, v, length * np.sqrt(c)) for u, v, length in graph.edges))
+            result = complete_chordal(scaled, 3)
+            assert result.verdict == COMPLETED, c
+            assert verify_target_matrix(result.full_matrix, scaled, 3).satisfied
+
     def test_root_invariance(self, rng):
         for _ in range(10):
             g, _ = graph_from_configuration(rng, 7, 2)
@@ -523,6 +549,63 @@ class TestGluingFallbacks:
         result = complete_chordal(graph, 3)
         assert result.verdict == COMPLETED
         assert verify_target_matrix(result.full_matrix, graph, 3).satisfied
+
+
+class TestAnchoredNullVector:
+    """Each branch of the anchored solve, at three scales. Anchors scale by r,
+    targets (squared distances) by r^2, and the solution by r."""
+
+    SCALES = [1e-10, 1.0, 1e10]
+    ETA = signature_form(3)
+    # Three independent null vectors in signature (2, 1), and a fourth one.
+    ANCHORS = np.stack([to_lightcone(Sphere((t,), phi))
+                        for t, phi in ((0.0, 1.0), (1.5, 0.5), (-1.0, 2.0))])
+    POINT = to_lightcone(Sphere((0.3,), 0.7))
+
+    def solve(self, anchors, targets, r):
+        found = completion._anchored_null_vector(
+            r * np.asarray(anchors), r * r * np.asarray(targets), self.ETA, completion.DEFAULT_TOL)
+        return found / r
+
+    @pytest.mark.parametrize("r", SCALES)
+    def test_full_rank_needs_no_correction(self, r):
+        targets = [-minkowski_inner(self.POINT, a) for a in self.ANCHORS]
+        found = self.solve(self.ANCHORS, targets, r)
+        assert np.abs(found - self.POINT).max() <= 1e-12 * np.abs(self.POINT).max()
+
+    @pytest.mark.parametrize("r", SCALES)
+    def test_full_rank_off_the_cone(self, r):
+        timelike = self.POINT + np.array([0.0, 0.0, 0.5])
+        targets = [-minkowski_inner(timelike, a) for a in self.ANCHORS]
+        with pytest.raises(AlignmentError, match="constrained vector is not null"):
+            self.solve(self.ANCHORS, targets, r)
+
+    @pytest.mark.parametrize("r", SCALES)
+    def test_past_directed_solution_refused(self, r):
+        targets = [minkowski_inner(self.POINT, a) for a in self.ANCHORS]
+        with pytest.raises(AlignmentError, match="not future-directed"):
+            self.solve(self.ANCHORS, targets, r)
+
+    @pytest.mark.parametrize("r", SCALES)
+    def test_degenerate_direction(self, r):
+        # A null anchor and a spacelike one orthogonal to it: the residual
+        # form vanishes on the null-space direction, which is the null anchor
+        # itself, so the correction solves the linear equation along it.
+        anchors = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        found = self.solve(anchors, [2.0, 1.0], r)
+        assert np.abs(found - [-0.75, -1.0, 1.25]).max() <= 1e-12
+
+    @pytest.mark.parametrize("r", SCALES)
+    @pytest.mark.parametrize("anchors, targets", [
+        # Both kinds of residual form: spacelike with a negative squared
+        # distance, which no null vector meets, and degenerate with a zero
+        # product along the direction it leaves free.
+        ([to_lightcone(Sphere((0.0,), 1.0)), to_lightcone(Sphere((1.0,), 1.0))], [-1.0, 1.0]),
+        ([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]], [0.0, 1.0]),
+    ], ids=["spacelike", "degenerate"])
+    def test_no_null_solution(self, anchors, targets, r):
+        with pytest.raises(AlignmentError, match="no null solution along the residual form"):
+            self.solve(anchors, targets, r)
 
 
 class TestVerifyTargetMatrix:

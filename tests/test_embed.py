@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from kissgeo.embed import (
     schur_embedding,
     verify_schur_relations,
 )
-from kissgeo import numkernel
+from kissgeo import embed, numkernel
 from kissgeo.kissing import Plane, Sphere, distance_matrix
 from kissgeo.numkernel import GramInfeasibleError, Inertia, SingularPivotError
 
@@ -280,6 +281,57 @@ class TestSchurEmbedding:
                     continue
                 spheres = schur_embedding(d, n, (0, 4))
                 assert matrices_close(distance_matrix(spheres), d)
+
+
+class TestRoundTripGuards:
+    """Each construction's last guard refuses a corrupted result at every
+    scale: one realized sphere, or one factor row, is changed on the way."""
+
+    # Four spheres and a plane in ambient dimension 3; every distance to the
+    # plane (index 4) is positive, so (0, 4) is an admissible Schur pivot.
+    SPHERES = [Sphere((0.0, 0.0), 1.0), Sphere((1.5, 0.5), 0.5), Sphere((-1.0, 1.0), 2.0),
+               Sphere((0.5, -1.0), 1.5), Plane(1.0)]
+
+    @pytest.fixture(params=[1e-20, 1.0, 1e20])
+    def d(self, request):
+        return request.param * distance_matrix(self.SPHERES)
+
+    def test_construct_embedding_round_trip(self, d, monkeypatch):
+        assert matrices_close(distance_matrix(construct_embedding(d, 3)), d)
+        real = embed.from_lightcone
+        # Doubling a null vector keeps it null and future: row 0 becomes a
+        # valid sphere of half the diameter, at the wrong distances.
+        rows = iter([2.0, *[1.0] * (len(self.SPHERES) - 1)])
+        monkeypatch.setattr(embed, "from_lightcone", lambda row, tol: real(next(rows) * row, tol))
+        with pytest.raises(RealizationError, match="^round trip failed"):
+            construct_embedding(d, 3)
+
+    def test_mixed_time_orientations(self, d, monkeypatch):
+        real = numkernel.gram_factor_lorentz
+
+        def flip_row_zero(*args):
+            factor = real(*args)
+            vectors = factor.vectors.copy()
+            vectors[0] = -vectors[0]
+            return dataclasses.replace(factor, vectors=vectors)
+
+        monkeypatch.setattr(numkernel, "gram_factor_lorentz", flip_row_zero)
+        with pytest.raises(RealizationError, match="mixed time orientations"):
+            construct_embedding(d, 3)
+
+    def test_schur_embedding_round_trip(self, d, monkeypatch):
+        assert matrices_close(distance_matrix(schur_embedding(d, 3, (0, 4))), d)
+        real = numkernel.sym_eigen
+
+        def stretch_row_zero(*args):
+            values, vecs = real(*args)
+            vecs = vecs.copy()
+            vecs[0] *= 2.0
+            return values, vecs
+
+        monkeypatch.setattr(numkernel, "sym_eigen", stretch_row_zero)
+        with pytest.raises(RealizationError, match="^round trip failed"):
+            schur_embedding(d, 3, (0, 4))
 
 
 class TestSchurRelations:

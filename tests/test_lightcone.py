@@ -289,6 +289,18 @@ class TestLorentzAlign:
         with pytest.raises(AlignmentError, match="future|orientation"):
             lorentz_align([-x], [-x])
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-12, 1e12, 1e20])
+    def test_recovers_a_translation_at_every_scale(self, scale):
+        # An absolute zero cutoff once read every vector at scale 1e-12 as
+        # zero and returned the identity, 0.3 relative off the targets.
+        spheres = [Sphere((0.0, 1.0), 1.0), Sphere((2.0, 0.5), 0.5), Sphere((-1.0, 1.0), 2.0)]
+        moved = [Sphere((s.tangent[0] + 0.5, s.tangent[1]), s.diameter) for s in spheres]
+        x = scale * np.stack([to_lightcone(s) for s in spheres])
+        y = scale * np.stack([to_lightcone(s) for s in moved])
+        transform = lorentz_align(x, y)
+        assert is_lorentz(transform)
+        assert np.abs(x @ transform.T - y).max() <= 1e-14 * np.abs(y).max()
+
     def test_preserves_form_on_complement(self, rng):
         # Uniqueness on the span plus a valid extension off it.
         spheres = [random_sphere(rng, 3) for _ in range(2)]
