@@ -2,8 +2,8 @@
 
 Symmetric eigendecomposition, inertia counting, Schur complements, and Gram
 factorization into Minkowski signature (n, 1). Everything operates on plain
-numpy arrays; inputs are validated and exactly symmetrized on entry. All
-functions are pure and safe to call concurrently.
+numpy arrays; inputs are validated and exactly symmetrized on entry, and
+never written. All functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -91,44 +91,98 @@ def power_of_two_below(x: float) -> float:
     return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
 
 
-def as_symmetric(matrix, rtol: float = 1e-8) -> np.ndarray:
-    """Validate a square symmetric matrix; return an exactly symmetric copy.
+def _tile_pairs(m: int):
+    """(rows, cols) slices of the TILE x TILE tiles on and above the diagonal
+    of an m x m matrix; the tile at (cols, rows) mirrors each."""
+    for i in range(0, m, TILE):
+        for j in range(i, m, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
 
-    Entries must be finite and max|a - a^T| may not exceed rtol * max|a|; the
-    copy is (a + a^T) / 2, bit for bit. One pass over pairs of mirrored
-    TILE x TILE tiles brings every entry from memory once and does all its
-    work on it in cache; the only full-size array it allocates is the copy
-    it returns.
+
+def _extent(block: np.ndarray) -> tuple[float, float]:
+    """max and min of a block's entries, the min being -0.0 when the least
+    entry is a zero and some zero carries the sign bit."""
+    top, bottom = float(block.max()), float(block.min())
+    if bottom == 0.0 and np.signbit(block).any():
+        bottom = -0.0
+    return top, bottom
+
+
+def _least(x: float, y: float) -> float:
+    """The lesser of x and y, counting -0.0 below +0.0."""
+    return y if y < x or (y == x and math.copysign(1.0, y) < 0.0) else x
+
+
+def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, float]:
+    """as_symmetric(matrix, rtol) with the largest and least entries of the
+    array it returns (see _extent for the sign of a zero minimum).
+
+    One read-only pass over pairs of mirrored TILE x TILE tiles brings every
+    entry from memory once: it checks that the entries are finite, which
+    outranks an asymmetry anywhere, compares each tile with its mirror bit
+    for bit, measures max|a - a^T| where they differ, and gathers the
+    extent. A bitwise symmetric matrix is returned as a read-only view of
+    the input, or of its transpose if Fortran-ordered, with no full-size
+    allocation; only a non-contiguous one is copied, to C order. Any other
+    matrix takes a second tiled pass, which writes (a + a^T) / 2, bit for
+    bit, into a new read-only array and gathers the extent of that.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
     m = a.shape[0]
-    out = np.empty((m, m))
     work = np.empty(min(m, TILE) ** 2)
-    top = skew = 0.0
-    for i in range(0, m, TILE):
-        rows = slice(i, i + TILE)
-        for j in range(i, m, TILE):
-            cols = slice(j, j + TILE)
-            upper, lower = a[rows, cols], a[cols, rows].T
+    differs = np.empty(work.size, dtype=bool)
+    high, low, skew = -math.inf, math.inf, 0.0
+    mirrored = True
+    for rows, cols in _tile_pairs(m):
+        upper, lower = a[rows, cols], a[cols, rows].T
+        # A diagonal tile is its own mirror.
+        for block in (upper, lower) if cols.start > rows.start else (upper,):
+            top, bottom = _extent(block)
+            if not (math.isfinite(top) and math.isfinite(bottom)):
+                raise ValueError("matrix entries must be finite")
+            high, low = max(high, top), _least(low, bottom)
+        # Bit patterns, so that +0.0 opposite -0.0 counts as a difference;
+        # after the first difference only the skew is left to measure.
+        bits = differs[:upper.size].reshape(upper.shape)
+        if not mirrored or np.not_equal(upper.view(np.int64), lower.view(np.int64),
+                                        out=bits).any():
+            mirrored = False
             tile = work[:upper.size].reshape(upper.shape)
-            # A diagonal tile is its own mirror.
-            for block in (upper, lower) if j > i else (upper,):
-                big = float(np.abs(block, out=tile).max())
-                if not math.isfinite(big):
-                    raise ValueError("matrix entries must be finite")
-                top = max(top, big)
             np.subtract(upper, lower, out=tile)
             skew = max(skew, float(np.abs(tile, out=tile).max()))
-            half = out[rows, cols]
-            np.add(upper, lower, out=half)
-            half /= 2.0
-            if j > i:
-                out[cols, rows] = half.T
-    if skew > rtol * top:
+    if skew > rtol * max(high, -low):
         raise ValueError("matrix is not symmetric")
-    return out
+    if mirrored:
+        out = (a.T if a.flags.f_contiguous else np.ascontiguousarray(a)).view()
+    else:
+        out = np.empty((m, m))
+        high, low = -math.inf, math.inf
+        for rows, cols in _tile_pairs(m):
+            half = out[rows, cols]
+            np.add(a[rows, cols], a[cols, rows].T, out=half)
+            half /= 2.0
+            if cols.start > rows.start:
+                out[cols, rows] = half.T
+            top, bottom = _extent(half)
+            high, low = max(high, top), _least(low, bottom)
+    out.setflags(write=False)
+    return out, high, low
+
+
+def as_symmetric(matrix, rtol: float = 1e-8) -> np.ndarray:
+    """Validate a square symmetric matrix; return it exactly symmetric and read-only.
+
+    Entries must be finite and max|a - a^T| may not exceed rtol * max|a|.
+    A contiguous float input that equals its transpose bit for bit comes
+    back as a read-only view of itself, with no m x m allocation; otherwise
+    the result is a new read-only (a + a^T) / 2, bit for bit. The input is
+    never written. Measured with tracemalloc at m = 600, an exactly
+    symmetric input costs no m x m allocation and any other one the single
+    array returned. See symmetric_extent for the passes.
+    """
+    return symmetric_extent(matrix, rtol)[0]
 
 
 def signature_form(dim: int) -> np.ndarray:

@@ -359,6 +359,25 @@ class TestSchurRelations:
         with pytest.raises(SingularPivotError):
             verify_schur_relations(BOUNDARY_GAP, (0, 2))
 
+    @pytest.mark.parametrize("c", [1e-20, 1e-6, 1.0, 1e6, 1e20])
+    def test_wrong_complement_refused_at_every_scale(self, c, monkeypatch):
+        # Four spheres at n = 3: twice the complement keeps its inertia and
+        # rank, so only the determinant identity can refuse it.
+        d = c * distance_matrix(TestRoundTripGuards.SPHERES[:4])
+        report = verify_schur_relations(d, (0, 1))
+        assert report.satisfied
+        real = numkernel.schur_complement
+        monkeypatch.setattr(numkernel, "schur_complement", lambda *args: 2.0 * real(*args))
+        report = verify_schur_relations(d, (0, 1))
+        assert report.inertia_ok and report.rank_ok
+        assert not report.det_ok
+
+    @pytest.mark.parametrize("c", [1e-10, 1.0, 1e10])
+    def test_high_order_at_extreme_scales(self, rng, c):
+        # At c = 1e10, (max D)^40 overflows unless the test rescales first.
+        d = c * distance_matrix(random_sphere_set(rng, 40, 3))
+        assert verify_schur_relations(d, (0, 1)).satisfied
+
 
 class TestDegenerationBridges:
     def test_unit_diameters_are_euclidean(self, rng):

@@ -478,18 +478,27 @@ class TestTiledPasses:
         assert not matrices_close(broken, expected)
         assert not matrices_close(expected, broken)
 
-    @pytest.mark.parametrize("name", ["as_symmetric", "distance_matrix", "matrices_close"])
+    @pytest.mark.parametrize("name", ["as_symmetric", "as_symmetric rounded", "distance_matrix",
+                                      "matrices_close", "check_kissing", "construct_embedding"])
     def test_no_full_size_temporary(self, rng, name):
+        """Peak allocation beyond what the call returns stays below one m x m
+        array; an exactly symmetric input is validated in place, so the two
+        entry points hold at most one m x m array of their own at once."""
         import tracemalloc
 
         m = 600
         full = m * m * 8
         spheres = coincident_sphere_set(rng, m, 3, planes=2, shared=10)
         d = distance_matrix(spheres)
+        assert d.tobytes() == d.T.tobytes(order="C")
         near = d * (1.0 + 1e-9)
-        call, returned = {"as_symmetric": (lambda: as_symmetric(d), full),
+        rounded = d * (1.0 + 1e-15 * rng.normal(size=(m, m)))
+        call, returned = {"as_symmetric": (lambda: as_symmetric(d), 0),
+                          "as_symmetric rounded": (lambda: as_symmetric(rounded), full),
                           "distance_matrix": (lambda: distance_matrix(spheres), full),
-                          "matrices_close": (lambda: matrices_close(near, d), 0)}[name]
+                          "matrices_close": (lambda: matrices_close(near, d), 0),
+                          "check_kissing": (lambda: check_kissing(d, 3), full),
+                          "construct_embedding": (lambda: construct_embedding(d, 3), full)}[name]
         tracemalloc.start()
         try:
             call()
