@@ -48,6 +48,7 @@ from .kissing import (
 )
 from .lightcone import (
     AlignmentError,
+    InverseMapError,
     apply_lorentz,
     compose,
     from_lightcone,

@@ -130,7 +130,7 @@ def _cmd_lightcone(args) -> int:
     payload = _read_json(args.input)
     if args.inverse:
         n, vectors = io.load_vectors(payload)
-        recovered = [lightcone.from_lightcone(row, tol) for row in vectors]
+        recovered = lightcone.from_lightcone(vectors, tol)
         _emit(io.dump_sphere_set(n, recovered), args.output)
         return EXIT_OK
     n, sphere_set = io.load_sphere_set(payload)

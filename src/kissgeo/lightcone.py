@@ -73,30 +73,72 @@ def to_lightcone(p: KissingSphere, n: int | None = None) -> np.ndarray:
     return out
 
 
-def from_lightcone(x, tol: Tolerance = DEFAULT_TOL) -> KissingSphere:
+class InverseMapError(ValueError):
+    """from_lightcone refused a vector; row is its index in the stack (0 for
+    a single vector), and the message is the reason alone."""
+
+    def __init__(self, reason: str, row: int):
+        super().__init__(reason)
+        self.row = row
+
+
+def _self_dots(rows: np.ndarray) -> np.ndarray:
+    """row @ row for each row, bit for bit: a stacked (1, k) @ (k, 1) matmul
+    takes the same BLAS dot as a 1-d row @ row, where an elementwise sum
+    rounds differently."""
+    return (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
+
+
+def from_lightcone(x, tol: Tolerance = DEFAULT_TOL) -> KissingSphere | list[KissingSphere]:
     """Kissing sphere whose null image is x; requires a future null vector.
 
-    With mid the middle coordinates, the sphere has diameter sqrt(2)/w and
-    tangent point mid/w, where w = x_0 + t. For x_0 < 0 that sum cancels, so
-    w is read from the null relation instead, w = |mid|^2 / (t - x_0); the
-    two agree on the cone and neither cancels on its own side. The vector is
-    the hyperplane at height sqrt(2) * t only when w is zero, which is
-    exactly the image to_lightcone gives a Plane, or when sqrt(2)/w
-    overflows. The null test is relative to the vector's own scale.
+    x is one vector, giving one sphere, or an (m, n+1) stack of them, giving
+    a list of m spheres; each row is read by the same rule, in whole-array
+    operations. With mid the middle coordinates, the sphere has diameter
+    sqrt(2)/w and tangent point mid/w, where w = x_0 + t. For x_0 < 0 that
+    sum cancels, so w is read from the null relation instead,
+    w = |mid|^2 / (t - x_0); the two agree on the cone and neither cancels
+    on its own side. The vector is the hyperplane at height sqrt(2) * t
+    only when w is zero, which is exactly the image to_lightcone gives a
+    Plane, or when sqrt(2)/w overflows. The null test is relative to the
+    vector's own scale. A refusal raises InverseMapError for the first row
+    refused, as a loop over the rows would.
     """
-    v = _as_vector(x)
-    top = float(np.abs(v).max())
-    if top == 0.0:
-        raise ValueError("the zero vector is not on the future lightcone")
-    if abs(minkowski_inner(v, v)) > tol.residual * top * top:
-        raise ValueError("vector is not null to tolerance")
-    x0, t, mid = float(v[0]), float(v[-1]), v[1:-1]
-    if t <= 0.0:
-        raise ValueError("vector is not future-directed")
-    w = x0 + t if x0 >= 0.0 else float(mid @ mid) / (t - x0)
-    if w == 0.0 or math.isinf(SQRT2 / w):
-        return Plane(height=SQRT2 * t)
-    return Sphere(tangent=tuple(mid / w), diameter=SQRT2 / w)
+    v = np.asarray(x, dtype=float)
+    single = v.ndim == 1
+    if single:
+        v = _as_vector(v)[None, :]
+    elif v.ndim != 2 or v.shape[1] < 2:
+        raise ValueError("expected a Minkowski vector or an (m, n+1) stack of them, n >= 1")
+    x0, mid, t = v[:, 0], v[:, 1:-1], v[:, -1]
+    top = np.abs(v).max(axis=1)
+    zero = top == 0.0
+    with np.errstate(all="ignore"):
+        off_cone = np.abs(_self_dots(v[:, :-1]) - t * t) > tol.residual * top * top
+        w = np.where(x0 >= 0.0, x0 + t, _self_dots(mid) / (t - x0))
+        diameter = SQRT2 / w
+        tangent = mid / w[:, None]
+        height = SQRT2 * t
+    past = t <= 0.0
+    plane = (w == 0.0) | np.isinf(diameter)
+    refused = zero | off_cone | past
+    stop = int(np.argmax(refused)) if refused.any() else len(v)
+    planes, heights = plane.tolist(), height.tolist()
+    points, diameters = tangent.tolist(), diameter.tolist()
+    out: list[KissingSphere] = []
+    for i in range(stop):
+        try:
+            out.append(Plane(height=heights[i]) if planes[i]
+                       else Sphere(tangent=points[i], diameter=diameters[i]))
+        except ValueError as exc:
+            raise InverseMapError(str(exc), i) from exc
+    if stop < len(v):
+        if zero[stop]:
+            raise InverseMapError("the zero vector is not on the future lightcone", stop)
+        if off_cone[stop]:
+            raise InverseMapError("vector is not null to tolerance", stop)
+        raise InverseMapError("vector is not future-directed", stop)
+    return out[0] if single else out
 
 
 def to_lightcone_curved(direction, diameter: float, kappa: float,

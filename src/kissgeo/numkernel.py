@@ -125,7 +125,9 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     the input, or of its transpose if Fortran-ordered, with no full-size
     allocation; only a non-contiguous one is copied, to C order. Any other
     matrix takes a second tiled pass, which writes (a + a^T) / 2, bit for
-    bit, into a new read-only array and gathers the extent of that.
+    bit, into a new read-only array and gathers the extent of that. Only
+    that array owns its data (flags.owndata), so a caller may correct it in
+    place.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -465,11 +467,19 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
     negatives = np.flatnonzero(values < -spectrum.cutoff)
     negatives = negatives[np.argsort(values[negatives], kind="stable")]
     x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
-    # |-(x eta x^T) - a| = |x eta x^T + a|, in the one buffer the product occupies.
-    product = x @ signature_form(n + 1) @ x.T
-    product += a
-    residual = float(np.abs(product, out=product).max())
-    row_top = np.maximum(a.max(axis=1), -a.min(axis=1))
+    # |-(x eta x^T) - a| = |x eta x^T + a| and each row's extent max|a_i|,
+    # one row block at a time, in one block-sized buffer.
+    x_eta = x @ signature_form(n + 1)
+    blocks = row_blocks(m)
+    work = np.empty(a[blocks[0]].shape)
+    row_top = np.empty(m)
+    residual = 0.0
+    for rows in blocks:
+        block = a[rows]
+        product = np.matmul(x_eta[rows], x.T, out=work[:block.shape[0]])
+        product += block
+        residual = max(residual, float(np.abs(product, out=product).max()))
+        np.maximum(block.max(axis=1), -block.min(axis=1), out=row_top[rows])
     scale = float(row_top.max())
     if residual > tol.residual * scale:
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")

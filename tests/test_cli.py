@@ -259,6 +259,14 @@ class TestLightcone:
         assert set(plane) == {"h"}
         assert abs(plane["h"] - 1.0) <= 1e-15
 
+    def test_inverse_refuses_the_first_off_cone_vector(self, tmp_path, capsys):
+        half = math.sqrt(2.0) / 2.0
+        vectors = [[half, 0.0, half], [1.0, 0.0, 2.0], [0.0, 0.0, 0.0]]
+        path = write(tmp_path, "off.json", {"n": 2, "vectors": vectors})
+        code, out, err = run(capsys, ["lightcone", path, "--inverse"])
+        assert (code, out) == (2, "")
+        assert err == "kissgeo: invalid request: vector is not null to tolerance\n"
+
 
 class TestSpheresCommand:
     def test_separation_output_feeds_check(self, tmp_path, capsys):

@@ -299,10 +299,15 @@ class TestRoundTripGuards:
     def test_construct_embedding_round_trip(self, d, monkeypatch):
         assert matrices_close(distance_matrix(construct_embedding(d, 3)), d)
         real = embed.from_lightcone
+
         # Doubling a null vector keeps it null and future: row 0 becomes a
         # valid sphere of half the diameter, at the wrong distances.
-        rows = iter([2.0, *[1.0] * (len(self.SPHERES) - 1)])
-        monkeypatch.setattr(embed, "from_lightcone", lambda row, tol: real(next(rows) * row, tol))
+        def double_row_zero(stack, tol):
+            stack = stack.copy()
+            stack[0] *= 2.0
+            return real(stack, tol)
+
+        monkeypatch.setattr(embed, "from_lightcone", double_row_zero)
         with pytest.raises(RealizationError, match="^round trip failed"):
             construct_embedding(d, 3)
 
@@ -425,6 +430,18 @@ class TestMatricesClose:
             actual = expected * (1.0 + rng.normal(scale=1e-7, size=expected.shape))
             old = float(np.max(np.abs(actual - expected) / (1.0 + np.abs(expected)))) <= 1e-7
             assert matrices_close(actual, expected) == old
+
+    def test_floor_is_one_when_the_largest_entry_is_past_the_first_row_block(self):
+        m = 300
+        expected = np.full((m, m), 0.01)
+        np.fill_diagonal(expected, 0.0)
+        expected[m - 1, m - 2] = expected[m - 2, m - 1] = 10.0
+        assert numkernel.max_abs(expected[numkernel.row_blocks(m)[0]]) < 1.0
+        near = expected.copy()
+        near[0, 1] = near[1, 0] = 0.01 + 5e-8
+        assert matrices_close(near, expected)
+        near[0, 1] = near[1, 0] = 0.01 + 2e-7
+        assert not matrices_close(near, expected)
 
 
 ROUTES = (

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import random_plane, random_sphere, random_sphere_set
 from kissgeo.kissing import Plane, Sphere, distance, distance_sq
 from kissgeo.lightcone import (
     SQRT2,
     AlignmentError,
+    InverseMapError,
     apply_lorentz,
     compose,
     distance_sq as minkowski_distance_sq,
@@ -20,7 +23,7 @@ from kissgeo.lightcone import (
     to_lightcone,
     to_lightcone_curved,
 )
-from kissgeo.numkernel import signature_form
+from kissgeo.numkernel import DEFAULT_TOL, signature_form
 
 
 def rotation(dim, i, j, angle):
@@ -165,6 +168,132 @@ class TestFromLightcone:
             from_lightcone([SQRT2 / 2, 0.0, -SQRT2 / 2])
         with pytest.raises(ValueError, match="zero"):
             from_lightcone([0.0, 0.0, 0.0])
+
+
+def reference_from_lightcone(x, tol=DEFAULT_TOL):
+    """The per-vector rule as scalar code: from_lightcone before it took stacks."""
+    v = np.asarray(x, dtype=float)
+    top = float(np.abs(v).max())
+    if top == 0.0:
+        raise ValueError("the zero vector is not on the future lightcone")
+    if abs(minkowski_inner(v, v)) > tol.residual * top * top:
+        raise ValueError("vector is not null to tolerance")
+    x0, t, mid = float(v[0]), float(v[-1]), v[1:-1]
+    if t <= 0.0:
+        raise ValueError("vector is not future-directed")
+    w = x0 + t if x0 >= 0.0 else float(mid @ mid) / (t - x0)
+    if w == 0.0 or math.isinf(SQRT2 / w):
+        return Plane(height=SQRT2 * t)
+    return Sphere(tangent=tuple(mid / w), diameter=SQRT2 / w)
+
+
+def bits(p):
+    """A kissing sphere's type and the bit patterns of its floats."""
+    values = (p.height,) if isinstance(p, Plane) else (*p.tangent, p.diameter)
+    return type(p).__name__, tuple(np.array(values).view(np.int64).tolist())
+
+
+def row_by_row(rule, stack):
+    """rule on each row in turn: the spheres, and (row, message) of the first refusal."""
+    out = []
+    for i, row in enumerate(stack):
+        try:
+            # Rows at 1e150 overflow on the way; the rule reads inf and nan as they come.
+            with np.errstate(all="ignore"):
+                out.append(bits(rule(row)))
+        except ValueError as exc:
+            return out, (i, str(exc))
+    return out, None
+
+
+def stacked(stack):
+    try:
+        return [bits(p) for p in from_lightcone(stack)], None
+    except InverseMapError as exc:
+        return None, (exc.row, str(exc))
+
+
+SCALES = st.sampled_from([1e-150, 1e-20, 1e-3, 1.0, 1e3, 1e20, 1e150])
+
+
+@st.composite
+def lightcone_rows(draw, n):
+    """Rows of n + 1 coordinates: sphere and plane images at every scale
+    (x_0 < 0 when |t| > 1), the overflow row, and refusals of each kind."""
+    kind = draw(st.sampled_from(["sphere", "sphere", "sphere", "plane", "overflow",
+                                 "zero", "off cone", "past"]))
+    scale = draw(SCALES)
+    if kind == "plane" or (kind == "overflow" and n == 1):
+        row = np.zeros(n + 1)
+        row[0], row[-1] = -scale, scale
+        return row
+    if kind == "overflow":
+        row = np.zeros(n + 1)
+        row[0], row[1], row[-1] = -1.0, 1e-155, 1.0
+        return row
+    if kind == "zero":
+        return np.zeros(n + 1)
+    coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    tangent = draw(st.lists(coords, min_size=n - 1, max_size=n - 1))
+    row = scale * to_lightcone(Sphere(tuple(tangent), draw(SCALES)), n)
+    if kind == "off cone":
+        row[draw(st.integers(0, n))] *= 1.0 + draw(st.sampled_from([1e-6, 1e-3, 0.5]))
+    elif kind == "past":
+        row = -row
+    return row
+
+
+@st.composite
+def lightcone_stacks(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(lightcone_rows(n), min_size=1, max_size=12))
+    # Rows of a Fortran-ordered stack are strided, and BLAS sums them in another order.
+    return np.array(rows, order=draw(st.sampled_from("CF")))
+
+
+class TestFromLightconeStack:
+    """A stack maps row by row: the same spheres, bit for bit, and the first
+    refused row with the reason a row-by-row loop gives."""
+
+    @given(lightcone_stacks())
+    @settings(max_examples=400)
+    def test_stack_equals_row_by_row(self, stack):
+        want = row_by_row(reference_from_lightcone, stack)
+        assert row_by_row(from_lightcone, stack) == want
+        spheres, refusal = stacked(stack)
+        assert refusal == want[1]
+        if refusal is None:
+            assert spheres == want[0]
+
+    @pytest.mark.parametrize("row, reason", [
+        ([0.0, 0.0, 0.0, 0.0], "the zero vector is not on the future lightcone"),
+        ([1.0, 0.0, 0.0, 2.0], "vector is not null to tolerance"),
+        ([SQRT2 / 2, 0.0, 0.0, -SQRT2 / 2], "vector is not future-directed"),
+    ])
+    def test_refusal_names_the_first_bad_row(self, row, reason):
+        good = to_lightcone(Sphere((1.0, 2.0), 0.5))
+        stack = np.array([good, good, row, [0.0, 0.0, 0.0, 0.0], good])
+        with pytest.raises(InverseMapError) as err:
+            from_lightcone(stack)
+        assert (err.value.row, str(err.value)) == (2, reason)
+        with pytest.raises(InverseMapError) as err:
+            from_lightcone(row)
+        assert (err.value.row, str(err.value)) == (0, reason)
+
+    def test_unrepresentable_sphere_names_its_row(self):
+        # Null and future, but |mid|^2 overflows, so w is infinite and the
+        # diameter sqrt(2)/w is zero.
+        stack = np.array([[SQRT2 / 2, 0.0, SQRT2 / 2], [-1e300, 1e300, 1e300]])
+        with pytest.raises(InverseMapError, match="diameter") as err:
+            from_lightcone(stack)
+        assert err.value.row == 1
+
+    def test_shapes(self):
+        assert from_lightcone(np.zeros((0, 3))) == []
+        assert from_lightcone([[SQRT2 / 2, SQRT2 / 2]]) == [Sphere((), 1.0)]
+        for bad in ([1.0], [[1.0], [2.0]], np.zeros((2, 2, 3)), 1.0):
+            with pytest.raises(ValueError):
+                from_lightcone(bad)
 
 
 class TestCurvedMap:

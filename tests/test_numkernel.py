@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from gen import coincident_sphere_set
 from kissgeo import numkernel
-from kissgeo.embed import check_euclidean, check_kissing, construct_embedding, matrices_close
+from kissgeo.embed import (
+    check_euclidean,
+    check_kissing,
+    construct_embedding,
+    matrices_close,
+    validate_squared_distances,
+)
 from kissgeo.kissing import distance_matrix
 from kissgeo.spheres import check_spheres
 from kissgeo.numkernel import (
@@ -17,6 +23,7 @@ from kissgeo.numkernel import (
     TILE,
     GramInfeasibleError,
     Inertia,
+    NonConvergenceError,
     SingularPivotError,
     Tolerance,
     as_symmetric,
@@ -80,6 +87,25 @@ class TestSymEigen:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             sym_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+    def test_eigensolver_failure_is_nonconvergence(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(numkernel.np.linalg, "eigh", fail)
+        with pytest.raises(NonConvergenceError, match="^eigensolver did not converge"):
+            sym_eigen(np.diag([3.0, 1.0, -2.0]))
+
+    def test_reconstruction_residual_is_nonconvergence(self, monkeypatch):
+        real = np.linalg.eigh
+
+        def off_by_a_millionth(a):
+            values, vectors = real(a)
+            return values * (1.0 + 1e-6), vectors
+
+        monkeypatch.setattr(numkernel.np.linalg, "eigh", off_by_a_millionth)
+        with pytest.raises(NonConvergenceError, match="^reconstruction residual"):
+            sym_eigen(np.diag([3.0, 1.0, -2.0]))
 
     def test_rejects_asymmetric_at_small_scale(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -204,6 +230,22 @@ class TestGramFactorLorentz:
                 gram_factor_lorentz(scale * d, 2)
             assert err.value.reason == check_kissing(scale * d, 2).witness.requirement
             assert err.value.reason == "at most 2 negative eigenvalues"
+
+    @pytest.mark.parametrize("at", [0, TILE + 1, -1])
+    def test_residual_is_checked_in_every_row_block(self, rng, monkeypatch, at):
+        """One diagonal entry off the factor's product fails the residual
+        test, in the first, a middle or the last partial row block."""
+        m = 2 * TILE + 44
+        last = numkernel.row_blocks(m)[-1]
+        assert last.start < m < last.stop
+        d = embeddable(rng, m, 3)
+        real = numkernel.certified_eigen
+        monkeypatch.setattr(numkernel, "certified_eigen", lambda a, rank, tol: real(d, rank, tol))
+        assert not gram_factor_lorentz(d, 3).degenerate_rows
+        bumped = d.copy()
+        bumped[at, at] = 1e-6 * d.max()
+        with pytest.raises(NonConvergenceError, match="^factorization residual"):
+            gram_factor_lorentz(bumped, 3)
 
     def test_reconstruction(self, rng):
         from gen import random_sphere_set
@@ -506,6 +548,28 @@ class TestTiledPasses:
         finally:
             tracemalloc.stop()
         assert peak - returned < full
+
+
+    def test_clipping_corrects_the_symmetrized_copy(self, rng):
+        """Input that needs both symmetrizing and clipping costs the one m x m
+        array validation returns, not a second copy for the clip."""
+        import tracemalloc
+
+        m = 600
+        full = m * m * 8
+        d = distance_matrix(coincident_sphere_set(rng, m, 3, planes=2, shared=10))
+        rounded = d * (1.0 + 1e-15 * rng.normal(size=(m, m)))
+        rounded[0, 1] = rounded[1, 0] = -1e-14
+        tracemalloc.start()
+        try:
+            got = validate_squared_distances(rounded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * full
+        want = np.maximum((rounded + rounded.T) / 2.0, 0.0)
+        np.fill_diagonal(want, 0.0)
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
 
 class TestPrincipalMinorSums:

@@ -2,8 +2,8 @@
 
 Each entry point gets exactly symmetric input and inputs that validation must
 correct (a -1e-14 entry, a -0.0 entry, a diagonal of 1e-14, one ulp of
-asymmetry), both read-only and writeable, and must leave the caller's array
-bit for bit as it was. The validators return clean input as a read-only view
+asymmetry, and asymmetry with a -1e-14 entry), both read-only and writeable,
+and must leave the caller's array bit for bit as it was. The validators return clean input as a read-only view
 and corrected input as a new read-only array with the corrected bits.
 """
 
@@ -60,6 +60,7 @@ DISTANCE_INPUTS = {
     "negative zero": lambda a: with_pair(a, -0.0),
     "diagonal": lambda a: with_diagonal(a, 1e-14),
     "asymmetric": one_ulp_asymmetry,
+    "asymmetric and negative": lambda a: one_ulp_asymmetry(with_pair(a, -1e-14)),
 }
 
 
