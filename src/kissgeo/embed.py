@@ -81,9 +81,9 @@ def validate_squared_distances(matrix) -> np.ndarray:
     had to symmetrize, its private copy is corrected in place. The scale of
     both tests is read from as_symmetric's pass; the input is never written.
     Measured with tracemalloc at m = 600 on clean input, this function
-    allocates no m x m array, and check_kissing and construct_embedding each
-    hold at most one beyond their input at once (two and three before
-    validation stopped copying).
+    allocates no m x m array, check_kissing holds under a fifth of one
+    beyond its input, and construct_embedding one, the round trip's
+    distance matrix.
     """
     a, high, low = numkernel.symmetric_extent(matrix)
     scale = max(high, -low)
@@ -242,17 +242,35 @@ def matrices_close(actual, expected, rtol: float = ROUND_TRIP_RTOL) -> bool:
     """
     a = np.asarray(actual, dtype=float)
     b = np.asarray(expected, dtype=float)
-    blocks = numkernel.row_blocks(b.shape[0])
+    return _all_close(a, b, numkernel.row_blocks(b.shape[0]), rtol)
+
+
+def _symmetric_close(actual: np.ndarray, expected: np.ndarray) -> bool:
+    """matrices_close for two bitwise symmetric matrices, over the upper tile
+    pairs (numkernel.tile_pairs) only.
+
+    This is exact, not a looser test: entry (j, i) of each matrix is entry
+    (i, j) bit for bit, so its excess and its allowance are those of (i, j).
+    distance_matrix returns such a matrix, and so does validation.
+    """
+    pairs = list(numkernel.tile_pairs(expected.shape[0]))
+    return _all_close(actual, expected, pairs, ROUND_TRIP_RTOL)
+
+
+def _all_close(a: np.ndarray, b: np.ndarray, blocks: list, rtol: float) -> bool:
+    """The rule of matrices_close on each block (an index of a and b) in turn,
+    in two work arrays; False at the first block with a violation or a NaN."""
     # The floor is 1 as soon as one entry reaches 1; only smaller data needs the full scan.
-    floor = 1.0 if numkernel.max_abs(b[blocks[0]]) >= 1.0 else min(1.0, numkernel.max_abs(b))
-    work = np.empty((2, *b[blocks[0]].shape))
-    for rows in blocks:
-        block = b[rows]
-        allowed, excess = work[:, :block.shape[0]]
+    first = b[blocks[0]]
+    floor = 1.0 if numkernel.max_abs(first) >= 1.0 else min(1.0, numkernel.max_abs(b))
+    work = np.empty((2, first.size))
+    for index in blocks:
+        block = b[index]
+        allowed, excess = (w[:block.size].reshape(block.shape) for w in work)
         np.abs(block, out=allowed)
         allowed += floor
         allowed *= rtol
-        np.subtract(a[rows], block, out=excess)
+        np.subtract(a[index], block, out=excess)
         np.abs(excess, out=excess)
         excess -= allowed
         if not float(excess.max()) <= 0.0:
@@ -281,7 +299,8 @@ def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[Ki
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     m = d.shape[0]
-    if not d.any():
+    # Row by row: a nonzero row, almost always the first, ends the test early.
+    if not any(row.any() for row in d):
         origin = (0.0,) * (n - 1)
         return [Sphere(tangent=origin, diameter=float(i + 1)) for i in range(m)]
     factor = numkernel.gram_factor_lorentz(d, n, tol)
@@ -299,7 +318,7 @@ def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[Ki
         spheres = from_lightcone(vectors, tol)
     except InverseMapError as exc:
         raise RealizationError(f"factor row {exc.row} is not a future null vector: {exc}") from exc
-    if not matrices_close(distance_matrix(spheres), d):
+    if not _symmetric_close(distance_matrix(spheres), d):
         raise RealizationError("round trip failed: realized distances do not reproduce the input")
     return spheres
 
@@ -348,7 +367,7 @@ def schur_embedding(matrix, n: int, pivot: tuple[int, int],
     for i in rest:
         phi = 1.0 / d[i, b]
         out[i] = Sphere(tangent=tuple(phi * c for c in tangents[i]), diameter=phi)
-    if not matrices_close(distance_matrix(out), d):
+    if not _symmetric_close(distance_matrix(out), d):
         raise RealizationError("round trip failed: Schur construction does not reproduce the input")
     return out
 

@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .numkernel import row_blocks
+from .numkernel import TILE, tile_pairs
 
 
 def _as_point(coords) -> tuple[float, ...]:
@@ -267,8 +267,11 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     boundary coordinate at a time (so up to two coordinates the result is
     bit-identical to distance_sq), then divide by the diameter products;
     shared tangent points give an exact zero. Rows and columns of hyperplanes
-    are h / phi against spheres and zero against each other. The rows are
-    formed in numkernel.row_blocks, so the only full-size array is the result.
+    are h / phi against spheres and zero against each other. Each pair of
+    mirrored tiles (numkernel.tile_pairs) is computed once, into the upper
+    tile, and copied to its mirror, so the only full-size array is the
+    result and it is bitwise symmetric: (t_i - t_j)^2 and phi_i phi_j are
+    exactly (t_j - t_i)^2 and phi_j phi_i.
     """
     items = list(spheres)
     if not items:
@@ -283,18 +286,27 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     tangent = tangent.reshape(m, len(origin))
     diameter = np.array([1.0 if isinstance(s, Plane) else s.diameter for s in items])
     planes = [i for i, s in enumerate(items) if isinstance(s, Plane)]
-    out = np.zeros((m, m))
-    blocks = row_blocks(m)
-    work = np.empty_like(out[blocks[0]])
-    for rows in blocks:
-        block = out[rows]
-        scratch = work[:block.shape[0]]
-        for coordinate in tangent.T:
-            np.subtract.outer(coordinate[rows], coordinate, out=scratch)
-            np.multiply(scratch, scratch, out=scratch)
-            block += scratch
-        np.multiply.outer(diameter[rows], diameter, out=scratch)
-        block /= scratch
+    out = np.empty((m, m))
+    work = np.empty((2, min(m, TILE) ** 2))
+    for rows, cols in tile_pairs(m):
+        upper = out[rows, cols]
+        # Formed in a contiguous buffer, and both copies written from it: a
+        # mirror written from out itself would first be copied by numpy.
+        tile, scratch = (w[:upper.size].reshape(upper.shape) for w in work)
+        if not len(origin):
+            tile.fill(0.0)
+        for k, coordinate in enumerate(tangent.T):
+            # The first squared coordinate is written, not added to zero: 0 + x is x.
+            gap = scratch if k else tile
+            np.subtract.outer(coordinate[rows], coordinate[cols], out=gap)
+            np.multiply(gap, gap, out=gap)
+            if k:
+                tile += gap
+        np.multiply.outer(diameter[rows], diameter[cols], out=scratch)
+        tile /= scratch
+        upper[...] = tile
+        if cols.start > rows.start:
+            out[cols, rows] = tile.T
     if planes:
         heights = np.array([items[i].height for i in planes])
         out[planes] = heights[:, None] / diameter

@@ -81,6 +81,15 @@ def row_blocks(m: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, m, rows)]
 
 
+def tile_pairs(m: int):
+    """(rows, cols) slices of the TILE x TILE tiles on and above the diagonal
+    of an m x m matrix; the tile at (cols, rows) mirrors each. A pass over a
+    symmetric matrix visits each pair of mirrored entries once this way."""
+    for i in range(0, m, TILE):
+        for j in range(i, m, TILE):
+            yield slice(i, i + TILE), slice(j, j + TILE)
+
+
 def max_abs(a: np.ndarray) -> float:
     """max|a| of a nonempty array, without forming |a|."""
     return max(float(a.max()), -float(a.min()))
@@ -91,19 +100,12 @@ def power_of_two_below(x: float) -> float:
     return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
 
 
-def _tile_pairs(m: int):
-    """(rows, cols) slices of the TILE x TILE tiles on and above the diagonal
-    of an m x m matrix; the tile at (cols, rows) mirrors each."""
-    for i in range(0, m, TILE):
-        for j in range(i, m, TILE):
-            yield slice(i, i + TILE), slice(j, j + TILE)
-
-
 def _extent(block: np.ndarray) -> tuple[float, float]:
     """max and min of a block's entries, the min being -0.0 when the least
     entry is a zero and some zero carries the sign bit."""
     top, bottom = float(block.max()), float(block.min())
-    if bottom == 0.0 and np.signbit(block).any():
+    # With no entry below zero, only -0.0 has the sign bit of an int64.
+    if bottom == 0.0 and int(block.view(np.int64).min()) < 0:
         bottom = -0.0
     return top, bottom
 
@@ -117,13 +119,14 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     """as_symmetric(matrix, rtol) with the largest and least entries of the
     array it returns (see _extent for the sign of a zero minimum).
 
-    One read-only pass over pairs of mirrored TILE x TILE tiles brings every
-    entry from memory once: it checks that the entries are finite, which
-    outranks an asymmetry anywhere, compares each tile with its mirror bit
-    for bit, measures max|a - a^T| where they differ, and gathers the
-    extent. A bitwise symmetric matrix is returned as a read-only view of
-    the input, or of its transpose if Fortran-ordered, with no full-size
-    allocation; only a non-contiguous one is copied, to C order. Any other
+    Two read-only passes: one over contiguous bands of TILE rows checks
+    that the entries are finite, which outranks an asymmetry anywhere, and
+    gathers the extent; one over pairs of mirrored TILE x TILE tiles
+    (tile_pairs) compares each tile with its mirror bit for bit and measures
+    max|a - a^T| where they differ. A bitwise symmetric matrix is returned
+    as a read-only view of the input, or of its transpose if
+    Fortran-ordered, with no full-size allocation; only a non-contiguous
+    one is copied, to C order. Any other
     matrix takes a second tiled pass, which writes (a + a^T) / 2, bit for
     bit, into a new read-only array and gathers the extent of that. Only
     that array owns its data (flags.owndata), so a caller may correct it in
@@ -133,18 +136,20 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
     m = a.shape[0]
+    high, low = -math.inf, math.inf
+    # A Fortran-ordered array is read by rows of its transpose, which holds the same entries.
+    by_rows = a.T if a.flags.f_contiguous else a
+    for i in range(0, m, TILE):
+        top, bottom = _extent(by_rows[i:i + TILE])
+        if not (math.isfinite(top) and math.isfinite(bottom)):
+            raise ValueError("matrix entries must be finite")
+        high, low = max(high, top), _least(low, bottom)
     work = np.empty(min(m, TILE) ** 2)
     differs = np.empty(work.size, dtype=bool)
-    high, low, skew = -math.inf, math.inf, 0.0
+    skew = 0.0
     mirrored = True
-    for rows, cols in _tile_pairs(m):
+    for rows, cols in tile_pairs(m):
         upper, lower = a[rows, cols], a[cols, rows].T
-        # A diagonal tile is its own mirror.
-        for block in (upper, lower) if cols.start > rows.start else (upper,):
-            top, bottom = _extent(block)
-            if not (math.isfinite(top) and math.isfinite(bottom)):
-                raise ValueError("matrix entries must be finite")
-            high, low = max(high, top), _least(low, bottom)
         # Bit patterns, so that +0.0 opposite -0.0 counts as a difference;
         # after the first difference only the skew is left to measure.
         bits = differs[:upper.size].reshape(upper.shape)
@@ -157,14 +162,18 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     if skew > rtol * max(high, -low):
         raise ValueError("matrix is not symmetric")
     if mirrored:
-        out = (a.T if a.flags.f_contiguous else np.ascontiguousarray(a)).view()
+        out = np.ascontiguousarray(by_rows).view()
     else:
         out = np.empty((m, m))
         high, low = -math.inf, math.inf
-        for rows, cols in _tile_pairs(m):
-            half = out[rows, cols]
+        for rows, cols in tile_pairs(m):
+            # Both copies are written from the work tile: a mirror written
+            # from out itself would first be copied by numpy.
+            upper = out[rows, cols]
+            half = work[:upper.size].reshape(upper.shape)
             np.add(a[rows, cols], a[cols, rows].T, out=half)
             half /= 2.0
+            upper[...] = half
             if cols.start > rows.start:
                 out[cols, rows] = half.T
             top, bottom = _extent(half)
@@ -295,8 +304,9 @@ def certified_eigen(matrix, rank: int, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     """Inertia and decisive eigenpairs, in O(m^2 rank) when a sketch certifies them.
 
     A range sketch of width w = rank + SKETCH_OVERSAMPLE gives Ritz pairs
-    (mu, U) and the residual E = A - U diag(mu) U^T. By Weyl's inequality
-    every eigenvalue of A lies within delta >= |E|_2 of the multiset
+    (mu, U) and the residual E = A - U diag(mu) U^T, whose Frobenius norm
+    is read tile by tile without forming E (_sketch_residual). By Weyl's
+    inequality every eigenvalue of A lies within delta >= |E|_2 of the multiset
     mu + {0}^(m - w), so the cutoff of inertia() is known to lie in a band
     [c_lo, c_hi]. When delta < c_lo and every mu clears the band by delta,
     the counts equal those of inertia() in exact arithmetic and the sketch
@@ -335,15 +345,14 @@ def _sketched_spectrum(a: np.ndarray, rank: int, tol: Tolerance) -> Spectrum | N
     if tail_sq > c_mid * c_mid:
         return _interlacing_refusal(q, mu, v, norm_sq, rank, tol)
     u = q @ v
-    e = (u * mu) @ u.T
-    np.subtract(a, e, out=e)
-    residual = float(np.linalg.norm(e))
+    residual = _sketch_residual(a, u, mu)
     loss = float(np.linalg.norm(u.T @ u - np.eye(width)))
     # delta bounds |A - U diag(mu) U^T|_2 in exact arithmetic plus the
     # distance of U diag(mu) U^T's spectrum from mu + {0}: the computed
-    # Frobenius norm with its summation error, the rounding in forming E
-    # (inner dimension w, then one subtraction), and U's departure from
-    # orthonormality, |U^T U - I|, including the rounding in forming U^T U.
+    # Frobenius norm over tile pairs with its summation error (see
+    # _sketch_residual), the rounding in forming E (inner dimension w, then
+    # one subtraction), and U's departure from orthonormality, |U^T U - I|,
+    # including the rounding in forming U^T U.
     delta = (residual * (1.0 + m * m * _EPS)
              + (width + 3) * _EPS * (math.sqrt(norm_sq) + 2.0 * float(np.abs(mu).sum()))
              + top * (loss + (m + 2) * width * _EPS))
@@ -355,6 +364,32 @@ def _sketched_spectrum(a: np.ndarray, rank: int, tol: Tolerance) -> Spectrum | N
     positive = int(np.sum(mu > c_hi))
     negative = int(np.sum(mu < -c_hi))
     return Spectrum(mu, u, c_hi, Inertia(positive, negative, m - positive - negative), "sketch")
+
+
+def _sketch_residual(a: np.ndarray, u: np.ndarray, mu: np.ndarray) -> float:
+    """The computed |A - U diag(mu) U^T|_F of a symmetric a, with no m x m array.
+
+    Each tile of tile_pairs is formed as a[rows, cols] - (U diag(mu))[rows]
+    U[cols]^T in one tile buffer and its squares are summed, a diagonal tile
+    once and an off-diagonal tile twice, for itself and its mirror. This
+    bounds what the m x m E would give: the exact E is symmetric, as A and
+    U diag(mu) U^T both are, and every computed entry, whichever of a
+    mirrored pair it stands for, keeps the rounding bound of forming it
+    (inner dimension w, then one subtraction) that delta allows for. The
+    factor (1 + m^2 eps) in delta covers the summation error of the m^2
+    squares in any order.
+    """
+    m = a.shape[0]
+    u_mu = u * mu
+    work = np.empty(min(m, TILE) ** 2)
+    total = 0.0
+    for rows, cols in tile_pairs(m):
+        block = a[rows, cols]
+        tile = np.matmul(u_mu[rows], u[cols].T, out=work[:block.size].reshape(block.shape))
+        np.subtract(block, tile, out=tile)
+        square = float(np.vdot(tile, tile))
+        total += square if cols.start == rows.start else 2.0 * square
+    return math.sqrt(total)
 
 
 def _interlacing_refusal(q: np.ndarray, mu: np.ndarray, v: np.ndarray, norm_sq: float,
@@ -467,19 +502,20 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
     negatives = np.flatnonzero(values < -spectrum.cutoff)
     negatives = negatives[np.argsort(values[negatives], kind="stable")]
     x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
-    # |-(x eta x^T) - a| = |x eta x^T + a| and each row's extent max|a_i|,
-    # one row block at a time, in one block-sized buffer.
+    # |-(x eta x^T) - a| = |x eta x^T + a| over tile_pairs, in one tile
+    # buffer. The upper tiles suffice: (x eta)_ik = +-x_ik exactly, so the
+    # products for (i, j) and (j, i) are bitwise equal, and the exact
+    # residual is symmetric.
     x_eta = x @ signature_form(n + 1)
-    blocks = row_blocks(m)
-    work = np.empty(a[blocks[0]].shape)
-    row_top = np.empty(m)
+    work = np.empty(min(m, TILE) ** 2)
     residual = 0.0
-    for rows in blocks:
-        block = a[rows]
-        product = np.matmul(x_eta[rows], x.T, out=work[:block.shape[0]])
+    for rows, cols in tile_pairs(m):
+        block = a[rows, cols]
+        product = np.matmul(x_eta[rows], x[cols].T, out=work[:block.size].reshape(block.shape))
         product += block
         residual = max(residual, float(np.abs(product, out=product).max()))
-        np.maximum(block.max(axis=1), -block.min(axis=1), out=row_top[rows])
+    # Each row's extent max|a_i|, from one contiguous pass along the rows.
+    row_top = np.maximum(a.max(axis=1), -a.min(axis=1))
     scale = float(row_top.max())
     if residual > tol.residual * scale:
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")

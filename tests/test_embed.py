@@ -273,6 +273,24 @@ class TestSchurEmbedding:
         with pytest.raises(InadmissiblePivotError):
             schur_embedding(BOUNDARY_GAP, 2, (0, 3))
 
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_tangent_gram_not_semidefinite(self, scale):
+        """J - I with one pair at 9 has a second positive eigenvalue, so the
+        Schur complement P of (0, 3) is not negative semidefinite."""
+        d = np.ones((4, 4)) - np.eye(4)
+        d[0, 1] = d[1, 0] = 9.0
+        with pytest.raises(RealizationError,
+                           match="^tangent Gram -P/2 is not positive semidefinite to tolerance$"):
+            schur_embedding(scale * d, 3, (0, 3))
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+    def test_tangent_rank_exceeds_the_boundary(self, scale):
+        """Spheres with tangent points spanning a plane (ambient dimension 3)
+        realized at n = 2, where the boundary is a line."""
+        d = scale * distance_matrix(TestRoundTripGuards.SPHERES)
+        with pytest.raises(RealizationError, match=r"^tangent rank 2 exceeds n - 1 = 1$"):
+            schur_embedding(d, 2, (0, 4))
+
     def test_matches_construct_embedding(self, rng):
         for n in (2, 3):
             for _ in range(15):

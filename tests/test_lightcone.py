@@ -413,6 +413,12 @@ class TestLorentzAlign:
         with pytest.raises(AlignmentError, match="dependent"):
             lorentz_align([x0, 2.0 * x0], [x0, 3.0 * x0])
 
+    def test_spacelike_source_rejected(self):
+        # Matching Grams, but the vectors are spacelike, not null.
+        x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(AlignmentError, match="^source vector 0 is not null$"):
+            lorentz_align(x, x.copy())
+
     def test_past_directed_rejected(self):
         x = np.array([SQRT2 / 2, 0.0, SQRT2 / 2])
         with pytest.raises(AlignmentError, match="future|orientation"):

@@ -7,15 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import coincident_sphere_set
-from kissgeo import numkernel
+from kissgeo import embed, numkernel
 from kissgeo.embed import (
+    RealizationError,
     check_euclidean,
     check_kissing,
     construct_embedding,
     matrices_close,
     validate_squared_distances,
 )
-from kissgeo.kissing import distance_matrix
+from kissgeo.kissing import Sphere, distance_matrix
 from kissgeo.spheres import check_spheres
 from kissgeo.numkernel import (
     DEFAULT_TOL,
@@ -472,12 +473,107 @@ class TestInterlacingRefusal:
         assert refused_by_interlacing > 0
 
 
-class TestTiledPasses:
-    """as_symmetric reads mirrored TILE x TILE tiles; distance_matrix and
-    matrices_close read row blocks. An off-by-one hides at the tile edges and
-    in the last, partial tile, so the orders straddle TILE."""
+# Orders at which a tile-pair pass has one partial tile, one whole tile, a
+# whole tile and a one-row tile, and three tiles the last of which is partial.
+TILE_ORDERS = [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 44]
 
-    @pytest.mark.parametrize("m", [1, 2, TILE - 1, TILE, TILE + 1, 2 * TILE + 44])
+
+def spheres_across_tiles(rng, m):
+    """m kissing spheres in ambient dimension 3 with planes and shared tangent
+    points, as many of each as m allows."""
+    planes = min(2, m - 1)
+    return coincident_sphere_set(rng, m, 3, planes=planes, shared=min(10, max(0, m - planes - 1)))
+
+
+def reference_distance_matrix(spheres):
+    """distance_matrix by whole-matrix broadcasting, with the same operation
+    on each entry: squared gaps summed one coordinate at a time onto zero,
+    divided by the diameter product; plane rows h / phi, zero between planes."""
+    m = len(spheres)
+    planes = [i for i, s in enumerate(spheres) if not isinstance(s, Sphere)]
+    tangent = np.array([(0.0, 0.0) if i in planes else s.tangent for i, s in enumerate(spheres)])
+    diameter = np.array([1.0 if i in planes else s.diameter for i, s in enumerate(spheres)])
+    out = np.zeros((m, m))
+    for coordinate in tangent.T:
+        gap = np.subtract.outer(coordinate, coordinate)
+        out += gap * gap
+    out /= np.multiply.outer(diameter, diameter)
+    for i in planes:
+        out[i] = out[:, i] = spheres[i].height / diameter
+    out[np.ix_(planes, planes)] = 0.0
+    return out
+
+
+class TestTiledPasses:
+    """as_symmetric, the sketch residual, the factor residual, distance_matrix
+    and the round trip read the TILE x TILE tiles on and above the diagonal;
+    matrices_close reads row blocks. An off-by-one hides at the tile edges
+    and in the last, partial tile, so the orders straddle TILE."""
+
+    @pytest.mark.parametrize("m", TILE_ORDERS)
+    def test_distance_matrix_is_bitwise_symmetric(self, rng, m):
+        """The round trip compares upper tiles only, which is exact because
+        this output equals its transpose bit for bit."""
+        spheres = spheres_across_tiles(rng, m)
+        d = distance_matrix(spheres)
+        assert d.tobytes() == d.T.tobytes(order="C")
+        assert d.tobytes() == reference_distance_matrix(spheres).tobytes()
+
+    @pytest.mark.parametrize("m", TILE_ORDERS)
+    def test_round_trip_sees_the_last_partial_tile(self, rng, monkeypatch, m):
+        """A realized distance matrix whose only wrong pair lies in the last
+        tile fails the round trip."""
+        spheres = spheres_across_tiles(rng, m)
+        d = distance_matrix(spheres)
+        at = (max(0, m - 2), m - 1)
+
+        def off_in_last_tile(realized):
+            out = distance_matrix(realized)
+            out[at] = out[at[::-1]] = 1.01 * out[at] + 1e-3
+            return out
+
+        assert embed._symmetric_close(d.copy(), d)
+        assert not embed._symmetric_close(off_in_last_tile(spheres), d)
+        if m > 1:
+            assert matrices_close(distance_matrix(construct_embedding(d, 3)), d)
+            monkeypatch.setattr(embed, "distance_matrix", off_in_last_tile)
+            with pytest.raises(RealizationError, match="^round trip failed"):
+                construct_embedding(d, 3)
+
+    @pytest.mark.parametrize("m", [TILE + 1, 2 * TILE + 44])
+    def test_residual_is_checked_in_the_last_off_diagonal_tile(self, rng, monkeypatch, m):
+        """A mirrored pair off the factor's product, placed only in the last
+        off-diagonal tile pair, fails the factor residual test."""
+        d = embeddable(rng, m, 3)
+        real = numkernel.certified_eigen
+        monkeypatch.setattr(numkernel, "certified_eigen", lambda a, rank, tol: real(d, rank, tol))
+        assert not gram_factor_lorentz(d, 3).degenerate_rows
+        last = (m - 1) // TILE * TILE
+        bumped = d.copy()
+        bumped[last - 1, m - 1] = bumped[m - 1, last - 1] = d[last - 1, m - 1] + 1e-6 * d.max()
+        with pytest.raises(NonConvergenceError, match="^factorization residual"):
+            gram_factor_lorentz(bumped, 3)
+
+    @pytest.mark.parametrize("m", TILE_ORDERS)
+    @pytest.mark.parametrize("near", [False, True])
+    def test_sketch_residual_matches_the_dense_norm(self, rng, m, near):
+        """The tile-pair |A - U diag(mu) U^T|_F equals the norm of the m x m
+        residual within the rounding the sketch's delta allows for: forming
+        each entry, twice, and the summation of m^2 squares, twice."""
+        width = min(m, 5)
+        u, _ = np.linalg.qr(rng.normal(size=(m, width)))
+        mu = rng.normal(size=width) * 10.0
+        s = rng.normal(size=(m, m))
+        noise = 1e-9 if near else 1.0
+        a = as_symmetric((u * mu) @ u.T + noise * (s + s.T))
+        got = numkernel._sketch_residual(a, u, mu)
+        want = float(np.linalg.norm(a - (u * mu) @ u.T))
+        eps = np.finfo(float).eps
+        allowance = (2.0 * (width + 3) * eps * (np.linalg.norm(a) + 2.0 * np.abs(mu).sum())
+                     + m * m * eps * (got + want))
+        assert abs(got - want) <= allowance
+
+    @pytest.mark.parametrize("m", TILE_ORDERS)
     def test_as_symmetric_is_bit_identical_to_the_mean(self, rng, m):
         s = rng.normal(size=(m, m))
         a = (s + s.T) * (1.0 + 1e-12 * rng.normal(size=(m, m)))
@@ -521,11 +617,14 @@ class TestTiledPasses:
         assert not matrices_close(expected, broken)
 
     @pytest.mark.parametrize("name", ["as_symmetric", "as_symmetric rounded", "distance_matrix",
-                                      "matrices_close", "check_kissing", "construct_embedding"])
+                                      "matrices_close", "check_kissing", "gram_factor_lorentz",
+                                      "construct_embedding"])
     def test_no_full_size_temporary(self, rng, name):
-        """Peak allocation beyond what the call returns stays below one m x m
-        array; an exactly symmetric input is validated in place, so the two
-        entry points hold at most one m x m array of their own at once."""
+        """Peak allocation stays below the m x m arrays the call returns or
+        holds at once, plus less than one more. An exactly symmetric input is
+        validated in place, and the sketch's residual is read tile by tile, so
+        check_kissing and gram_factor_lorentz hold under half an m x m array,
+        and construct_embedding only the round trip's distance matrix."""
         import tracemalloc
 
         m = 600
@@ -535,19 +634,20 @@ class TestTiledPasses:
         assert d.tobytes() == d.T.tobytes(order="C")
         near = d * (1.0 + 1e-9)
         rounded = d * (1.0 + 1e-15 * rng.normal(size=(m, m)))
-        call, returned = {"as_symmetric": (lambda: as_symmetric(d), 0),
-                          "as_symmetric rounded": (lambda: as_symmetric(rounded), full),
-                          "distance_matrix": (lambda: distance_matrix(spheres), full),
-                          "matrices_close": (lambda: matrices_close(near, d), 0),
-                          "check_kissing": (lambda: check_kissing(d, 3), full),
-                          "construct_embedding": (lambda: construct_embedding(d, 3), full)}[name]
+        call, bound = {"as_symmetric": (lambda: as_symmetric(d), full),
+                       "as_symmetric rounded": (lambda: as_symmetric(rounded), 2 * full),
+                       "distance_matrix": (lambda: distance_matrix(spheres), 2 * full),
+                       "matrices_close": (lambda: matrices_close(near, d), full),
+                       "check_kissing": (lambda: check_kissing(d, 3), full / 2),
+                       "gram_factor_lorentz": (lambda: gram_factor_lorentz(d, 3), full / 2),
+                       "construct_embedding": (lambda: construct_embedding(d, 3), 2 * full)}[name]
         tracemalloc.start()
         try:
             call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - returned < full
+        assert peak < bound
 
 
     def test_clipping_corrects_the_symmetrized_copy(self, rng):
