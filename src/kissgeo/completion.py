@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -24,6 +25,7 @@ import numpy as np
 from . import numkernel
 from .embed import (
     EMBEDDABLE,
+    ROUND_TRIP_RTOL,
     Certificate,
     RealizationError,
     _inertia_certificate,
@@ -197,10 +199,8 @@ def is_chordal(graph: LengthGraph) -> Chordality:
     try:
         return Chordality(True, peo, None, maximal_cliques(graph, peo))
     except ValueError:
-        cycle = _chordless_cycle(graph)
-    if cycle is None:
-        raise RuntimeError("the MCS ordering is not perfect but no chordless cycle was found")
-    return Chordality(False, None, cycle, None)
+        # A non-chordal graph has a chordless cycle; its rest joins v's cycle neighbours outside N[v].
+        return Chordality(False, None, _chordless_cycle(graph), None)
 
 
 def maximal_cliques(graph: LengthGraph, peo) -> CliqueTree:
@@ -384,8 +384,8 @@ class TargetReport:
         return self.diagonal_ok and self.edges_ok and self.rank_ok and self.signature_ok
 
 
-def verify_target_matrix(matrix, graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL,
-                         edge_rtol: float = 1e-7) -> TargetReport:
+def verify_target_matrix(matrix, graph: LengthGraph, n: int,
+                         tol: Tolerance = DEFAULT_TOL) -> TargetReport:
     d = numkernel.as_symmetric(matrix)
     if d.shape[0] != graph.vertex_count:
         raise ValueError("matrix order must equal the vertex count")
@@ -396,7 +396,7 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int, tol: Tolerance = DE
     u, v, length = np.array(graph.edges, dtype=float).reshape(-1, 3).T
     u, v, expected = u.astype(int), v.astype(int), length * length
     floor = min(1.0, float(expected.max(initial=0.0)))
-    off = np.flatnonzero(np.abs(d[u, v] - expected) > edge_rtol * (expected + floor))
+    off = np.flatnonzero(np.abs(d[u, v] - expected) > ROUND_TRIP_RTOL * (expected + floor))
     edges_ok = not off.size
     failures += [f"edge ({u[k]}, {v[k]}) entry {float(d[u[k], v[k]])!r} != squared length "
                  f"{float(expected[k])!r}" for k in off]
@@ -412,102 +412,75 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int, tol: Tolerance = DE
 
 
 def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *,
-                     root_index: int | None = None) -> CompletionResult:
+                     root_index: int = 0) -> CompletionResult:
     """Complete the missing distances of a chordal length graph at dimension n.
 
-    Each maximal clique is realized and mapped to future null vectors; the
-    clique tree is traversed from the root, composing per-edge separator
-    alignments so that every clique's vectors land in the root frame (which
-    makes the completed matrix independent of the root choice). When the
-    alignment to the parent fails, or the parent has no transport, the
-    child's private vertices are solved one by one against the placed anchors
-    instead. Rounding below zero is clipped, and the completed matrix is
+    Each maximal clique is realized and mapped to future null vectors, and one
+    breadth-first walk from the root clique places them. A child's map to the
+    root frame is its parent's composed with the Lorentz alignment of their
+    separator vectors; a new component, across an empty separator, inherits
+    its parent's map (the identity if the parent has none). So the completed
+    matrix does not depend on the root. When the alignment fails, or the parent
+    has no map, the child's new vertices are solved one by one against the
+    placed anchors. Rounding below zero is clipped, and the completed matrix is
     verified against the target conditions before being returned.
     """
     chordality = is_chordal(graph)
     if not chordality.chordal:
         return CompletionResult(NOT_CHORDAL, witness=chordality.cycle)
     cliques = chordality.tree.cliques
-    count = len(cliques)
-    if root_index is None:
-        root_index = 0
-    if not (0 <= root_index < count):
+    if not (0 <= root_index < len(cliques)):
         raise ValueError("root index out of range")
 
-    embeddings = []
+    own: list[dict[int, np.ndarray]] = []
     for clique in cliques:
         check, spheres = _realize_clique(graph, clique, n, tol)
         if spheres is None:
             return CompletionResult(INFEASIBLE, witness=check)
-        embeddings.append(np.stack([to_lightcone(s, n) for s in spheres]))
+        own.append({v: to_lightcone(s, n) for v, s in zip(clique, spheres)})
 
-    neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(count)]
+    neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in cliques]
     for i, j, separator in chordality.tree.edges:
         neighbors[i].append((j, separator))
         neighbors[j].append((i, separator))
 
     eta = signature_form(n + 1)
-    placed: dict[int, np.ndarray] = {}
-    transports: list[np.ndarray | None] = [None] * count
-    transports[root_index] = np.eye(n + 1)
-    for local, vertex in enumerate(cliques[root_index]):
-        placed[vertex] = embeddings[root_index][local]
-
-    frontier = [root_index]
-    visited = {root_index}
-    while frontier:
-        next_frontier = []
-        for parent in frontier:
-            for child, separator in sorted(neighbors[parent]):
-                if child in visited:
+    placed = dict(own[root_index])
+    # Transports double as the visited set; None marks an anchored placement.
+    transports: dict[int, np.ndarray | None] = {root_index: np.eye(n + 1)}
+    queue = deque([root_index])
+    while queue:
+        parent = queue.popleft()
+        for child, separator in sorted(neighbors[parent]):
+            if child in transports:
+                continue
+            transport = transports[parent]
+            if not separator:
+                transport = np.eye(n + 1) if transport is None else transport
+            elif transport is not None:
+                try:
+                    transport = transport @ lorentz_align(
+                        np.stack([own[child][v] for v in separator]),
+                        np.stack([own[parent][v] for v in separator]), tol)
+                except AlignmentError:
+                    transport = None
+            transports[child] = transport
+            queue.append(child)
+            anchors = list(separator)
+            for vertex in cliques[child]:
+                if vertex in placed:
                     continue
-                visited.add(child)
-                child_vertices = cliques[child]
-                child_vectors = embeddings[child]
-                transport = None
-                if not separator:
-                    transport = (
-                        transports[parent]
-                        if transports[parent] is not None
-                        else np.eye(n + 1)
-                    )
-                elif transports[parent] is not None:
-                    x_sep = child_vectors[[child_vertices.index(v) for v in separator]]
-                    y_sep = embeddings[parent][[cliques[parent].index(v) for v in separator]]
-                    try:
-                        transport = transports[parent] @ lorentz_align(x_sep, y_sep, tol)
-                    except AlignmentError:
-                        pass
                 if transport is not None:
-                    transports[child] = transport
-                    for local, vertex in enumerate(child_vertices):
-                        if vertex not in placed:
-                            placed[vertex] = transport @ child_vectors[local]
-                else:
-                    # No alignment (degenerate separator, or a parent placed by
-                    # this fallback): solve the child's private vertices
-                    # against the placed anchors, sequentially.
-                    try:
-                        anchor_vertices = list(separator)
-                        for local, vertex in enumerate(child_vertices):
-                            if vertex in placed:
-                                continue
-                            anchors = np.stack([placed[v] for v in anchor_vertices])
-                            targets = np.array(
-                                [graph.length(vertex, v) ** 2 for v in anchor_vertices]
-                            )
-                            placed[vertex] = _anchored_null_vector(anchors, targets, eta, tol)
-                            anchor_vertices.append(vertex)
-                    except AlignmentError as exc:
-                        return CompletionResult(
-                            INFEASIBLE,
-                            witness=(
-                                f"gluing of clique {child_vertices} onto separator "
-                                f"{separator} failed: {exc}"
-                            ),
-                        )
-                next_frontier.append(child)
-        frontier = next_frontier
+                    placed[vertex] = transport @ own[child][vertex]
+                    continue
+                targets = np.array([graph.length(vertex, v) ** 2 for v in anchors])
+                try:
+                    placed[vertex] = _anchored_null_vector(
+                        np.stack([placed[v] for v in anchors]), targets, eta, tol)
+                except AlignmentError as exc:
+                    return CompletionResult(INFEASIBLE, witness=f"gluing of clique {cliques[child]}"
+                                            f" onto separator {separator} failed: {exc}")
+                anchors.append(vertex)
 
     vectors = np.stack([placed[v] for v in range(graph.vertex_count)])
     gram = vectors @ eta @ vectors.T
@@ -515,9 +488,8 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
     np.fill_diagonal(full, 0.0)
     report = verify_target_matrix(full, graph, n, tol)
     if not report.satisfied:
-        return CompletionResult(
-            INFEASIBLE, witness="target verification failed: " + "; ".join(report.failures)
-        )
+        return CompletionResult(INFEASIBLE, witness="target verification failed: "
+                                + "; ".join(report.failures))
     return CompletionResult(COMPLETED, full_matrix=full, embedding=vectors)
 
 

@@ -408,14 +408,23 @@ class TestCompleteChordal:
             assert verify_target_matrix(result.full_matrix, scaled, 3).satisfied
 
     def test_root_invariance(self, rng):
+        cases = [(graph_from_configuration(rng, 7, 2)[0], 2) for _ in range(10)]
+        # Forests: vertices 5-8 form a second component, which hangs off
+        # clique 0 by an empty separator and inherits its parent's transport.
+        # From a root in the first component that transport is not the identity.
         for _ in range(10):
-            g, _ = graph_from_configuration(rng, 7, 2)
+            first, _ = graph_from_configuration(rng, 5, 3)
+            second, _ = graph_from_configuration(rng, 4, 3)
+            moved = tuple((u + 5, v + 5, length) for u, v, length in second.edges)
+            cases.append((LengthGraph(9, first.edges + moved), 3))
+        for g, n in cases:
             tree = maximal_cliques(g, is_chordal(g).peo)
-            baseline = complete_chordal(g, 2, root_index=0)
+            baseline = complete_chordal(g, n, root_index=0)
             assert baseline.verdict == COMPLETED
             for root in range(1, len(tree.cliques)):
-                other = complete_chordal(g, 2, root_index=root)
+                other = complete_chordal(g, n, root_index=root)
                 assert other.verdict == COMPLETED
+                assert verify_target_matrix(other.full_matrix, g, n).satisfied
                 assert np.abs(other.full_matrix - baseline.full_matrix).max() <= 1e-7 * (
                     1.0 + np.abs(baseline.full_matrix).max()
                 )
