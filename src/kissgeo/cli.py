@@ -49,22 +49,21 @@ def _emit(payload, output: str | None) -> None:
 
 
 def _witness_payload(witness) -> object:
+    """A Certificate's witness: None, or a Minor, Rank or Inertia witness."""
     if witness is None:
         return None
     if isinstance(witness, embed.MinorWitness):
         return {"type": "minor", "subset": list(witness.subset), "signed_minor": witness.signed_minor}
     if isinstance(witness, embed.RankWitness):
         return {"type": "rank", "rank": witness.rank, "bound": witness.bound}
-    if isinstance(witness, embed.InertiaWitness):
-        payload = {
-            "type": "inertia",
-            "inertia": list(witness.inertia),
-            "requirement": witness.requirement,
-        }
-        if not witness.exact:
-            payload["exact"] = False
-        return payload
-    return {"type": "diagnostic", "detail": str(witness)}
+    payload = {
+        "type": "inertia",
+        "inertia": list(witness.inertia),
+        "requirement": witness.requirement,
+    }
+    if not witness.exact:
+        payload["exact"] = False
+    return payload
 
 
 def _certificate_payload(certificate: embed.Certificate, n: int) -> dict:

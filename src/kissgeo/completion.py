@@ -147,8 +147,6 @@ def mcs_order(graph: LengthGraph) -> tuple[int, ...]:
 
 
 def _shortest_path(adjacency, start: int, goal: int, blocked: set[int]) -> list[int] | None:
-    if start == goal:
-        return [start]
     parents = {start: None}
     frontier = [start]
     while frontier:
@@ -168,12 +166,13 @@ def _shortest_path(adjacency, start: int, goal: int, blocked: set[int]) -> list[
     return None
 
 
-def _chordless_cycle(graph: LengthGraph) -> tuple[int, ...] | None:
+def _chordless_cycle(graph: LengthGraph) -> tuple[int, ...]:
     """First chordless cycle of length >= 4 in a deterministic scan.
 
     For a vertex v with non-adjacent neighbors u, w, a shortest u-w path
     avoiding the rest of v's closed neighborhood closes a cycle with no
-    chords.
+    chords. The graph must not be chordal; then the scan always finds one
+    (see is_chordal).
     """
     adjacency = graph.adjacency
     for v in range(graph.vertex_count):
@@ -184,7 +183,6 @@ def _chordless_cycle(graph: LengthGraph) -> tuple[int, ...] | None:
             path = _shortest_path(adjacency, u, w, blocked)
             if path is not None:
                 return (v, *path)
-    return None
 
 
 def is_chordal(graph: LengthGraph) -> Chordality:

@@ -13,7 +13,6 @@ conditions admit false positives on degenerate zero-distance patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .numkernel import DEFAULT_TOL, Inertia, Tolerance
 EMBEDDABLE = "Embeddable"
 NOT_EMBEDDABLE = "NotEmbeddable"
 
-MINORS_MAX_ORDER = 12
 ROUND_TRIP_RTOL = 1e-7
 
 
@@ -145,35 +143,22 @@ def _spectrum_certificate(matrix: np.ndarray, max_negative: int, method: str, to
     return _inertia_certificate(spectrum.inertia, max_negative, method, spectrum.exact, **rule)
 
 
-def _subsets_lex(order: int, min_size: int) -> list[tuple[int, ...]]:
-    subsets = [
-        combo
-        for size in range(min_size, order + 1)
-        for combo in combinations(range(order), size)
-    ]
-    subsets.sort()
-    return subsets
-
-
 def _minors_certificate(d: np.ndarray, rank_bound: int, tol: Tolerance,
                         bordered: bool) -> Certificate:
     """The minors route: signed principal minors, then the rank.
 
-    Over subsets J in lexicographic order (|J| >= 2, or >= 1 when bordered),
-    M_J is D_J or D_J bordered with ones, and (-1)^order(M_J) det M_J must not
-    exceed eig_zero * (max D)^k, where k is the degree of homogeneity of the
-    minor in D: |J|, or |J| - 1 when bordered. The first violation is reported
-    with its signed minor (-1)^|J| det M_J. Then the rank of D, or of D
-    bordered at its own scale, must be at most rank_bound.
+    Over the nonempty subsets J in lexicographic order
+    (numkernel.principal_subsets, capped at order 12), M_J is D_J or D_J
+    bordered with ones, and (-1)^order(M_J) det M_J must not exceed
+    eig_zero * (max D)^k, where k is the degree of homogeneity of the minor
+    in D: |J|, or |J| - 1 when bordered. The first violation is reported
+    with its signed minor (-1)^|J| det M_J; a single point's D_J is [0] and
+    never violates. Then the rank of D, or of D bordered at its own scale,
+    must be at most rank_bound.
     """
-    m = d.shape[0]
-    if m > MINORS_MAX_ORDER:
-        raise ValueError(
-            f"order {m} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
-        )
     scale = float(d.max())
     shift = 1 if bordered else 0
-    for subset in _subsets_lex(m, 2 - shift):
+    for subset in numkernel.principal_subsets(d.shape[0]):
         idx = np.asarray(subset)
         block = d[np.ix_(idx, idx)]
         minor = float(np.linalg.det(_border(block, 1.0) if bordered else block))
@@ -233,16 +218,16 @@ def check_euclidean(matrix, n: int, method: str = "inertia",
     return _minors_certificate(d, n + 2, tol, bordered=True)
 
 
-def matrices_close(actual, expected, rtol: float = ROUND_TRIP_RTOL) -> bool:
-    """|actual - expected| <= rtol * (|expected| + min(1, max|expected|)) entrywise.
+def matrices_close(actual, expected) -> bool:
+    """|actual - expected| <= ROUND_TRIP_RTOL * (|expected| + min(1, max|expected|)) entrywise.
 
-    The additive term lets entries near zero match to within rtol of the
+    The additive term lets entries near zero match to within ROUND_TRIP_RTOL of the
     matrix's own scale, capped at 1. A NaN in either matrix fails. The
     comparison runs over numkernel.row_blocks in two block-sized work arrays.
     """
     a = np.asarray(actual, dtype=float)
     b = np.asarray(expected, dtype=float)
-    return _all_close(a, b, numkernel.row_blocks(b.shape[0]), rtol)
+    return _all_close(a, b, numkernel.row_blocks(b.shape[0]))
 
 
 def _symmetric_close(actual: np.ndarray, expected: np.ndarray) -> bool:
@@ -254,10 +239,10 @@ def _symmetric_close(actual: np.ndarray, expected: np.ndarray) -> bool:
     distance_matrix returns such a matrix, and so does validation.
     """
     pairs = list(numkernel.tile_pairs(expected.shape[0]))
-    return _all_close(actual, expected, pairs, ROUND_TRIP_RTOL)
+    return _all_close(actual, expected, pairs)
 
 
-def _all_close(a: np.ndarray, b: np.ndarray, blocks: list, rtol: float) -> bool:
+def _all_close(a: np.ndarray, b: np.ndarray, blocks: list) -> bool:
     """The rule of matrices_close on each block (an index of a and b) in turn,
     in two work arrays; False at the first block with a violation or a NaN."""
     # The floor is 1 as soon as one entry reaches 1; only smaller data needs the full scan.
@@ -269,7 +254,7 @@ def _all_close(a: np.ndarray, b: np.ndarray, blocks: list, rtol: float) -> bool:
         allowed, excess = (w[:block.size].reshape(block.shape) for w in work)
         np.abs(block, out=allowed)
         allowed += floor
-        allowed *= rtol
+        allowed *= ROUND_TRIP_RTOL
         np.subtract(a[index], block, out=excess)
         np.abs(excess, out=excess)
         excess -= allowed
@@ -398,8 +383,8 @@ class SchurReport:
         return self.det_ok and self.inertia_ok and self.rank_ok
 
 
-def verify_schur_relations(matrix, pivot: tuple[int, int], tol: Tolerance = DEFAULT_TOL,
-                           rtol: float = 1e-7) -> SchurReport:
+def verify_schur_relations(matrix, pivot: tuple[int, int],
+                           tol: Tolerance = DEFAULT_TOL) -> SchurReport:
     """Self-test of the three pivot identities.
 
     det D = -det P * D[a, b]^2, inertia D = (1, 1, 0) + inertia P, and
@@ -407,9 +392,10 @@ def verify_schur_relations(matrix, pivot: tuple[int, int], tol: Tolerance = DEFA
     The determinant identity is tested on D and P divided exactly by the
     greatest power of two at most max D, so that (max D)^m neither
     overflows nor underflows and the test is the same at every scale. Its
-    residual is normalized by the larger determinant or by that matrix's
-    (max D)^m, the natural scale of a determinant, so that rank-deficient
-    instances compare their (near-zero) determinants at noise level.
+    residual, normalized by the larger determinant or by that matrix's
+    (max D)^m, the natural scale of a determinant, must be at most
+    ROUND_TRIP_RTOL, so that rank-deficient instances compare their
+    (near-zero) determinants at noise level.
     det_full and det_expected are reported at the data's own scale.
     """
     d = validate_squared_distances(matrix)
@@ -423,7 +409,7 @@ def verify_schur_relations(matrix, pivot: tuple[int, int], tol: Tolerance = DEFA
     unit = numkernel.power_of_two_below(float(d.max()))
     full, expected = _pivot_determinants(d / unit, comp / unit, a, b)
     det_scale = max(abs(full), abs(expected), (float(d.max()) / unit) ** m)
-    det_ok = abs(full - expected) <= rtol * det_scale
+    det_ok = abs(full - expected) <= ROUND_TRIP_RTOL * det_scale
     inertia_full = numkernel.inertia(d, tol)
     inertia_comp = numkernel.inertia(comp, tol) if comp.size else Inertia(0, 0, 0)
     inertia_ok = inertia_full == Inertia(

@@ -137,11 +137,8 @@ def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarra
     return labels, matrix
 
 
-def dump_matrix(matrix, labels: Sequence[str] | None = None, diagonal: float = 0.0) -> dict:
-    out: dict = {}
-    if labels is not None:
-        out["labels"] = list(labels)
-    out["d2"] = [[float(x) for x in row] for row in np.asarray(matrix, dtype=float)]
+def dump_matrix(matrix, diagonal: float = 0.0) -> dict:
+    out = {"d2": [[float(x) for x in row] for row in np.asarray(matrix, dtype=float)]}
     if diagonal == -1.0:
         out["diag"] = -1
     return out

@@ -112,17 +112,17 @@ def distance(p: KissingSphere, q: KissingSphere) -> float:
     return math.sqrt(distance_sq(p, q))
 
 
-def classify_pair(p: KissingSphere, q: KissingSphere, rel_tol: float = 1e-9) -> PairClass:
+def classify_pair(p: KissingSphere, q: KissingSphere) -> PairClass:
     """Combinatorial relation read off the distance.
 
     The distance is 1 exactly at tangency, above 1 for disjoint pairs, below 1
     for intersecting ones, and 0 when the tangent points coincide; comparisons
-    use the given relative tolerance.
+    use the relative tolerance 1e-9.
     """
     d = distance(p, q)
-    if d <= rel_tol:
+    if d <= 1e-9:
         return PairClass.SHARED_TANGENT_POINT
-    if abs(d - 1.0) <= rel_tol * max(1.0, d):
+    if abs(d - 1.0) <= 1e-9 * max(1.0, d):
         return PairClass.TANGENT
     return PairClass.DISJOINT if d > 1.0 else PairClass.INTERSECTING
 

@@ -213,13 +213,13 @@ def _null_partner(v: np.ndarray) -> np.ndarray:
     return np.append(-v[:-1], t) / (2.0 * t * t)
 
 
-def _complement_frame(frame: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def _complement_frame(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Orthonormal basis (w.r.t. the form) of the orthogonal complement of the
     frame's column span, columns ordered positive-norm first. Requires the
     span to be nondegenerate."""
     dim, k = frame.shape
     if k >= dim:
-        return np.zeros((dim, 0)), ()
+        return np.zeros((dim, 0))
     _, _, vt = np.linalg.svd(frame.T @ eta)
     null_basis = vt[k:].T
     restricted = null_basis.T @ eta @ null_basis
@@ -230,9 +230,7 @@ def _complement_frame(frame: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, t
     vecs = vecs[:, order]
     if float(np.abs(values).min()) <= 1e-12 * max(1.0, float(np.abs(values).max())):
         raise AlignmentError("degenerate complement form")
-    cols = null_basis @ vecs / np.sqrt(np.abs(values))
-    signs = tuple(1 if v > 0 else -1 for v in values)
-    return cols, signs
+    return null_basis @ vecs / np.sqrt(np.abs(values))
 
 
 def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -306,13 +304,10 @@ def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         b = np.column_stack([b, _null_partner(b[:, 0])])
         c = np.column_stack([c, _null_partner(c[:, 0])])
 
-    comp_x, signs_x = _complement_frame(b, eta)
-    comp_y, signs_y = _complement_frame(c, eta)
-    if signs_x != signs_y:
-        raise AlignmentError("complement signatures differ")
-
-    frame_x = np.column_stack([b, comp_x])
-    frame_y = np.column_stack([c, comp_y])
+    # Both spans are Lorentzian, so both complements are positive definite;
+    # a numerical sign mismatch fails the checks below.
+    frame_x = np.column_stack([b, _complement_frame(b, eta)])
+    frame_y = np.column_stack([c, _complement_frame(c, eta)])
     transform = frame_y @ np.linalg.inv(frame_x)
 
     identity = np.eye(dim)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -450,23 +449,42 @@ def schur_complement(matrix, pivot_indices: Iterable[int], tol: Tolerance = DEFA
     return (comp + comp.T) / 2.0
 
 
+MINORS_MAX_ORDER = 12
+
+
+def principal_subsets(order: int):
+    """Every nonempty subset of range(order) as a sorted tuple, one at a time, in
+    lexicographic order: (0,), (0, 1), (0, 1, 2), ..., (0, 2), ..., (order - 1,).
+    An order above MINORS_MAX_ORDER raises ValueError when the walk starts."""
+    if order > MINORS_MAX_ORDER:
+        raise ValueError(
+            f"order {order} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
+        )
+    subset: list[int] = []
+    following = 0
+    while following < order or subset:
+        if following < order:
+            subset.append(following)
+            yield tuple(subset)
+            following += 1
+        else:
+            following = subset.pop() + 1
+
+
 def principal_minor_sums(matrix) -> np.ndarray:
-    """Sums of k-by-k principal minors for k = 1..m.
+    """Sums of k-by-k principal minors for k = 1..m, for m up to MINORS_MAX_ORDER.
 
     These are the elementary symmetric functions of the eigenvalues, i.e. the
     unsigned characteristic polynomial coefficients, computed by determinant
-    enumeration only.
+    enumeration only. Each sum adds its minors in principal_subsets order,
+    which for one size is that of itertools.combinations.
     """
     a = as_symmetric(matrix)
-    m = a.shape[0]
-    sums = np.zeros(m)
-    for k in range(1, m + 1):
-        total = 0.0
-        for subset in combinations(range(m), k):
-            idx = np.asarray(subset)
-            total += float(np.linalg.det(a[np.ix_(idx, idx)]))
-        sums[k - 1] = total
-    return sums
+    sums = [0.0] * a.shape[0]
+    for subset in principal_subsets(a.shape[0]):
+        idx = np.asarray(subset)
+        sums[len(subset) - 1] += float(np.linalg.det(a[np.ix_(idx, idx)]))
+    return np.array(sums)
 
 
 @dataclass(frozen=True)

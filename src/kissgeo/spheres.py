@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numkernel
-from .embed import MINORS_MAX_ORDER, Certificate, _inertia_certificate, _spectrum_certificate
+from .embed import Certificate, _inertia_certificate, _spectrum_certificate
 from .lightcone import SQRT2, minkowski_inner
 from .numkernel import DEFAULT_TOL, Inertia, Tolerance
 
@@ -148,18 +148,13 @@ def check_spheres(matrix, n: int, method: str = "inertia",
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     method = method.lower()
-    m = s.shape[0]
     rule = {"exactly_one": False, "note": f" (rank at most {n + 2})"}
     if method == "inertia":
         return _spectrum_certificate(s, n + 1, method, tol, **rule)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
-    if m > MINORS_MAX_ORDER:
-        raise ValueError(
-            f"order {m} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
-        )
     sums = numkernel.principal_minor_sums(s)
-    counts = _descartes_inertia(sums, m, numkernel.max_abs(s), tol)
+    counts = _descartes_inertia(sums, s.shape[0], numkernel.max_abs(s), tol)
     return _inertia_certificate(counts, n + 1, method, **rule)
 
 

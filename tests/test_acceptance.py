@@ -195,12 +195,12 @@ def test_criterion_5_embedding_round_trip(rng):
         d = distance_matrix(random_sphere_set(rng, size, n, plane_chance=0.1))
         assert check_kissing(d, n).embeddable
         spheres = construct_embedding(d, n)
-        assert matrices_close(distance_matrix(spheres), d, 1e-7)
+        assert matrices_close(distance_matrix(spheres), d)
         trips += 1
         column = np.delete(d[:, size - 1], size - 1)
         if size >= 2 and column.size and column.min() > 1e-9:
             other = schur_embedding(d, n, (0, size - 1))
-            assert matrices_close(distance_matrix(other), d, 1e-7)
+            assert matrices_close(distance_matrix(other), d)
             schur_trips += 1
     ok = trips >= 200 and schur_trips >= 100
     report(5, ok, f"{trips} construction round trips and {schur_trips} Schur round trips at 1e-7")
@@ -246,7 +246,7 @@ def test_criterion_7_schur_relations(rng):
         column = np.delete(d[:, size - 1], size - 1)
         if column.min() <= 1e-9 or d[0, size - 1] <= 1e-9:
             continue
-        rep = verify_schur_relations(d, pivot, rtol=1e-7)
+        rep = verify_schur_relations(d, pivot)
         assert rep.det_ok and rep.rank_ok, f"relation failure on\n{d}"
         assert rep.inertia_full == (
             rep.inertia_comp.positive + 1,

@@ -107,6 +107,22 @@ class TestCheck:
         assert payload["verdict"] == "NotEmbeddable"
         assert payload["witness"] is not None
 
+    def test_minor_witness_payload(self, tmp_path, capsys):
+        # Two tangent triples at distance zero from each other: the first
+        # triple and two of the second make the first subset, in lexicographic
+        # order, with a positive signed minor.
+        triple = np.array(TANGENT_TRIPLE_MATRIX["d2"])
+        d2 = np.block([[triple, np.zeros((3, 3))], [np.zeros((3, 3)), triple]])
+        path = write(tmp_path, "m.json", {"d2": d2.tolist()})
+        code, out, _ = run(
+            capsys, ["check", path, "--mode", "kissing", "--n", "1", "--method", "minors"]
+        )
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert witness["type"] == "minor"
+        assert witness["subset"] == [0, 1, 2, 3, 4]
+        assert witness["signed_minor"] > 0.0
+
     def test_euclidean_triangle(self, tmp_path, capsys):
         triangle = {"d2": [[0.0, 9.0, 25.0], [9.0, 0.0, 16.0], [25.0, 16.0, 0.0]]}
         path = write(tmp_path, "m.json", triangle)

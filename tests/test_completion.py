@@ -351,7 +351,7 @@ class TestCompleteChordal:
     def test_path(self):
         g = LengthGraph(3, ((0, 1, 1.0), (1, 2, 1.0)))
         result = complete_chordal(g, 2)
-        assert result.verdict == COMPLETED
+        assert result.verdict == COMPLETED and result.completed
         report = verify_target_matrix(result.full_matrix, g, 2)
         assert report.satisfied
 

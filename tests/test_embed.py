@@ -25,6 +25,7 @@ from kissgeo.embed import (
 from kissgeo import embed, numkernel
 from kissgeo.kissing import Plane, Sphere, distance_matrix
 from kissgeo.numkernel import GramInfeasibleError, Inertia, SingularPivotError
+from kissgeo.spheres import check_spheres
 
 TANGENT_TRIPLE = np.ones((3, 3)) - np.eye(3)
 TRIANGLE_345 = np.array([[0.0, 9.0, 25.0], [9.0, 0.0, 16.0], [25.0, 16.0, 0.0]])
@@ -106,8 +107,12 @@ class TestCheckKissing:
         assert cert.witness.signed_minor == pytest.approx(2.0, rel=1e-9)
 
     def test_minors_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            check_kissing(np.zeros((13, 13)), 2, "minors")
+        # One cap, held by the subset walk, for every minors route.
+        for call in (lambda: check_kissing(np.zeros((13, 13)), 2, "minors"),
+                     lambda: check_spheres(-np.eye(13), 2, "minors"),
+                     lambda: numkernel.principal_minor_sums(np.zeros((13, 13)))):
+            with pytest.raises(ValueError, match="cap 12"):
+                call()
 
     def test_zero_matrix_is_shared_point_family(self):
         # All-zero distances are realizable by spheres with one tangent point,

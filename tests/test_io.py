@@ -18,6 +18,18 @@ class TestLoadMatrix:
         assert matrix.dtype == float
         assert np.array_equal(matrix, [[0.0, 1.5, 1e30], [1.5, 0.0, 2.0], [1e30, 2.0, 0.0]])
 
+    def test_numpy_floats_take_the_per_entry_loop(self):
+        rows = square(3)
+        _, plain = io.load_matrix({"d2": rows})
+        _, matrix = io.load_matrix({"d2": [[np.float64(x) for x in row] for row in rows]})
+        assert np.array_equal(matrix, plain)
+
+    def test_labels(self):
+        labels, _ = io.load_matrix({"labels": ["a", "b", "c"], "d2": square(3)})
+        assert labels == ["a", "b", "c"]
+        with pytest.raises(io.SchemaError, match="length"):
+            io.load_matrix({"labels": ["a"], "d2": square(3)})
+
     @pytest.mark.parametrize("bad", [True, False, "1.0", None, [1.0], float("nan"), float("inf"), 10**400])
     @pytest.mark.parametrize("at", [(0, 1), (2, 0), (3, 3)])
     def test_bad_entry_is_named(self, bad, at):
@@ -53,6 +65,12 @@ class TestLoadVectors:
         n, vectors = io.load_vectors({"n": 1, "vectors": [[1, 2.5], [-3, 4]]})
         assert n == 1
         assert np.array_equal(vectors, [[1.0, 2.5], [-3.0, 4.0]])
+
+    def test_numpy_floats_take_the_per_entry_loop(self):
+        raw = [[1, 2.5], [-3, 4]]
+        _, plain = io.load_vectors({"n": 1, "vectors": raw})
+        _, vectors = io.load_vectors({"n": 1, "vectors": [[np.float64(x) for x in row] for row in raw]})
+        assert np.array_equal(vectors, plain)
 
     @pytest.mark.parametrize("bad", [True, "0", None, float("-inf"), 10**400])
     def test_bad_coordinate_is_named(self, bad):

@@ -141,6 +141,10 @@ class TestGenerators:
     def test_translation_fixes_plane(self):
         assert apply_generator(Plane(3.0), Translation((5.0,))) == Plane(3.0)
 
+    def test_dilation_scales_and_reflection_fixes_plane(self):
+        assert apply_generator(Plane(3.0), Dilation(2.0)) == Plane(6.0)
+        assert apply_generator(Plane(3.0), Reflection(normal=(1.0,))) == Plane(3.0)
+
     def test_reflection(self):
         out = apply_generator(Sphere((1.0,), 1.0), Reflection(normal=(1.0,)))
         assert out == Sphere((-1.0,), 1.0)

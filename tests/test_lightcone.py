@@ -338,6 +338,9 @@ class TestLorentzPredicates:
     def test_non_preserving_rejected(self):
         assert not is_lorentz(2.0 * np.eye(3))
 
+    def test_non_square_rejected(self):
+        assert not is_lorentz(np.eye(3)[:2])
+
     def test_compose_and_inverse(self, rng):
         a = random_lorentz(rng, 4)
         b = random_lorentz(rng, 4)
@@ -435,6 +438,31 @@ class TestLorentzAlign:
         transform = lorentz_align(x, y)
         assert is_lorentz(transform)
         assert np.abs(x @ transform.T - y).max() <= 1e-14 * np.abs(y).max()
+
+    def test_all_zero_systems_give_the_identity(self):
+        assert np.array_equal(lorentz_align(np.zeros((2, 3)), np.zeros((2, 3))), np.eye(3))
+
+    def test_near_coincident_pair_is_aligned_or_refused(self):
+        # Two unit spheres whose tangent points are delta apart, moved by 0.5.
+        # The frame inverse amplifies rounding by about 1 / delta^2, so small
+        # gaps are refused, by the complement test or by the Lorentz and
+        # residual checks, but no wrong map is ever returned.
+        refusals = set()
+        for delta in 10.0 ** -np.arange(2, 10):
+            spheres = [Sphere((0.0, 0.0), 1.0), Sphere((delta, 0.0), 1.0)]
+            moved = [Sphere((s.tangent[0] + 0.5, s.tangent[1]), 1.0) for s in spheres]
+            x = np.stack([to_lightcone(s) for s in spheres])
+            y = np.stack([to_lightcone(s) for s in moved])
+            try:
+                transform = lorentz_align(x, y)
+            except AlignmentError as exc:
+                refusals.add(str(exc))
+                continue
+            assert is_lorentz(transform)
+            norms = np.linalg.norm(np.vstack([x, y]), axis=1)
+            residual = np.linalg.norm(x @ transform.T - y, axis=1).max()
+            assert residual <= DEFAULT_TOL.residual * max(1.0, norms.max())
+        assert {"degenerate complement form", "alignment failed the Lorentz checks"} <= refusals
 
     def test_preserves_form_on_complement(self, rng):
         # Uniqueness on the span plus a valid extension off it.

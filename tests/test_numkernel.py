@@ -32,6 +32,7 @@ from kissgeo.numkernel import (
     gram_factor_lorentz,
     inertia,
     principal_minor_sums,
+    principal_subsets,
     schur_complement,
     signature_form,
     signature_violation,
@@ -683,6 +684,23 @@ class TestPrincipalMinorSums:
                 np.prod(values[list(s)]) for s in combinations(range(5), k)
             )
             assert abs(sums[k - 1] - expected) < 1e-8 * max(1.0, abs(expected))
+
+    def test_each_sum_adds_its_minors_in_combinations_order(self, rng):
+        for m in (1, 4, 9):
+            raw = rng.normal(size=(m, m))
+            a = as_symmetric(raw + raw.T)
+            want = []
+            for k in range(1, m + 1):
+                total = 0.0
+                for subset in combinations(range(m), k):
+                    total += float(np.linalg.det(a[np.ix_(subset, subset)]))
+                want.append(total)
+            assert principal_minor_sums(a).tobytes() == np.array(want).tobytes()
+
+    def test_subsets_in_lexicographic_order(self):
+        for m in range(5):
+            everything = [s for k in range(1, m + 1) for s in combinations(range(m), k)]
+            assert list(principal_subsets(m)) == sorted(everything)
 
 
 @given(

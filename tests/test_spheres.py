@@ -170,6 +170,19 @@ class TestCheckSpheres:
                     == check_spheres(s, n, "inertia").verdict
                 )
 
+    def test_three_tangent_circles_with_a_zero_coefficient(self):
+        # Mutually tangent unit circles: J - 2I, eigenvalues 1, -2, -2. Its
+        # characteristic coefficients 1, 3, 0, -4 hold an interior zero,
+        # which Descartes' rule skips.
+        s = np.ones((3, 3)) - 2.0 * np.eye(3)
+        built = separation_matrix([EuclideanSphere((0.0, 0.0), 1.0), EuclideanSphere((2.0, 0.0), 1.0),
+                                   EuclideanSphere((1.0, math.sqrt(3.0)), 1.0)])
+        assert np.allclose(built, s)
+        assert numkernel.principal_minor_sums(s)[1] == 0.0
+        for matrix in (s, built):
+            assert check_spheres(matrix, 2, "minors").embeddable
+            assert check_spheres(matrix, 2, "inertia").embeddable
+
     def test_diagonal_validation(self):
         with pytest.raises(ValueError, match="-1"):
             check_spheres(np.zeros((2, 2)), 2)
