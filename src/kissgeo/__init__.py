@@ -60,13 +60,11 @@ from .lightcone import (
     to_lightcone_curved,
 )
 from .numkernel import (
-    DEFAULT_TOL,
     GramFactor,
     GramInfeasibleError,
     Inertia,
     NonConvergenceError,
     SingularPivotError,
-    Tolerance,
     gram_factor_lorentz,
     inertia,
     schur_complement,

@@ -17,12 +17,7 @@ import numpy as np
 
 from . import completion, embed, io, kissing, lightcone, spheres
 from .lightcone import AlignmentError
-from .numkernel import (
-    GramInfeasibleError,
-    NonConvergenceError,
-    SingularPivotError,
-    Tolerance,
-)
+from .numkernel import GramInfeasibleError, NonConvergenceError, SingularPivotError
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -75,10 +70,6 @@ def _certificate_payload(certificate: embed.Certificate, n: int) -> dict:
     }
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(eig_zero=args.eig_zero, residual=args.residual)
-
-
 def _cmd_dist(args) -> int:
     n, sphere_set = io.load_sphere_set(_read_json(args.input))
     rows = np.sqrt(kissing.distance_matrix(sphere_set)).tolist()
@@ -98,24 +89,22 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    tol = _tolerance(args)
     diagonal = -1.0 if args.mode == "spheres" else 0.0
     _, matrix = io.load_matrix(_read_json(args.input), diagonal=diagonal)
     if args.mode == "kissing":
-        certificate = embed.check_kissing(matrix, args.n, args.method, tol)
+        certificate = embed.check_kissing(matrix, args.n, args.method)
     elif args.mode == "euclidean":
-        certificate = embed.check_euclidean(matrix, args.n, args.method, tol)
+        certificate = embed.check_euclidean(matrix, args.n, args.method)
     else:
-        certificate = spheres.check_spheres(matrix, args.n, args.method, tol)
+        certificate = spheres.check_spheres(matrix, args.n, args.method)
     _emit(_certificate_payload(certificate, args.n), args.output)
     return EXIT_OK if certificate.embeddable else EXIT_INFEASIBLE
 
 
 def _cmd_embed(args) -> int:
-    tol = _tolerance(args)
     _, matrix = io.load_matrix(_read_json(args.input))
     try:
-        realized = embed.construct_embedding(matrix, args.n, tol)
+        realized = embed.construct_embedding(matrix, args.n)
     except GramInfeasibleError as exc:
         refused = embed._inertia_certificate(exc.inertia, args.n, "inertia", exc.exact)
         _emit(_certificate_payload(refused, args.n), args.output)
@@ -125,11 +114,10 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_lightcone(args) -> int:
-    tol = _tolerance(args)
     payload = _read_json(args.input)
     if args.inverse:
         n, vectors = io.load_vectors(payload)
-        recovered = lightcone.from_lightcone(vectors, tol)
+        recovered = lightcone.from_lightcone(vectors)
         _emit(io.dump_sphere_set(n, recovered), args.output)
         return EXIT_OK
     n, sphere_set = io.load_sphere_set(payload)
@@ -151,9 +139,8 @@ def _cmd_spheres(args) -> int:
 
 
 def _cmd_complete(args) -> int:
-    tol = _tolerance(args)
     graph = io.load_graph(_read_json(args.input))
-    result = completion.complete_chordal(graph, args.n, tol)
+    result = completion.complete_chordal(graph, args.n)
     if result.verdict == completion.COMPLETED:
         payload = {
             "verdict": result.verdict,
@@ -198,10 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Distance geometry for kissing spheres: distances, certificates, "
         "embeddings, lightcone maps, and chordal completion.",
     )
-    parser.add_argument("--eig-zero", type=float, default=1e-9,
-                        help="relative eigenvalue cutoff (default 1e-9)")
-    parser.add_argument("--residual", type=float, default=1e-8,
-                        help="max factorization residual (default 1e-8)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, handler, help_text: str, needs_n: bool = False):

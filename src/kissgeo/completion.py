@@ -32,7 +32,7 @@ from .embed import (
     construct_embedding,
 )
 from .lightcone import AlignmentError, lorentz_align, to_lightcone
-from .numkernel import DEFAULT_TOL, GramInfeasibleError, Tolerance, signature_form
+from .numkernel import RESIDUAL, GramInfeasibleError, signature_form
 
 COMPLETED = "Completed"
 INFEASIBLE = "Infeasible"
@@ -266,8 +266,7 @@ def _clique_matrix(graph: LengthGraph, clique) -> np.ndarray:
     return np.square([[graph.length(u, v) if u != v else 0.0 for v in clique] for u in clique])
 
 
-def _realize_clique(graph: LengthGraph, clique, n: int,
-                    tol: Tolerance) -> tuple[CliqueCheck, list | None]:
+def _realize_clique(graph: LengthGraph, clique, n: int) -> tuple[CliqueCheck, list | None]:
     """The clique's CliqueCheck and spheres, or None, from one construct_embedding.
 
     A refusal carries GramInfeasibleError's witness, with its requirement as
@@ -276,7 +275,7 @@ def _realize_clique(graph: LengthGraph, clique, n: int,
     """
     passed = Certificate(EMBEDDABLE, "inertia")
     try:
-        spheres = construct_embedding(_clique_matrix(graph, clique), n, tol)
+        spheres = construct_embedding(_clique_matrix(graph, clique), n)
     except GramInfeasibleError as exc:
         refused = _inertia_certificate(exc.inertia, n, "inertia", exc.exact)
         return CliqueCheck(clique, refused, False, exc.reason), None
@@ -285,8 +284,7 @@ def _realize_clique(graph: LengthGraph, clique, n: int,
     return CliqueCheck(clique, passed, True, None), spheres
 
 
-def clique_feasible(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL,
-                    ) -> tuple[bool, tuple[CliqueCheck, ...]]:
+def clique_feasible(graph: LengthGraph, n: int) -> tuple[bool, tuple[CliqueCheck, ...]]:
     """Per-clique realizability at dimension n, with certificates.
 
     Each maximal clique is fully specified, so its squared-length matrix is
@@ -303,12 +301,12 @@ def clique_feasible(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL,
         cliques = _all_maximal_cliques(graph)
         if any(len(c) > 12 for c in cliques):
             raise ValueError("clique size cap exceeded on a non-chordal input")
-    checks = tuple(_realize_clique(graph, clique, n, tol)[0] for clique in cliques)
+    checks = tuple(_realize_clique(graph, clique, n)[0] for clique in cliques)
     return all(c.realized for c in checks), checks
 
 
-def _anchored_null_vector(anchors: np.ndarray, targets: np.ndarray, eta: np.ndarray,
-                          tol: Tolerance) -> np.ndarray:
+def _anchored_null_vector(anchors: np.ndarray, targets: np.ndarray,
+                          eta: np.ndarray) -> np.ndarray:
     """Future null vector z with <z, anchor_i> = -targets_i for every anchor.
 
     Least-squares on the linear product constraints, then a null-space
@@ -322,14 +320,14 @@ def _anchored_null_vector(anchors: np.ndarray, targets: np.ndarray, eta: np.ndar
     rhs = -targets
     particular, *_ = np.linalg.lstsq(system, rhs, rcond=None)
     scale = max(1.0, float(np.abs(targets).max()), float(np.abs(anchors).max()) ** 2)
-    if float(np.linalg.norm(system @ particular - rhs)) > tol.residual * scale:
+    if float(np.linalg.norm(system @ particular - rhs)) > RESIDUAL * scale:
         raise AlignmentError("anchored gluing: product constraints are inconsistent")
     _, singular, vt = np.linalg.svd(system)
     rank = int(np.sum(singular > max(singular[0], 1.0) * 1e-12)) if singular.size else 0
     null_basis = vt[rank:].T
     base_norm = float(particular @ eta @ particular)
     if null_basis.shape[1] == 0:
-        if abs(base_norm) > tol.residual * scale:
+        if abs(base_norm) > RESIDUAL * scale:
             raise AlignmentError("anchored gluing: constrained vector is not null")
         candidate = particular
     else:
@@ -382,8 +380,7 @@ class TargetReport:
         return self.diagonal_ok and self.edges_ok and self.rank_ok and self.signature_ok
 
 
-def verify_target_matrix(matrix, graph: LengthGraph, n: int,
-                         tol: Tolerance = DEFAULT_TOL) -> TargetReport:
+def verify_target_matrix(matrix, graph: LengthGraph, n: int) -> TargetReport:
     d = numkernel.as_symmetric(matrix)
     if d.shape[0] != graph.vertex_count:
         raise ValueError("matrix order must equal the vertex count")
@@ -398,7 +395,7 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int,
     edges_ok = not off.size
     failures += [f"edge ({u[k]}, {v[k]}) entry {float(d[u[k], v[k]])!r} != squared length "
                  f"{float(expected[k])!r}" for k in off]
-    counts = numkernel.inertia(d, tol)
+    counts = numkernel.inertia(d)
     rank_ok = counts.rank <= n + 1
     if not rank_ok:
         failures.append(f"rank {counts.rank} exceeds n + 1 = {n + 1}")
@@ -409,8 +406,7 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int,
     return TargetReport(diagonal_ok, edges_ok, rank_ok, signature_ok, tuple(failures))
 
 
-def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *,
-                     root_index: int = 0) -> CompletionResult:
+def complete_chordal(graph: LengthGraph, n: int, *, root_index: int = 0) -> CompletionResult:
     """Complete the missing distances of a chordal length graph at dimension n.
 
     Each maximal clique is realized and mapped to future null vectors, and one
@@ -432,7 +428,7 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
 
     own: list[dict[int, np.ndarray]] = []
     for clique in cliques:
-        check, spheres = _realize_clique(graph, clique, n, tol)
+        check, spheres = _realize_clique(graph, clique, n)
         if spheres is None:
             return CompletionResult(INFEASIBLE, witness=check)
         own.append({v: to_lightcone(s, n) for v, s in zip(clique, spheres)})
@@ -459,7 +455,7 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
                 try:
                     transport = transport @ lorentz_align(
                         np.stack([own[child][v] for v in separator]),
-                        np.stack([own[parent][v] for v in separator]), tol)
+                        np.stack([own[parent][v] for v in separator]))
                 except AlignmentError:
                     transport = None
             transports[child] = transport
@@ -474,7 +470,7 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
                 targets = np.array([graph.length(vertex, v) ** 2 for v in anchors])
                 try:
                     placed[vertex] = _anchored_null_vector(
-                        np.stack([placed[v] for v in anchors]), targets, eta, tol)
+                        np.stack([placed[v] for v in anchors]), targets, eta)
                 except AlignmentError as exc:
                     return CompletionResult(INFEASIBLE, witness=f"gluing of clique {cliques[child]}"
                                             f" onto separator {separator} failed: {exc}")
@@ -484,7 +480,7 @@ def complete_chordal(graph: LengthGraph, n: int, tol: Tolerance = DEFAULT_TOL, *
     gram = vectors @ eta @ vectors.T
     full = np.maximum(-(gram + gram.T) / 2.0, 0.0)
     np.fill_diagonal(full, 0.0)
-    report = verify_target_matrix(full, graph, n, tol)
+    report = verify_target_matrix(full, graph, n)
     if not report.satisfied:
         return CompletionResult(INFEASIBLE, witness="target verification failed: "
                                 + "; ".join(report.failures))

@@ -19,7 +19,7 @@ import numpy as np
 from . import numkernel
 from .kissing import KissingSphere, Plane, Sphere, distance_matrix
 from .lightcone import InverseMapError, from_lightcone
-from .numkernel import DEFAULT_TOL, Inertia, Tolerance
+from .numkernel import EIG_ZERO, Inertia
 
 EMBEDDABLE = "Embeddable"
 NOT_EMBEDDABLE = "NotEmbeddable"
@@ -136,21 +136,20 @@ def _inertia_certificate(found: Inertia, max_negative: int, method: str, exact: 
     return Certificate(EMBEDDABLE, method)
 
 
-def _spectrum_certificate(matrix: np.ndarray, max_negative: int, method: str, tol: Tolerance,
+def _spectrum_certificate(matrix: np.ndarray, max_negative: int, method: str,
                           **rule) -> Certificate:
     """The inertia certificate of a matrix, decided by certified_eigen."""
-    spectrum = numkernel.certified_eigen(matrix, max_negative + 1, tol)
+    spectrum = numkernel.certified_eigen(matrix, max_negative + 1)
     return _inertia_certificate(spectrum.inertia, max_negative, method, spectrum.exact, **rule)
 
 
-def _minors_certificate(d: np.ndarray, rank_bound: int, tol: Tolerance,
-                        bordered: bool) -> Certificate:
+def _minors_certificate(d: np.ndarray, rank_bound: int, bordered: bool) -> Certificate:
     """The minors route: signed principal minors, then the rank.
 
     Over the nonempty subsets J in lexicographic order
     (numkernel.principal_subsets, capped at order 12), M_J is D_J or D_J
     bordered with ones, and (-1)^order(M_J) det M_J must not exceed
-    eig_zero * (max D)^k, where k is the degree of homogeneity of the minor
+    EIG_ZERO * (max D)^k, where k is the degree of homogeneity of the minor
     in D: |J|, or |J| - 1 when bordered. The first violation is reported
     with its signed minor (-1)^|J| det M_J; a single point's D_J is [0] and
     never violates. Then the rank of D, or of D bordered at its own scale,
@@ -164,16 +163,15 @@ def _minors_certificate(d: np.ndarray, rank_bound: int, tol: Tolerance,
         minor = float(np.linalg.det(_border(block, 1.0) if bordered else block))
         signed = minor if len(subset) % 2 == 0 else -minor
         tested = -signed if bordered else signed
-        if tested > tol.eig_zero * scale ** (len(subset) - shift):
+        if tested > EIG_ZERO * scale ** (len(subset) - shift):
             return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed))
-    rank = numkernel.inertia(_data_border(d) if bordered else d, tol).rank
+    rank = numkernel.inertia(_data_border(d) if bordered else d).rank
     if rank > rank_bound:
         return Certificate(NOT_EMBEDDABLE, "minors", RankWitness(rank, rank_bound))
     return Certificate(EMBEDDABLE, "minors")
 
 
-def check_kissing(matrix, n: int, method: str = "inertia",
-                  tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def check_kissing(matrix, n: int, method: str = "inertia") -> Certificate:
     """Certify embeddability into kissing spheres of ambient dimension n.
 
     The inertia route demands exactly one positive eigenvalue and at most n
@@ -187,14 +185,13 @@ def check_kissing(matrix, n: int, method: str = "inertia",
         raise ValueError("ambient dimension n must be >= 1")
     method = method.lower()
     if method == "inertia":
-        return _spectrum_certificate(d, n, method, tol)
+        return _spectrum_certificate(d, n, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
-    return _minors_certificate(d, n + 1, tol, bordered=False)
+    return _minors_certificate(d, n + 1, bordered=False)
 
 
-def check_euclidean(matrix, n: int, method: str = "inertia",
-                    tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
     """Certify embeddability into Euclidean n-space.
 
     Minors and inertia both act on the bordered matrix: signed bordered minors
@@ -210,12 +207,12 @@ def check_euclidean(matrix, n: int, method: str = "inertia",
         raise ValueError("ambient dimension n must be >= 1")
     method = method.lower()
     if method == "distance_inertia":
-        return _spectrum_certificate(d, n + 1, method, tol)
+        return _spectrum_certificate(d, n + 1, method)
     if method == "inertia":
-        return _spectrum_certificate(_data_border(d), n + 1, method, tol)
+        return _spectrum_certificate(_data_border(d), n + 1, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
-    return _minors_certificate(d, n + 2, tol, bordered=True)
+    return _minors_certificate(d, n + 2, bordered=True)
 
 
 def matrices_close(actual, expected) -> bool:
@@ -263,7 +260,7 @@ def _all_close(a: np.ndarray, b: np.ndarray, blocks: list) -> bool:
     return True
 
 
-def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[KissingSphere]:
+def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     """Kissing spheres realizing the matrix, via null-vector factorization.
 
     Certifying and realizing are one computation, so the outcome is the
@@ -288,7 +285,7 @@ def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[Ki
     if not any(row.any() for row in d):
         origin = (0.0,) * (n - 1)
         return [Sphere(tangent=origin, diameter=float(i + 1)) for i in range(m)]
-    factor = numkernel.gram_factor_lorentz(d, n, tol)
+    factor = numkernel.gram_factor_lorentz(d, n)
     if factor.degenerate_rows:
         raise RealizationError(
             f"degenerate zero-distance pattern: zero factor rows {factor.degenerate_rows}"
@@ -300,7 +297,7 @@ def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[Ki
     elif not np.all(times > 0.0):
         raise RealizationError("mixed time orientations in the factorization")
     try:
-        spheres = from_lightcone(vectors, tol)
+        spheres = from_lightcone(vectors)
     except InverseMapError as exc:
         raise RealizationError(f"factor row {exc.row} is not a future null vector: {exc}") from exc
     if not _symmetric_close(distance_matrix(spheres), d):
@@ -308,8 +305,7 @@ def construct_embedding(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> list[Ki
     return spheres
 
 
-def schur_embedding(matrix, n: int, pivot: tuple[int, int],
-                    tol: Tolerance = DEFAULT_TOL) -> list[KissingSphere]:
+def schur_embedding(matrix, n: int, pivot: tuple[int, int]) -> list[KissingSphere]:
     """Realize the matrix by Schur elimination of a pivot pair (a, b).
 
     Index b becomes the hyperplane at height one and index a the sphere of
@@ -332,10 +328,10 @@ def schur_embedding(matrix, n: int, pivot: tuple[int, int],
     rest = [i for i in range(m) if i not in (a, b)]
     tangents: dict[int, tuple[float, ...]] = {}
     if rest:
-        comp = numkernel.schur_complement(d, (a, b), tol)
+        comp = numkernel.schur_complement(d, (a, b))
         gram = -comp / 2.0
-        values, vecs = numkernel.sym_eigen(gram, tol)
-        cutoff = numkernel.eigen_cutoff(values, tol)
+        values, vecs = numkernel.sym_eigen(gram)
+        cutoff = numkernel.eigen_cutoff(values)
         if float(values.min()) < -cutoff:
             raise RealizationError("tangent Gram -P/2 is not positive semidefinite to tolerance")
         spatial_rank = int(np.sum(values > cutoff))
@@ -383,8 +379,7 @@ class SchurReport:
         return self.det_ok and self.inertia_ok and self.rank_ok
 
 
-def verify_schur_relations(matrix, pivot: tuple[int, int],
-                           tol: Tolerance = DEFAULT_TOL) -> SchurReport:
+def verify_schur_relations(matrix, pivot: tuple[int, int]) -> SchurReport:
     """Self-test of the three pivot identities.
 
     det D = -det P * D[a, b]^2, inertia D = (1, 1, 0) + inertia P, and
@@ -403,15 +398,15 @@ def verify_schur_relations(matrix, pivot: tuple[int, int],
     a, b = (int(pivot[0]), int(pivot[1]))
     if a == b or not (0 <= a < m and 0 <= b < m):
         raise ValueError("pivot must be two distinct indices in range")
-    comp = numkernel.schur_complement(d, (a, b), tol)
+    comp = numkernel.schur_complement(d, (a, b))
     det_full, det_expected = _pivot_determinants(d, comp, a, b)
     # The identity is tested on D / unit, an exact rescale with max in [1, 2).
     unit = numkernel.power_of_two_below(float(d.max()))
     full, expected = _pivot_determinants(d / unit, comp / unit, a, b)
     det_scale = max(abs(full), abs(expected), (float(d.max()) / unit) ** m)
     det_ok = abs(full - expected) <= ROUND_TRIP_RTOL * det_scale
-    inertia_full = numkernel.inertia(d, tol)
-    inertia_comp = numkernel.inertia(comp, tol) if comp.size else Inertia(0, 0, 0)
+    inertia_full = numkernel.inertia(d)
+    inertia_comp = numkernel.inertia(comp) if comp.size else Inertia(0, 0, 0)
     inertia_ok = inertia_full == Inertia(
         inertia_comp.positive + 1, inertia_comp.negative + 1, inertia_comp.zero
     )

@@ -27,6 +27,11 @@ def _require(condition: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: an int that is not a bool, which Python counts as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(value, message: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool), message)
     try:
@@ -63,7 +68,7 @@ def load_sphere_set(obj) -> tuple[int, list[KissingSphere]]:
     """{"n": int >= 2, "spheres": [{"t": [...], "phi": real} | {"h": real}, ...]}"""
     _require(isinstance(obj, dict), "sphere set must be a JSON object")
     n = obj.get("n")
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 2, '"n" must be an integer >= 2')
+    _require(_is_integer(n) and n >= 2, '"n" must be an integer >= 2')
     raw = obj.get("spheres")
     _require(isinstance(raw, list) and raw, '"spheres" must be a nonempty list')
     spheres: list[KissingSphere] = []
@@ -148,7 +153,7 @@ def load_graph(obj) -> LengthGraph:
     """{"vertices": int, "edges": [{"u": int, "v": int, "len": real}, ...]}"""
     _require(isinstance(obj, dict), "graph input must be a JSON object")
     vertices = obj.get("vertices")
-    _require(isinstance(vertices, int) and not isinstance(vertices, bool) and vertices >= 1,
+    _require(_is_integer(vertices) and vertices >= 1,
              '"vertices" must be a positive integer')
     raw = obj.get("edges")
     _require(isinstance(raw, list), '"edges" must be a list')
@@ -157,7 +162,7 @@ def load_graph(obj) -> LengthGraph:
         _require(isinstance(item, dict) and {"u", "v", "len"} <= set(item),
                  f"edge {i} must carry 'u', 'v', 'len'")
         u, v = item["u"], item["v"]
-        _require(isinstance(u, int) and isinstance(v, int), f"edge {i}: endpoints must be integers")
+        _require(_is_integer(u) and _is_integer(v), f"edge {i}: endpoints must be integers")
         length = _number(item["len"], f"edge {i}: 'len' must be a finite number")
         _require(length >= 0.0, f"edge {i}: 'len' must be nonnegative")
         edges.append((u, v, length))
@@ -178,7 +183,7 @@ def load_vectors(obj) -> tuple[int, np.ndarray]:
     """{"n": int, "vectors": [[n+1 coordinates], ...]}"""
     _require(isinstance(obj, dict), "vector input must be a JSON object")
     n = obj.get("n")
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, '"n" must be a positive integer')
+    _require(_is_integer(n) and n >= 1, '"n" must be a positive integer')
     raw = obj.get("vectors")
     _require(isinstance(raw, list) and raw, '"vectors" must be a nonempty list')
     out = np.zeros((len(raw), n + 1))
@@ -200,7 +205,7 @@ def load_euclidean_spheres(obj) -> tuple[int, list[EuclideanSphere]]:
     """{"n": int, "spheres": [{"c": [...], "r": real}, ...]}"""
     _require(isinstance(obj, dict), "sphere input must be a JSON object")
     n = obj.get("n")
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, '"n" must be a positive integer')
+    _require(_is_integer(n) and n >= 1, '"n" must be a positive integer')
     raw = obj.get("spheres")
     _require(isinstance(raw, list) and raw, '"spheres" must be a nonempty list')
     spheres = []

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .kissing import KissingSphere, Plane, Sphere
-from .numkernel import DEFAULT_TOL, Tolerance, power_of_two_below, signature_form
+from .numkernel import EIG_ZERO, RESIDUAL, power_of_two_below, signature_form
 
 SQRT2 = math.sqrt(2.0)
 
@@ -29,7 +29,8 @@ class AlignmentError(ValueError):
 
 
 def _as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    # Contiguous, so that BLAS sums a strided vector in the order of its copy.
+    v = np.ascontiguousarray(x, dtype=float)
     if v.ndim != 1 or v.size < 2:
         raise ValueError("expected a Minkowski vector with at least 2 coordinates")
     return v
@@ -89,7 +90,7 @@ def _self_dots(rows: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
 
 
-def from_lightcone(x, tol: Tolerance = DEFAULT_TOL) -> KissingSphere | list[KissingSphere]:
+def from_lightcone(x) -> KissingSphere | list[KissingSphere]:
     """Kissing sphere whose null image is x; requires a future null vector.
 
     x is one vector, giving one sphere, or an (m, n+1) stack of them, giving
@@ -102,7 +103,8 @@ def from_lightcone(x, tol: Tolerance = DEFAULT_TOL) -> KissingSphere | list[Kiss
     only when w is zero, which is exactly the image to_lightcone gives a
     Plane, or when sqrt(2)/w overflows. The null test is relative to the
     vector's own scale. A refusal raises InverseMapError for the first row
-    refused, as a loop over the rows would.
+    refused, as a loop over the rows would. The stack is read in C order, so
+    that a vector maps bit for bit alike in every memory layout.
     """
     v = np.asarray(x, dtype=float)
     single = v.ndim == 1
@@ -110,11 +112,12 @@ def from_lightcone(x, tol: Tolerance = DEFAULT_TOL) -> KissingSphere | list[Kiss
         v = _as_vector(v)[None, :]
     elif v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("expected a Minkowski vector or an (m, n+1) stack of them, n >= 1")
+    v = np.ascontiguousarray(v)
     x0, mid, t = v[:, 0], v[:, 1:-1], v[:, -1]
     top = np.abs(v).max(axis=1)
     zero = top == 0.0
     with np.errstate(all="ignore"):
-        off_cone = np.abs(_self_dots(v[:, :-1]) - t * t) > tol.residual * top * top
+        off_cone = np.abs(_self_dots(v[:, :-1]) - t * t) > RESIDUAL * top * top
         w = np.where(x0 >= 0.0, x0 + t, _self_dots(mid) / (t - x0))
         diameter = SQRT2 / w
         tangent = mid / w[:, None]
@@ -141,8 +144,7 @@ def from_lightcone(x, tol: Tolerance = DEFAULT_TOL) -> KissingSphere | list[Kiss
     return out[0] if single else out
 
 
-def to_lightcone_curved(direction, diameter: float, kappa: float,
-                        tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def to_lightcone_curved(direction, diameter: float, kappa: float) -> np.ndarray:
     """Null image of a sphere kissing a reference ball of curvature kappa.
 
     The diameter is signed (negative when the sphere surrounds the reference
@@ -155,7 +157,7 @@ def to_lightcone_curved(direction, diameter: float, kappa: float,
     u = np.asarray(direction, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ValueError("direction must be a nonempty vector")
-    if abs(float(u @ u) - 1.0) > max(tol.residual, 1e-9):
+    if abs(float(u @ u) - 1.0) > RESIDUAL:
         raise ValueError("direction must be a unit vector")
     if diameter == 0.0:
         raise ValueError("diameter must be nonzero")
@@ -195,14 +197,14 @@ def lorentz_inverse(transform) -> np.ndarray:
     return eta @ mat.T @ eta
 
 
-def is_lorentz(transform, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_lorentz(transform) -> bool:
     """True when the map preserves the signature form and the direction of time."""
     mat = np.asarray(transform, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
         return False
     eta = signature_form(mat.shape[0])
     scale = max(1.0, float(np.abs(mat).max()) ** 2)
-    if float(np.abs(mat.T @ eta @ mat - eta).max()) > tol.residual * scale:
+    if float(np.abs(mat.T @ eta @ mat - eta).max()) > RESIDUAL * scale:
         return False
     return bool(mat[-1, -1] > 0.0)
 
@@ -233,7 +235,7 @@ def _complement_frame(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return null_basis @ vecs / np.sqrt(np.abs(values))
 
 
-def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def lorentz_align(source, target) -> np.ndarray:
     """Orthochronous Lorentz map sending each source vector to its target.
 
     Inputs must be equally long lists of zero or future-directed null vectors
@@ -259,18 +261,18 @@ def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     gram_x = x @ eta @ x.T
     gram_y = y @ eta @ y.T
     gram_scale = max(1.0, float(np.abs(gram_x).max()), float(np.abs(gram_y).max()))
-    if float(np.abs(gram_x - gram_y).max()) > tol.residual * gram_scale:
+    if float(np.abs(gram_x - gram_y).max()) > RESIDUAL * gram_scale:
         raise AlignmentError("Gram mismatch between the vector systems")
 
     norms_x = np.linalg.norm(x, axis=1)
     norms_y = np.linalg.norm(y, axis=1)
     vec_scale = max(1.0, float(norms_x.max()), float(norms_y.max()))
-    zero_cut = tol.eig_zero * vec_scale
+    zero_cut = EIG_ZERO * vec_scale
     zero_x = norms_x <= zero_cut
     zero_y = norms_y <= zero_cut
     if np.any(zero_x != zero_y):
         raise AlignmentError("zero vectors must correspond to zero vectors")
-    null_cut = tol.residual * np.maximum(1.0, np.maximum(norms_x, norms_y) ** 2)
+    null_cut = RESIDUAL * np.maximum(1.0, np.maximum(norms_x, norms_y) ** 2)
     for rows, gram, label in ((x, gram_x, "source"), (y, gram_y, "target")):
         off_cone = ~zero_x & (np.abs(np.diag(gram)) > null_cut)
         past = ~zero_x & (rows[:, -1] <= 0.0)
@@ -297,7 +299,7 @@ def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     b = x[basis].T
     c = y[basis].T
     coeff, *_ = np.linalg.lstsq(b, x[live].T, rcond=None)
-    if float(np.linalg.norm(c @ coeff - y[live].T, axis=0).max()) > tol.residual * vec_scale:
+    if float(np.linalg.norm(c @ coeff - y[live].T, axis=0).max()) > RESIDUAL * vec_scale:
         raise AlignmentError("dependent vectors map inconsistently (degenerate configuration)")
 
     if len(basis) == 1:
@@ -313,13 +315,13 @@ def lorentz_align(source, target, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     identity = np.eye(dim)
     for _ in range(3):
         drift = transform.T @ eta @ transform - eta
-        if float(np.abs(drift).max()) <= tol.residual * 1e-3:
+        if float(np.abs(drift).max()) <= RESIDUAL * 1e-3:
             break
         transform = transform @ (1.5 * identity - 0.5 * (eta @ transform.T @ eta @ transform))
 
-    if not is_lorentz(transform, tol):
+    if not is_lorentz(transform):
         raise AlignmentError("alignment failed the Lorentz checks")
     residual = float(np.linalg.norm(x @ transform.T - y, axis=1).max())
-    if residual > tol.residual * vec_scale:
+    if residual > RESIDUAL * vec_scale:
         raise AlignmentError(f"alignment residual {residual * scale:.3g} out of tolerance")
     return transform

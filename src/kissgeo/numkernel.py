@@ -33,24 +33,12 @@ class GramInfeasibleError(ValueError):
         self.exact = exact
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical policy shared across the library.
-
-    eig_zero is the relative cutoff below which an eigenvalue counts as zero
-    (scaled by the largest absolute eigenvalue); residual bounds acceptable
-    factorization and reconstruction residuals.
-    """
-
-    eig_zero: float = 1e-9
-    residual: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (self.eig_zero > 0.0 and self.residual > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = Tolerance()
+# The numerical policy shared across the library. EIG_ZERO is the relative
+# cutoff below which an eigenvalue counts as zero (scaled by the largest
+# absolute eigenvalue); RESIDUAL bounds acceptable factorization and
+# reconstruction residuals, relative to the data's own scale.
+EIG_ZERO = 1e-9
+RESIDUAL = 1e-8
 
 
 class Inertia(NamedTuple):
@@ -204,7 +192,7 @@ def signature_form(dim: int) -> np.ndarray:
     return eta
 
 
-def sym_eigen(matrix, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues in descending order with matching orthonormal eigenvector columns."""
     a = as_symmetric(matrix)
     try:
@@ -219,31 +207,31 @@ def sym_eigen(matrix, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     product = (vectors * values) @ vectors.T
     product -= a
     residual = float(np.abs(product, out=product).max())
-    if residual > tol.residual * scale:
+    if residual > RESIDUAL * scale:
         raise NonConvergenceError(
-            f"reconstruction residual {residual:.3g} exceeds {tol.residual * scale:.3g}"
+            f"reconstruction residual {residual:.3g} exceeds {RESIDUAL * scale:.3g}"
         )
     return values, vectors
 
 
-def eigen_cutoff(values, tol: Tolerance = DEFAULT_TOL) -> float:
+def eigen_cutoff(values) -> float:
     arr = np.asarray(values, dtype=float)
     top = float(np.abs(arr).max()) if arr.size else 0.0
-    return tol.eig_zero * top
+    return EIG_ZERO * top
 
 
-def inertia_of_values(values, tol: Tolerance = DEFAULT_TOL) -> Inertia:
+def inertia_of_values(values) -> Inertia:
     arr = np.asarray(values, dtype=float)
-    cutoff = eigen_cutoff(arr, tol)
+    cutoff = eigen_cutoff(arr)
     positive = int(np.sum(arr > cutoff))
     negative = int(np.sum(arr < -cutoff))
     return Inertia(positive, negative, int(arr.size) - positive - negative)
 
 
-def inertia(matrix, tol: Tolerance = DEFAULT_TOL) -> Inertia:
+def inertia(matrix) -> Inertia:
     """Counts of positive, negative, and zero eigenvalues under the relative cutoff."""
-    values, _ = sym_eigen(matrix, tol)
-    return inertia_of_values(values, tol)
+    values, _ = sym_eigen(matrix)
+    return inertia_of_values(values)
 
 
 def signature_violation(found: Inertia, max_negative: int, exactly_one: bool = True,
@@ -299,7 +287,7 @@ SKETCH_SEED = 20110509
 _EPS = float(np.finfo(float).eps)
 
 
-def certified_eigen(matrix, rank: int, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
+def certified_eigen(matrix, rank: int) -> Spectrum:
     """Inertia and decisive eigenpairs, in O(m^2 rank) when a sketch certifies them.
 
     A range sketch of width w = rank + SKETCH_OVERSAMPLE gives Ritz pairs
@@ -317,15 +305,15 @@ def certified_eigen(matrix, rank: int, tol: Tolerance = DEFAULT_TOL) -> Spectrum
     symmetric, as as_symmetric returns it; it is not validated again.
     """
     if matrix.shape[0] >= 3 * (rank + SKETCH_OVERSAMPLE):
-        found = _sketched_spectrum(matrix, rank, tol)
+        found = _sketched_spectrum(matrix, rank)
         if found is not None:
             return found
-    values, vectors = sym_eigen(matrix, tol)
-    return Spectrum(values, vectors, eigen_cutoff(values, tol),
-                    inertia_of_values(values, tol), "eigh")
+    values, vectors = sym_eigen(matrix)
+    return Spectrum(values, vectors, eigen_cutoff(values),
+                    inertia_of_values(values), "eigh")
 
 
-def _sketched_spectrum(a: np.ndarray, rank: int, tol: Tolerance) -> Spectrum | None:
+def _sketched_spectrum(a: np.ndarray, rank: int) -> Spectrum | None:
     """The certified Spectrum from a range sketch of a, or None."""
     m = a.shape[0]
     width = rank + SKETCH_OVERSAMPLE
@@ -336,13 +324,13 @@ def _sketched_spectrum(a: np.ndarray, rank: int, tol: Tolerance) -> Spectrum | N
     mu, v = np.linalg.eigh((ritz + ritz.T) / 2.0)
     mu, v = mu[::-1], v[:, ::-1]
     top = float(np.abs(mu).max())
-    c_mid = tol.eig_zero * top
+    c_mid = EIG_ZERO * top
     # |A - Q Q^T A Q Q^T|_F^2 >= |A|_F^2 - |AQ|_F^2. The rounding slack is
     # generous: a needless rejection only hands the matrix to sym_eigen.
     norm_sq = float(np.vdot(a, a))
     tail_sq = norm_sq - float(np.vdot(aq, aq)) - (m + width) ** 2 * _EPS * norm_sq
     if tail_sq > c_mid * c_mid:
-        return _interlacing_refusal(q, mu, v, norm_sq, rank, tol)
+        return _interlacing_refusal(q, mu, v, norm_sq, rank)
     u = q @ v
     residual = _sketch_residual(a, u, mu)
     loss = float(np.linalg.norm(u.T @ u - np.eye(width)))
@@ -355,8 +343,8 @@ def _sketched_spectrum(a: np.ndarray, rank: int, tol: Tolerance) -> Spectrum | N
     delta = (residual * (1.0 + m * m * _EPS)
              + (width + 3) * _EPS * (math.sqrt(norm_sq) + 2.0 * float(np.abs(mu).sum()))
              + top * (loss + (m + 2) * width * _EPS))
-    c_lo = tol.eig_zero * (top - delta)
-    c_hi = tol.eig_zero * (top + delta)
+    c_lo = EIG_ZERO * (top - delta)
+    c_hi = EIG_ZERO * (top + delta)
     size = np.abs(mu)
     if delta >= c_lo or np.any((size <= c_hi + delta) & (size >= c_lo - delta)):
         return None
@@ -392,15 +380,15 @@ def _sketch_residual(a: np.ndarray, u: np.ndarray, mu: np.ndarray) -> float:
 
 
 def _interlacing_refusal(q: np.ndarray, mu: np.ndarray, v: np.ndarray, norm_sq: float,
-                         rank: int, tol: Tolerance) -> Spectrum | None:
+                         rank: int) -> Spectrum | None:
     """The lower-bound Spectrum that refuses A, or None.
 
     mu (descending) with eigenvectors v are the Ritz values of A on the
     computed basis q, and norm_sq is the computed |A|_F^2. For an exactly
     orthonormal basis the Poincare separation theorem gives
     lambda_k(A) >= mu_k and lambda_{m-w+k}(A) <= mu_k. Since |A|_2 <= |A|_F,
-    a Ritz value beyond eig_zero * |A|_F proves an eigenvalue of its sign
-    beyond inertia()'s cutoff eig_zero * max|lambda|. A refuses when these
+    a Ritz value beyond EIG_ZERO * |A|_F proves an eigenvalue of its sign
+    beyond inertia()'s cutoff EIG_ZERO * max|lambda|. A refuses when these
     lower bounds break the signature rule with max_negative = rank - 1.
     """
     m, width = q.shape
@@ -413,7 +401,7 @@ def _interlacing_refusal(q: np.ndarray, mu: np.ndarray, v: np.ndarray, norm_sq: 
     # (inner dimension m, then w) and in its symmetric eigensolve.
     frob = math.sqrt(norm_sq) * (1.0 + m * m * _EPS)
     allowance = frob * (loss * (2.0 + loss) + 2.0 * (m + width) * width * _EPS)
-    cutoff = tol.eig_zero * frob + allowance
+    cutoff = EIG_ZERO * frob + allowance
     positive = int(np.sum(mu > cutoff))
     negative = int(np.sum(mu < -cutoff))
     found = Inertia(positive, negative, m - positive - negative)
@@ -422,7 +410,7 @@ def _interlacing_refusal(q: np.ndarray, mu: np.ndarray, v: np.ndarray, norm_sq: 
     return Spectrum(mu, q @ v, cutoff, found, "interlacing")
 
 
-def schur_complement(matrix, pivot_indices: Iterable[int], tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def schur_complement(matrix, pivot_indices: Iterable[int]) -> np.ndarray:
     """Eliminate the pivot block: A - B D^{-1} B^T over the remaining indices.
 
     The remaining indices keep their original relative order. A pivot block
@@ -441,7 +429,7 @@ def schur_complement(matrix, pivot_indices: Iterable[int], tol: Tolerance = DEFA
         return np.zeros((0, 0))
     block = a[np.ix_(pivots, pivots)]
     singular_values = np.linalg.svd(block, compute_uv=False)
-    if singular_values[-1] <= tol.residual * float(singular_values[0]):
+    if singular_values[-1] <= RESIDUAL * float(singular_values[0]):
         raise SingularPivotError(f"pivot block {tuple(pivots)} is singular to tolerance")
     cross = a[np.ix_(pivots, rest)]
     solved = np.linalg.solve(block, cross)
@@ -497,7 +485,7 @@ class GramFactor:
     degenerate_rows: tuple[int, ...]
 
 
-def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFactor:
+def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     """Vectors x_i in signature (n, 1) with -<x_i, x_j> equal to the input.
 
     Requires the signature rule at n: exactly one positive eigenvalue and at
@@ -510,7 +498,7 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
     if n < 1:
         raise ValueError("spatial dimension n must be >= 1")
     m = a.shape[0]
-    spectrum = certified_eigen(a, n + 1, tol)
+    spectrum = certified_eigen(a, n + 1)
     violation = signature_violation(spectrum.inertia, n, exact=spectrum.exact)
     if violation is not None:
         raise GramInfeasibleError(spectrum.inertia, violation, spectrum.exact)
@@ -535,7 +523,7 @@ def gram_factor_lorentz(matrix, n: int, tol: Tolerance = DEFAULT_TOL) -> GramFac
     # Each row's extent max|a_i|, from one contiguous pass along the rows.
     row_top = np.maximum(a.max(axis=1), -a.min(axis=1))
     scale = float(row_top.max())
-    if residual > tol.residual * scale:
+    if residual > RESIDUAL * scale:
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")
-    degenerate = np.flatnonzero(row_top <= tol.eig_zero * scale)
+    degenerate = np.flatnonzero(row_top <= EIG_ZERO * scale)
     return GramFactor(x, tuple(int(i) for i in degenerate))

@@ -20,7 +20,7 @@ import numpy as np
 from . import numkernel
 from .embed import Certificate, _inertia_certificate, _spectrum_certificate
 from .lightcone import SQRT2, minkowski_inner
-from .numkernel import DEFAULT_TOL, Inertia, Tolerance
+from .numkernel import EIG_ZERO, RESIDUAL, Inertia
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,7 @@ def hyperboloid_embed(sphere: EuclideanSphere) -> np.ndarray:
     return out / (2.0 * r)
 
 
-def _descartes_inertia(minor_sums: np.ndarray, order: int, scale: float,
-                       tol: Tolerance) -> Inertia:
+def _descartes_inertia(minor_sums: np.ndarray, order: int, scale: float) -> Inertia:
     """Eigenvalue sign counts from sums of principal minors.
 
     The characteristic polynomial of a symmetric matrix has only real roots,
@@ -115,7 +114,7 @@ def _descartes_inertia(minor_sums: np.ndarray, order: int, scale: float,
     coeffs = [1.0]
     for k in range(1, order + 1):
         value = float(minor_sums[k - 1])
-        cutoff = tol.eig_zero * math.comb(order, k) * scale**k
+        cutoff = EIG_ZERO * math.comb(order, k) * scale**k
         if abs(value) <= cutoff:
             value = 0.0
         coeffs.append(value if k % 2 == 0 else -value)
@@ -135,8 +134,7 @@ def _descartes_inertia(minor_sums: np.ndarray, order: int, scale: float,
     return Inertia(positive, rank - positive, order - rank)
 
 
-def check_spheres(matrix, n: int, method: str = "inertia",
-                  tol: Tolerance = DEFAULT_TOL) -> Certificate:
+def check_spheres(matrix, n: int, method: str = "inertia") -> Certificate:
     """Certify that a separation matrix is realizable by spheres in n-space.
 
     The matrix must have at most one positive eigenvalue and at most n + 1
@@ -150,15 +148,15 @@ def check_spheres(matrix, n: int, method: str = "inertia",
     method = method.lower()
     rule = {"exactly_one": False, "note": f" (rank at most {n + 2})"}
     if method == "inertia":
-        return _spectrum_certificate(s, n + 1, method, tol, **rule)
+        return _spectrum_certificate(s, n + 1, method, **rule)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
     sums = numkernel.principal_minor_sums(s)
-    counts = _descartes_inertia(sums, s.shape[0], numkernel.max_abs(s), tol)
+    counts = _descartes_inertia(sums, s.shape[0], numkernel.max_abs(s))
     return _inertia_certificate(counts, n + 1, method, **rule)
 
 
-def kissing_cone_embed(anchor, vector, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def kissing_cone_embed(anchor, vector) -> np.ndarray:
     """Null image of a sphere tangent to the anchor sphere.
 
     Both arguments are pseudosphere vectors with self-product one and mutual
@@ -170,10 +168,10 @@ def kissing_cone_embed(anchor, vector, tol: Tolerance = DEFAULT_TOL) -> np.ndarr
     if a.shape != v.shape or a.ndim != 1:
         raise ValueError("dimension mismatch")
     scale = max(1.0, float(a @ a), float(v @ v))
-    if abs(minkowski_inner(a, a) - 1.0) > tol.residual * scale:
+    if abs(minkowski_inner(a, a) - 1.0) > RESIDUAL * scale:
         raise ValueError("anchor is not on the unit pseudosphere")
-    if abs(minkowski_inner(v, v) - 1.0) > tol.residual * scale:
+    if abs(minkowski_inner(v, v) - 1.0) > RESIDUAL * scale:
         raise ValueError("vector is not on the unit pseudosphere")
-    if abs(minkowski_inner(v, a) + 1.0) > tol.residual * scale:
+    if abs(minkowski_inner(v, a) + 1.0) > RESIDUAL * scale:
         raise ValueError("vectors are not tangent: mutual product must be -1")
     return (SQRT2 / 2.0) * (a + v)

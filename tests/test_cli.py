@@ -443,6 +443,21 @@ class TestInputHandling:
         assert out == ""
         assert "input error" in err
 
+    def test_boolean_graph_endpoint(self, tmp_path, capsys):
+        path = write(tmp_path, "bool.json", {"vertices": 2, "edges": [{"u": True, "v": 0, "len": 1}]})
+        code, out, err = run(capsys, ["complete", path, "--n", "2"])
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    @pytest.mark.parametrize("flag", ["--eig-zero", "--residual"])
+    def test_no_tolerance_option(self, tmp_path, capsys, flag):
+        path = write(tmp_path, "pair.json", {"d2": [[0, 1], [1, 0]]})
+        with pytest.raises(SystemExit) as exc:
+            main([flag, "1e-9", "embed", "--n", "2", path])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_output_file(self, tmp_path, capsys):
         path = write(tmp_path, "pair.json", TANGENT_PAIR)
         out_path = tmp_path / "out.json"

@@ -573,7 +573,7 @@ class TestAnchoredNullVector:
 
     def solve(self, anchors, targets, r):
         found = completion._anchored_null_vector(
-            r * np.asarray(anchors), r * r * np.asarray(targets), self.ETA, completion.DEFAULT_TOL)
+            r * np.asarray(anchors), r * r * np.asarray(targets), self.ETA)
         return found / r
 
     @pytest.mark.parametrize("r", SCALES)

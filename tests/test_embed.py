@@ -325,10 +325,10 @@ class TestRoundTripGuards:
 
         # Doubling a null vector keeps it null and future: row 0 becomes a
         # valid sphere of half the diameter, at the wrong distances.
-        def double_row_zero(stack, tol):
+        def double_row_zero(stack):
             stack = stack.copy()
             stack[0] *= 2.0
-            return real(stack, tol)
+            return real(stack)
 
         monkeypatch.setattr(embed, "from_lightcone", double_row_zero)
         with pytest.raises(RealizationError, match="^round trip failed"):

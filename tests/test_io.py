@@ -82,3 +82,17 @@ class TestLoadVectors:
     def test_wrong_length(self):
         with pytest.raises(io.SchemaError, match="vector 1 must list 3 coordinates"):
             io.load_vectors({"n": 2, "vectors": [[0.0, 1.0, 1.0], [0.0, 1.0]]})
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("load, obj", [
+        (io.load_graph, {"vertices": 2, "edges": [{"u": True, "v": 0, "len": 1}]}),
+        (io.load_graph, {"vertices": 2, "edges": [{"u": 0, "v": False, "len": 1}]}),
+        (io.load_graph, {"vertices": True, "edges": []}),
+        (io.load_sphere_set, {"n": True, "spheres": [{"h": 1.0}]}),
+        (io.load_vectors, {"n": True, "vectors": [[0.0, 1.0]]}),
+        (io.load_euclidean_spheres, {"n": True, "spheres": [{"c": [0.0], "r": 1.0}]}),
+    ])
+    def test_booleans_are_refused(self, load, obj):
+        with pytest.raises(io.SchemaError, match="integer"):
+            load(obj)

@@ -19,14 +19,14 @@ from kissgeo.embed import (
 from kissgeo.kissing import Sphere, distance_matrix
 from kissgeo.spheres import check_spheres
 from kissgeo.numkernel import (
-    DEFAULT_TOL,
+    EIG_ZERO,
+    RESIDUAL,
     SKETCH_OVERSAMPLE,
     TILE,
     GramInfeasibleError,
     Inertia,
     NonConvergenceError,
     SingularPivotError,
-    Tolerance,
     as_symmetric,
     certified_eigen,
     gram_factor_lorentz,
@@ -84,7 +84,7 @@ class TestSymEigen:
         a = as_symmetric(m + m.T)
         values, vectors = sym_eigen(a)
         recon = (vectors * values) @ vectors.T
-        assert np.abs(a - recon).max() <= DEFAULT_TOL.residual * np.abs(a).max()
+        assert np.abs(a - recon).max() <= RESIDUAL * np.abs(a).max()
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -147,7 +147,7 @@ class TestInertia:
         # A tiny eigenvalue relative to the top one counts as zero.
         a = np.diag([1.0, 1e-12])
         assert inertia(a) == (1, 0, 1)
-        assert inertia(a, Tolerance(eig_zero=1e-14, residual=1e-8)) == (2, 0, 0)
+        assert inertia(np.diag([1.0, 1e-8])) == (2, 0, 0)
 
 
 class TestSchurComplement:
@@ -242,7 +242,7 @@ class TestGramFactorLorentz:
         assert last.start < m < last.stop
         d = embeddable(rng, m, 3)
         real = numkernel.certified_eigen
-        monkeypatch.setattr(numkernel, "certified_eigen", lambda a, rank, tol: real(d, rank, tol))
+        monkeypatch.setattr(numkernel, "certified_eigen", lambda a, rank: real(d, rank))
         assert not gram_factor_lorentz(d, 3).degenerate_rows
         bumped = d.copy()
         bumped[at, at] = 1e-6 * d.max()
@@ -256,7 +256,7 @@ class TestGramFactorLorentz:
             d = distance_matrix(random_sphere_set(rng, 5, 3))
             x = gram_factor_lorentz(d, 3).vectors
             eta = signature_form(4)
-            assert np.abs(-(x @ eta @ x.T) - d).max() <= DEFAULT_TOL.residual * max(1.0, d.max())
+            assert np.abs(-(x @ eta @ x.T) - d).max() <= RESIDUAL * max(1.0, d.max())
 
 
 def embeddable(rng, m, n):
@@ -378,22 +378,29 @@ class TestCertifiedEigen:
         assert certified_eigen(d, 4).inertia == (1, 3, m - 4)
         assert eigh_orders == [m]
 
+    def test_ritz_values_inside_the_cutoff_prove_nothing(self, rng):
+        # A second positive and four negative Ritz values would break the rule
+        # with max_negative = 3 beyond the threshold EIG_ZERO |A|_F, here about
+        # EIG_ZERO, but at half of it they prove no eigenvalue beyond the cutoff.
+        m, width = 100, 4 + SKETCH_OVERSAMPLE
+        q, _ = np.linalg.qr(rng.normal(size=(m, width)))
+        small = np.array([1.0] * 3 + [0.0] * (width - 8) + [-1.0] * 4)
+
+        def refusal(factor):
+            mu = np.concatenate([[1.0], factor * EIG_ZERO * small])
+            return numkernel._interlacing_refusal(q, mu, np.eye(width), 1.0, 4)
+
+        assert refusal(0.5) is None
+        assert refusal(2.0).route == "interlacing"
+
     def test_high_rank_without_refusal_goes_to_eigh(self, rng, monkeypatch, eigh_orders):
-        # Symmetric noise at half the cutoff: at eig_zero = 1e-2 its Frobenius
-        # norm trips the high-rank test, but no Ritz value proves anything.
-        tol = Tolerance(eig_zero=1e-2)
-        a = low_rank(rng, 100, (1.0, -0.5, -0.25))
-        jitter = rng.normal(size=(100, 100))
-        jitter += jitter.T
-        a += 0.5e-2 * jitter / np.linalg.norm(jitter, 2)
+        d = raised_within_group(rng, 120, 3)
         tried = []
-        original = numkernel._interlacing_refusal
-        monkeypatch.setattr(numkernel, "_interlacing_refusal",
-                            lambda *args: tried.append(original(*args)))
-        found = certified_eigen(a, 4, tol)
-        assert tried == [None] and eigh_orders == [100]
+        monkeypatch.setattr(numkernel, "_interlacing_refusal", lambda *args: tried.append(args))
+        found = certified_eigen(d, 4)
+        assert len(tried) == 1 and eigh_orders == [120]
         assert found.route == "eigh" and found.exact
-        assert found.inertia == inertia(a, tol) == (1, 2, 97)
+        assert found.inertia == inertia(d)
 
 
 def random_nonnegative(rng, m):
@@ -416,7 +423,7 @@ class TestInterlacingRefusal:
         a = scale * make(rng)
         found = certified_eigen(a, 4)
         assert found.route == "interlacing"
-        assert found.cutoff >= DEFAULT_TOL.eig_zero * np.linalg.norm(a)
+        assert found.cutoff >= EIG_ZERO * np.linalg.norm(a)
         counts = found.inertia
         assert np.all(found.values[:counts.positive] > found.cutoff)
         assert np.all(found.values[found.values.size - counts.negative:] < -found.cutoff)
@@ -547,7 +554,7 @@ class TestTiledPasses:
         off-diagonal tile pair, fails the factor residual test."""
         d = embeddable(rng, m, 3)
         real = numkernel.certified_eigen
-        monkeypatch.setattr(numkernel, "certified_eigen", lambda a, rank, tol: real(d, rank, tol))
+        monkeypatch.setattr(numkernel, "certified_eigen", lambda a, rank: real(d, rank))
         assert not gram_factor_lorentz(d, 3).degenerate_rows
         last = (m - 1) // TILE * TILE
         bumped = d.copy()
@@ -735,9 +742,5 @@ class TestSignatureViolation:
         assert inertia(1e-300 * (np.ones((3, 3)) - np.eye(3))) == Inertia(1, 2, 0)
 
 
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(eig_zero=0.0)
-    with pytest.raises(ValueError):
-        Tolerance(residual=-1.0)
-    assert DEFAULT_TOL == Tolerance(1e-9, 1e-8)
+def test_numerical_policy():
+    assert EIG_ZERO == 1e-9 and RESIDUAL == 1e-8
