@@ -49,8 +49,6 @@ from .kissing import (
 from .lightcone import (
     AlignmentError,
     InverseMapError,
-    apply_lorentz,
-    compose,
     from_lightcone,
     is_lorentz,
     lorentz_align,

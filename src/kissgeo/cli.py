@@ -106,8 +106,7 @@ def _cmd_embed(args) -> int:
     try:
         realized = embed.construct_embedding(matrix, args.n)
     except GramInfeasibleError as exc:
-        refused = embed._inertia_certificate(exc.inertia, args.n, "inertia", exc.exact)
-        _emit(_certificate_payload(refused, args.n), args.output)
+        _emit(_certificate_payload(embed.refusal(exc), args.n), args.output)
         return EXIT_INFEASIBLE
     _emit(io.dump_sphere_set(args.n, realized), args.output)
     return EXIT_OK

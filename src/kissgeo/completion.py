@@ -28,11 +28,11 @@ from .embed import (
     ROUND_TRIP_RTOL,
     Certificate,
     RealizationError,
-    _inertia_certificate,
     construct_embedding,
+    refusal,
 )
 from .lightcone import AlignmentError, lorentz_align, to_lightcone
-from .numkernel import RESIDUAL, GramInfeasibleError, signature_form
+from .numkernel import RESIDUAL, GramInfeasibleError, is_integer, signature_form
 
 COMPLETED = "Completed"
 INFEASIBLE = "Infeasible"
@@ -42,17 +42,21 @@ NOT_CHORDAL = "NotChordal"
 @dataclass(frozen=True)
 class LengthGraph:
     """Undirected graph with nonnegative edge lengths; edges are normalized to
-    (u, v, length) with u < v and sorted."""
+    (u, v, length) with u < v and sorted. The vertex count and the endpoints
+    must be integers (numkernel.is_integer)."""
 
     vertex_count: int
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self) -> None:
-        if self.vertex_count < 1:
-            raise ValueError("vertex count must be positive")
+        if not (is_integer(self.vertex_count) and self.vertex_count >= 1):
+            raise ValueError("vertex count must be a positive integer")
+        object.__setattr__(self, "vertex_count", int(self.vertex_count))
         seen: set[tuple[int, int]] = set()
         normalized = []
         for u, v, length in self.edges:
+            if not (is_integer(u) and is_integer(v)):
+                raise ValueError("edge endpoints must be integers")
             u, v, length = int(u), int(v), float(length)
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
@@ -277,8 +281,7 @@ def _realize_clique(graph: LengthGraph, clique, n: int) -> tuple[CliqueCheck, li
     try:
         spheres = construct_embedding(_clique_matrix(graph, clique), n)
     except GramInfeasibleError as exc:
-        refused = _inertia_certificate(exc.inertia, n, "inertia", exc.exact)
-        return CliqueCheck(clique, refused, False, exc.reason), None
+        return CliqueCheck(clique, refusal(exc), False, exc.reason), None
     except RealizationError as exc:
         return CliqueCheck(clique, passed, False, str(exc)), None
     return CliqueCheck(clique, passed, True, None), spheres
@@ -294,6 +297,7 @@ def clique_feasible(graph: LengthGraph, n: int) -> tuple[bool, tuple[CliqueCheck
     infeasible. Non-chordal graphs are handled through full maximal-clique
     enumeration, capped at clique size 12.
     """
+    n = numkernel.dimension(n)
     chordality = is_chordal(graph)
     if chordality.chordal:
         cliques = chordality.tree.cliques
@@ -381,11 +385,11 @@ class TargetReport:
 
 
 def verify_target_matrix(matrix, graph: LengthGraph, n: int) -> TargetReport:
-    d = numkernel.as_symmetric(matrix)
+    d, high, low = numkernel.symmetric_extent(matrix)
     if d.shape[0] != graph.vertex_count:
         raise ValueError("matrix order must equal the vertex count")
     failures = []
-    diagonal_ok = float(np.abs(np.diag(d)).max()) <= 1e-12 * numkernel.max_abs(d)
+    diagonal_ok = float(np.abs(np.diag(d)).max()) <= 1e-12 * max(high, -low)
     if not diagonal_ok:
         failures.append("diagonal is not zero")
     u, v, length = np.array(graph.edges, dtype=float).reshape(-1, 3).T
@@ -419,6 +423,7 @@ def complete_chordal(graph: LengthGraph, n: int, *, root_index: int = 0) -> Comp
     placed anchors. Rounding below zero is clipped, and the completed matrix is
     verified against the target conditions before being returned.
     """
+    n = numkernel.dimension(n)
     chordality = is_chordal(graph)
     if not chordality.chordal:
         return CompletionResult(NOT_CHORDAL, witness=chordality.cycle)

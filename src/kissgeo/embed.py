@@ -19,7 +19,7 @@ import numpy as np
 from . import numkernel
 from .kissing import KissingSphere, Plane, Sphere, distance_matrix
 from .lightcone import InverseMapError, from_lightcone
-from .numkernel import EIG_ZERO, Inertia
+from .numkernel import EIG_ZERO, TILE, GramInfeasibleError, Inertia
 
 EMBEDDABLE = "Embeddable"
 NOT_EMBEDDABLE = "NotEmbeddable"
@@ -127,20 +127,27 @@ def _data_border(d: np.ndarray) -> np.ndarray:
 
 
 def _inertia_certificate(found: Inertia, max_negative: int, method: str, exact: bool = True,
-                         **rule) -> Certificate:
-    """The certificate for found under signature_violation(found, max_negative, **rule);
-    exact=False marks found as lower bounds."""
-    violation = numkernel.signature_violation(found, max_negative, exact=exact, **rule)
+                         exactly_one: bool = True) -> Certificate:
+    """The certificate for found under signature_violation(found, max_negative,
+    exactly_one); exact=False marks found as lower bounds."""
+    violation = numkernel.signature_violation(found, max_negative, exactly_one, exact)
     if violation is not None:
         return Certificate(NOT_EMBEDDABLE, method, InertiaWitness(found, violation, exact))
     return Certificate(EMBEDDABLE, method)
 
 
 def _spectrum_certificate(matrix: np.ndarray, max_negative: int, method: str,
-                          **rule) -> Certificate:
+                          exactly_one: bool = True) -> Certificate:
     """The inertia certificate of a matrix, decided by certified_eigen."""
     spectrum = numkernel.certified_eigen(matrix, max_negative + 1)
-    return _inertia_certificate(spectrum.inertia, max_negative, method, spectrum.exact, **rule)
+    return _inertia_certificate(spectrum.inertia, max_negative, method, spectrum.exact,
+                                exactly_one)
+
+
+def refusal(exc: GramInfeasibleError) -> Certificate:
+    """The inertia certificate of a matrix that construct_embedding refused:
+    the error carries check_kissing's witness, so the rule is not run again."""
+    return Certificate(NOT_EMBEDDABLE, "inertia", InertiaWitness(exc.inertia, exc.reason, exc.exact))
 
 
 def _minors_certificate(d: np.ndarray, rank_bound: int, bordered: bool) -> Certificate:
@@ -181,8 +188,7 @@ def check_kissing(matrix, n: int, method: str = "inertia") -> Certificate:
     lexicographically first violation; it is capped at order 12.
     """
     d = validate_squared_distances(matrix)
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
+    n = numkernel.dimension(n)
     method = method.lower()
     if method == "inertia":
         return _spectrum_certificate(d, n, method)
@@ -203,8 +209,7 @@ def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
     the inertia of the Cayley-Menger matrix.
     """
     d = validate_squared_distances(matrix)
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
+    n = numkernel.dimension(n)
     method = method.lower()
     if method == "distance_inertia":
         return _spectrum_certificate(d, n + 1, method)
@@ -220,11 +225,15 @@ def matrices_close(actual, expected) -> bool:
 
     The additive term lets entries near zero match to within ROUND_TRIP_RTOL of the
     matrix's own scale, capped at 1. A NaN in either matrix fails. The
-    comparison runs over numkernel.row_blocks in two block-sized work arrays.
+    comparison runs over the TILE x TILE tiles of expected in two tile-sized
+    work arrays.
     """
     a = np.asarray(actual, dtype=float)
     b = np.asarray(expected, dtype=float)
-    return _all_close(a, b, numkernel.row_blocks(b.shape[0]))
+    rows, cols = b.shape
+    tiles = [(slice(i, i + TILE), slice(j, j + TILE))
+             for i in range(0, rows, TILE) for j in range(0, cols, TILE)]
+    return _all_close(a, b, tiles)
 
 
 def _symmetric_close(actual: np.ndarray, expected: np.ndarray) -> bool:
@@ -240,8 +249,8 @@ def _symmetric_close(actual: np.ndarray, expected: np.ndarray) -> bool:
 
 
 def _all_close(a: np.ndarray, b: np.ndarray, blocks: list) -> bool:
-    """The rule of matrices_close on each block (an index of a and b) in turn,
-    in two work arrays; False at the first block with a violation or a NaN."""
+    """The rule of matrices_close on each tile ((rows, cols) slices of a and b)
+    in turn, in two work arrays; False at the first tile with a violation or a NaN."""
     # The floor is 1 as soon as one entry reaches 1; only smaller data needs the full scan.
     first = b[blocks[0]]
     floor = 1.0 if numkernel.max_abs(first) >= 1.0 else min(1.0, numkernel.max_abs(b))
@@ -278,8 +287,7 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     rule does not exclude.
     """
     d = validate_squared_distances(matrix)
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
+    n = numkernel.dimension(n)
     m = d.shape[0]
     # Row by row: a nonzero row, almost always the first, ends the test early.
     if not any(row.any() for row in d):
@@ -316,41 +324,41 @@ def schur_embedding(matrix, n: int, pivot: tuple[int, int]) -> list[KissingSpher
     D[i, b] > 0 for every i != b, and re-validates by a round trip.
     """
     d = validate_squared_distances(matrix)
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
+    n = numkernel.dimension(n)
     m = d.shape[0]
-    a, b = (int(pivot[0]), int(pivot[1]))
-    if a == b or not (0 <= a < m and 0 <= b < m):
-        raise ValueError("pivot must be two distinct indices in range")
+    a, b = _pivot(pivot, m)
     column = np.delete(d[:, b], b)
     if column.size and float(column.min()) <= 0.0:
         raise InadmissiblePivotError("every distance to the pivot hyperplane index must be positive")
     rest = [i for i in range(m) if i not in (a, b)]
-    tangents: dict[int, tuple[float, ...]] = {}
+    points = np.zeros((len(rest), n - 1))
     if rest:
-        comp = numkernel.schur_complement(d, (a, b))
-        gram = -comp / 2.0
-        values, vecs = numkernel.sym_eigen(gram)
-        cutoff = numkernel.eigen_cutoff(values)
-        if float(values.min()) < -cutoff:
+        values, vecs = numkernel.sym_eigen(-numkernel.schur_complement(d, (a, b)) / 2.0)
+        counts = numkernel.inertia_of_values(values)
+        if counts.negative:
             raise RealizationError("tangent Gram -P/2 is not positive semidefinite to tolerance")
-        spatial_rank = int(np.sum(values > cutoff))
-        if spatial_rank > n - 1:
-            raise RealizationError(f"tangent rank {spatial_rank} exceeds n - 1 = {n - 1}")
-        coords = vecs[:, :spatial_rank] * np.sqrt(values[:spatial_rank])
-        for row, i in enumerate(rest):
-            point = np.zeros(n - 1)
-            point[:spatial_rank] = coords[row]
-            tangents[i] = tuple(point)
+        if counts.positive > n - 1:
+            raise RealizationError(f"tangent rank {counts.positive} exceeds n - 1 = {n - 1}")
+        points[:, :counts.positive] = vecs[:, :counts.positive] * np.sqrt(values[:counts.positive])
+    phi = 1.0 / d[rest, b]
+    points *= phi[:, None]
     out: list[KissingSphere] = [None] * m  # type: ignore[list-item]
     out[b] = Plane(height=1.0)
     out[a] = Sphere(tangent=(0.0,) * (n - 1), diameter=1.0 / d[a, b])
-    for i in rest:
-        phi = 1.0 / d[i, b]
-        out[i] = Sphere(tangent=tuple(phi * c for c in tangents[i]), diameter=phi)
+    for i, point, diameter in zip(rest, points, phi):
+        out[i] = Sphere(tangent=point, diameter=diameter)
     if not _symmetric_close(distance_matrix(out), d):
         raise RealizationError("round trip failed: Schur construction does not reproduce the input")
     return out
+
+
+def _pivot(pivot, m: int) -> tuple[int, int]:
+    """The pivot pair (a, b): two distinct integer indices in range(m)."""
+    a, b = pivot
+    if not (numkernel.is_integer(a) and numkernel.is_integer(b) and a != b
+            and 0 <= a < m and 0 <= b < m):
+        raise ValueError("pivot must be two distinct integer indices in range")
+    return int(a), int(b)
 
 
 def _pivot_determinants(d: np.ndarray, comp: np.ndarray, a: int, b: int) -> tuple[float, float]:
@@ -395,9 +403,7 @@ def verify_schur_relations(matrix, pivot: tuple[int, int]) -> SchurReport:
     """
     d = validate_squared_distances(matrix)
     m = d.shape[0]
-    a, b = (int(pivot[0]), int(pivot[1]))
-    if a == b or not (0 <= a < m and 0 <= b < m):
-        raise ValueError("pivot must be two distinct indices in range")
+    a, b = _pivot(pivot, m)
     comp = numkernel.schur_complement(d, (a, b))
     det_full, det_expected = _pivot_determinants(d, comp, a, b)
     # The identity is tested on D / unit, an exact rescale with max in [1, 2).

@@ -15,6 +15,7 @@ import numpy as np
 from . import numkernel
 from .completion import LengthGraph
 from .kissing import KissingSphere, Plane, Sphere
+from .numkernel import is_integer
 from .spheres import EuclideanSphere
 
 
@@ -25,11 +26,6 @@ class SchemaError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise SchemaError(message)
-
-
-def _is_integer(value) -> bool:
-    """A JSON integer: an int that is not a bool, which Python counts as one."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(value, message: str) -> float:
@@ -68,7 +64,7 @@ def load_sphere_set(obj) -> tuple[int, list[KissingSphere]]:
     """{"n": int >= 2, "spheres": [{"t": [...], "phi": real} | {"h": real}, ...]}"""
     _require(isinstance(obj, dict), "sphere set must be a JSON object")
     n = obj.get("n")
-    _require(_is_integer(n) and n >= 2, '"n" must be an integer >= 2')
+    _require(is_integer(n) and n >= 2, '"n" must be an integer >= 2')
     raw = obj.get("spheres")
     _require(isinstance(raw, list) and raw, '"spheres" must be a nonempty list')
     spheres: list[KissingSphere] = []
@@ -134,10 +130,10 @@ def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarra
         marker = obj.get("diag")
         _require(marker == -1, 'separation input must carry the marker "diag": -1')
     try:
-        matrix = numkernel.as_symmetric(matrix, rtol=1e-12)
+        matrix, high, low = numkernel.symmetric_extent(matrix, rtol=1e-12)
     except ValueError:
         raise SchemaError("matrix must be symmetric (1e-12 relative)") from None
-    _require(float(np.abs(np.diag(matrix) - diagonal).max()) <= 1e-12 * numkernel.max_abs(matrix),
+    _require(float(np.abs(np.diag(matrix) - diagonal).max()) <= 1e-12 * max(high, -low),
              f"matrix diagonal must be {diagonal:g}")
     return labels, matrix
 
@@ -153,7 +149,7 @@ def load_graph(obj) -> LengthGraph:
     """{"vertices": int, "edges": [{"u": int, "v": int, "len": real}, ...]}"""
     _require(isinstance(obj, dict), "graph input must be a JSON object")
     vertices = obj.get("vertices")
-    _require(_is_integer(vertices) and vertices >= 1,
+    _require(is_integer(vertices) and vertices >= 1,
              '"vertices" must be a positive integer')
     raw = obj.get("edges")
     _require(isinstance(raw, list), '"edges" must be a list')
@@ -162,7 +158,7 @@ def load_graph(obj) -> LengthGraph:
         _require(isinstance(item, dict) and {"u", "v", "len"} <= set(item),
                  f"edge {i} must carry 'u', 'v', 'len'")
         u, v = item["u"], item["v"]
-        _require(_is_integer(u) and _is_integer(v), f"edge {i}: endpoints must be integers")
+        _require(is_integer(u) and is_integer(v), f"edge {i}: endpoints must be integers")
         length = _number(item["len"], f"edge {i}: 'len' must be a finite number")
         _require(length >= 0.0, f"edge {i}: 'len' must be nonnegative")
         edges.append((u, v, length))
@@ -183,7 +179,7 @@ def load_vectors(obj) -> tuple[int, np.ndarray]:
     """{"n": int, "vectors": [[n+1 coordinates], ...]}"""
     _require(isinstance(obj, dict), "vector input must be a JSON object")
     n = obj.get("n")
-    _require(_is_integer(n) and n >= 1, '"n" must be a positive integer')
+    _require(is_integer(n) and n >= 1, '"n" must be a positive integer')
     raw = obj.get("vectors")
     _require(isinstance(raw, list) and raw, '"vectors" must be a nonempty list')
     out = np.zeros((len(raw), n + 1))
@@ -205,7 +201,7 @@ def load_euclidean_spheres(obj) -> tuple[int, list[EuclideanSphere]]:
     """{"n": int, "spheres": [{"c": [...], "r": real}, ...]}"""
     _require(isinstance(obj, dict), "sphere input must be a JSON object")
     n = obj.get("n")
-    _require(_is_integer(n) and n >= 1, '"n" must be a positive integer')
+    _require(is_integer(n) and n >= 1, '"n" must be a positive integer')
     raw = obj.get("spheres")
     _require(isinstance(raw, list) and raw, '"spheres" must be a nonempty list')
     spheres = []

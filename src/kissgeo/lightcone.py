@@ -174,23 +174,6 @@ def to_lightcone_curved(direction, diameter: float, kappa: float) -> np.ndarray:
     return coeff * np.append(u, 1.0)
 
 
-def apply_lorentz(transform, x) -> np.ndarray:
-    mat = np.asarray(transform, dtype=float)
-    v = _as_vector(x)
-    if mat.shape != (v.size, v.size):
-        raise ValueError("dimension mismatch")
-    return mat @ v
-
-
-def compose(first, second) -> np.ndarray:
-    """Map applying `second` first, then `first`."""
-    a = np.asarray(first, dtype=float)
-    b = np.asarray(second, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape != b.shape:
-        raise ValueError("dimension mismatch")
-    return a @ b
-
-
 def lorentz_inverse(transform) -> np.ndarray:
     mat = np.asarray(transform, dtype=float)
     eta = signature_form(mat.shape[0])

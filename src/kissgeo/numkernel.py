@@ -55,17 +55,22 @@ class Inertia(NamedTuple):
         return self.positive + self.negative + self.zero
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer that is not a bool, which Python counts as an int."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def dimension(n) -> int:
+    """The dimension n as an int; n must be an integer >= 1 (see is_integer)."""
+    if not (is_integer(n) and n >= 1):
+        raise ValueError(f"dimension n must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 # Side of the square tiles in which whole-matrix passes read an m x m matrix:
 # 128 x 128 doubles (128 KiB), so that a tile, its mirror and a work tile stay
-# in a typical L2 cache. Row-wise passes take blocks of about as many entries.
+# in a typical L2 cache.
 TILE = 128
-
-
-def row_blocks(m: int) -> list[slice]:
-    """Consecutive row slices covering range(m), each of about TILE * TILE
-    entries of an m-column matrix."""
-    rows = max(1, TILE * TILE // m)
-    return [slice(i, i + rows) for i in range(0, m, rows)]
 
 
 def tile_pairs(m: int):
@@ -235,14 +240,15 @@ def inertia(matrix) -> Inertia:
 
 
 def signature_violation(found: Inertia, max_negative: int, exactly_one: bool = True,
-                        note: str = "", exact: bool = True) -> str | None:
+                        exact: bool = True) -> str | None:
     """The requirement of the signature rule that found breaks, or None.
 
-    The rule behind every certificate: exactly one positive eigenvalue (at
-    most one when exactly_one is False) and at most max_negative negative
-    ones; note is appended to the negative-count requirement. Rank zero, the
-    identically zero matrix, always passes: its shared-point realization needs
-    no positive eigenvalue. When exact is False, found holds proven lower
+    The rule behind every certificate: exactly one positive eigenvalue and
+    at most max_negative negative ones. When exactly_one is False, at most
+    one positive eigenvalue is asked for, so the rank is at most
+    max_negative + 1, and the negative-count requirement says so. Rank zero,
+    the identically zero matrix, always passes: its shared-point realization
+    needs no positive eigenvalue. When exact is False, found holds proven lower
     bounds on the counts, which can break only the upper limits: more than
     one positive, or more than max_negative negative eigenvalues.
     """
@@ -251,7 +257,8 @@ def signature_violation(found: Inertia, max_negative: int, exactly_one: bool = T
     if found.positive > 1 or (exact and exactly_one and found.positive == 0):
         return "exactly one positive eigenvalue" if exactly_one else "at most one positive eigenvalue"
     if found.negative > max_negative:
-        return f"at most {max_negative} negative eigenvalues{note}"
+        rank = "" if exactly_one else f" (rank at most {max_negative + 1})"
+        return f"at most {max_negative} negative eigenvalues{rank}"
     return None
 
 
@@ -413,13 +420,17 @@ def _interlacing_refusal(q: np.ndarray, mu: np.ndarray, v: np.ndarray, norm_sq: 
 def schur_complement(matrix, pivot_indices: Iterable[int]) -> np.ndarray:
     """Eliminate the pivot block: A - B D^{-1} B^T over the remaining indices.
 
-    The remaining indices keep their original relative order. A pivot block
+    The pivot indices must be integers (is_integer). The remaining indices
+    keep their original relative order. A pivot block
     that is singular to tolerance raises SingularPivotError; it is never
     silently regularized.
     """
     a = as_symmetric(matrix)
     m = a.shape[0]
-    pivots = sorted({int(i) for i in pivot_indices})
+    given = list(pivot_indices)
+    if not all(is_integer(i) for i in given):
+        raise ValueError("pivot indices must be integers")
+    pivots = sorted({int(i) for i in given})
     if pivots and (pivots[0] < 0 or pivots[-1] >= m):
         raise ValueError("pivot index out of range")
     rest = [i for i in range(m) if i not in set(pivots)]
@@ -495,8 +506,7 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     Column signs are left to callers.
     """
     a = as_symmetric(matrix)
-    if n < 1:
-        raise ValueError("spatial dimension n must be >= 1")
+    n = dimension(n)
     m = a.shape[0]
     spectrum = certified_eigen(a, n + 1)
     violation = signature_violation(spectrum.inertia, n, exact=spectrum.exact)

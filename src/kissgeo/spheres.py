@@ -143,17 +143,15 @@ def check_spheres(matrix, n: int, method: str = "inertia") -> Certificate:
     order 12.
     """
     s = validate_separation_matrix(matrix)
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
+    n = numkernel.dimension(n)
     method = method.lower()
-    rule = {"exactly_one": False, "note": f" (rank at most {n + 2})"}
     if method == "inertia":
-        return _spectrum_certificate(s, n + 1, method, **rule)
+        return _spectrum_certificate(s, n + 1, method, exactly_one=False)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
     sums = numkernel.principal_minor_sums(s)
     counts = _descartes_inertia(sums, s.shape[0], numkernel.max_abs(s))
-    return _inertia_certificate(counts, n + 1, method, **rule)
+    return _inertia_certificate(counts, n + 1, method, exactly_one=False)
 
 
 def kissing_cone_embed(anchor, vector) -> np.ndarray:

@@ -232,6 +232,19 @@ class TestEmbed:
         assert code == expected
         assert len(calls) == 1
 
+    def test_refusal_runs_the_signature_rule_once(self, tmp_path, capsys, monkeypatch):
+        """The refusal payload is read from the factorization's error; the
+        signature rule is not run a second time."""
+        calls = []
+        real = numkernel.signature_violation
+        monkeypatch.setattr(numkernel, "signature_violation",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        path = write(tmp_path, "m.json", TANGENT_TRIPLE_MATRIX)
+        code, out, _ = run(capsys, ["embed", path, "--n", "1"])
+        assert code == 1
+        assert json.loads(out)["witness"]["requirement"] == "at most 1 negative eigenvalues"
+        assert len(calls) == 1
+
     def test_off_cone_factor_row_is_numerical(self, tmp_path, capsys):
         graph = off_cone_graph()
         clique = (1, 5, 6, 18)

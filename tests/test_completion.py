@@ -63,6 +63,24 @@ class TestLengthGraph:
         with pytest.raises(ValueError):
             LengthGraph(2, ((0, 3, 1.0),))
 
+    @pytest.mark.parametrize("vertices, edges", [
+        (3, ((0, 1.5, 1.0),)),
+        (3, ((True, 2, 1.0),)),
+        (3, (("0", 1, 1.0),)),
+        (True, ()),
+        (2.0, ()),
+    ], ids=["fractional endpoint", "boolean endpoint", "string endpoint",
+            "boolean count", "float count"])
+    def test_integers_only(self, vertices, edges):
+        with pytest.raises(ValueError, match="integer"):
+            LengthGraph(vertices, edges)
+
+    def test_numpy_integers_are_integers(self):
+        g = LengthGraph(np.int64(3), ((np.int32(2), np.int64(0), 1.0),))
+        assert g == LengthGraph(3, ((0, 2, 1.0),))
+        assert type(g.vertex_count) is int
+        assert all(type(u) is int and type(v) is int for u, v, _ in g.edges)
+
 
 class TestIsChordal:
     def test_complete_graph(self):
@@ -340,6 +358,19 @@ class TestCliqueFeasible:
         assert check.certificate == check_kissing(np.ones((3, 3)) - np.eye(3), 1)
         assert check.diagnostic == check.certificate.witness.requirement
         assert check.diagnostic == "at most 1 negative eigenvalues"
+
+    def test_refusal_runs_the_signature_rule_once(self, monkeypatch):
+        """The refused clique's certificate is read from the factorization's
+        error; the signature rule is not run a second time."""
+        from kissgeo import numkernel
+
+        calls = []
+        real = numkernel.signature_violation
+        monkeypatch.setattr(numkernel, "signature_violation",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        ok, (check,) = clique_feasible(complete_graph(3), 1)
+        assert not ok and check.diagnostic == "at most 1 negative eigenvalues"
+        assert len(calls) == 1
 
     def test_non_chordal_graph_checks_all_cliques(self):
         ok, checks = clique_feasible(cycle_graph(4), 2)

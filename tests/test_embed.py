@@ -23,8 +23,15 @@ from kissgeo.embed import (
     verify_schur_relations,
 )
 from kissgeo import embed, numkernel
+from kissgeo.completion import LengthGraph, clique_feasible, complete_chordal
 from kissgeo.kissing import Plane, Sphere, distance_matrix
-from kissgeo.numkernel import GramInfeasibleError, Inertia, SingularPivotError
+from kissgeo.numkernel import (
+    GramInfeasibleError,
+    Inertia,
+    SingularPivotError,
+    gram_factor_lorentz,
+    schur_complement,
+)
 from kissgeo.spheres import check_spheres
 
 TANGENT_TRIPLE = np.ones((3, 3)) - np.eye(3)
@@ -53,6 +60,59 @@ class TestCayleyMenger:
         det = np.linalg.det(cayley_menger(TRIANGLE_345))
         assert det == pytest.approx(-16.0 * area**2, rel=1e-9)
         assert det == pytest.approx(-576.0, rel=1e-9)
+
+
+TRIANGLE = LengthGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
+
+# Every entry point that takes the dimension n, called on valid data.
+DIMENSION_ENTRY_POINTS = {
+    "check_kissing": lambda n: check_kissing(TANGENT_TRIPLE, n),
+    "check_euclidean": lambda n: check_euclidean(TANGENT_TRIPLE, n),
+    "construct_embedding": lambda n: construct_embedding(TANGENT_TRIPLE, n),
+    "schur_embedding": lambda n: schur_embedding(TANGENT_TRIPLE, n, (0, 2)),
+    "check_spheres": lambda n: check_spheres(-np.eye(2), n),
+    "gram_factor_lorentz": lambda n: gram_factor_lorentz(TANGENT_TRIPLE, n),
+    "complete_chordal": lambda n: complete_chordal(TRIANGLE, n),
+    "clique_feasible": lambda n: clique_feasible(TRIANGLE, n),
+}
+
+
+class TestDimensionRule:
+    """n must be an integer >= 1 at every entry point: numpy integers are
+    integers, bools and fractional values are not."""
+
+    @pytest.mark.parametrize("name", DIMENSION_ENTRY_POINTS)
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, 0, -1, "2", None])
+    def test_refused(self, name, n):
+        with pytest.raises(ValueError, match="^dimension n must be an integer >= 1"):
+            DIMENSION_ENTRY_POINTS[name](n)
+
+    @pytest.mark.parametrize("name", DIMENSION_ENTRY_POINTS)
+    def test_numpy_integers_accepted(self, name):
+        call = DIMENSION_ENTRY_POINTS[name]
+        assert repr(call(np.int64(2))) == repr(call(np.int32(2))) == repr(call(2))
+
+
+class TestPivotIntegers:
+    @pytest.mark.parametrize("pivot", [(0, 1.5), (1.0, 2), (True, 0), (0, False)])
+    def test_schur_routes_refuse_non_integer_pivots(self, pivot):
+        with pytest.raises(ValueError, match="^pivot must be two distinct integer indices"):
+            schur_embedding(TANGENT_TRIPLE, 2, pivot)
+        with pytest.raises(ValueError, match="^pivot must be two distinct integer indices"):
+            verify_schur_relations(TANGENT_TRIPLE, pivot)
+
+    @pytest.mark.parametrize("pivots", [[0.7, 1], [True, 1], [0, 1.0]])
+    def test_schur_complement_refuses_non_integer_indices(self, pivots):
+        with pytest.raises(ValueError, match="^pivot indices must be integers$"):
+            schur_complement(TANGENT_TRIPLE, pivots)
+
+    def test_numpy_integer_pivots(self):
+        pivot = (np.int64(0), np.int32(2))
+        assert schur_embedding(TANGENT_TRIPLE, 2, pivot) == schur_embedding(TANGENT_TRIPLE, 2, (0, 2))
+        assert verify_schur_relations(TANGENT_TRIPLE, pivot) == verify_schur_relations(
+            TANGENT_TRIPLE, (0, 2))
+        assert np.array_equal(schur_complement(TANGENT_TRIPLE, np.array([0, 2])),
+                              schur_complement(TANGENT_TRIPLE, [0, 2]))
 
 
 class TestCheckKissing:
@@ -454,12 +514,12 @@ class TestMatricesClose:
             old = float(np.max(np.abs(actual - expected) / (1.0 + np.abs(expected)))) <= 1e-7
             assert matrices_close(actual, expected) == old
 
-    def test_floor_is_one_when_the_largest_entry_is_past_the_first_row_block(self):
+    def test_floor_is_one_when_the_largest_entry_is_past_the_first_tile(self):
         m = 300
         expected = np.full((m, m), 0.01)
         np.fill_diagonal(expected, 0.0)
         expected[m - 1, m - 2] = expected[m - 2, m - 1] = 10.0
-        assert numkernel.max_abs(expected[numkernel.row_blocks(m)[0]]) < 1.0
+        assert numkernel.max_abs(expected[:numkernel.TILE, :numkernel.TILE]) < 1.0
         near = expected.copy()
         near[0, 1] = near[1, 0] = 0.01 + 5e-8
         assert matrices_close(near, expected)
