@@ -295,16 +295,11 @@ def clique_feasible(graph: LengthGraph, n: int) -> tuple[bool, tuple[CliqueCheck
     signature witness, and a clique whose certificate passes but whose
     construction fails (a degenerate zero-distance pattern) is demoted to
     infeasible. Non-chordal graphs are handled through full maximal-clique
-    enumeration, capped at clique size 12.
+    enumeration.
     """
     n = numkernel.dimension(n)
     chordality = is_chordal(graph)
-    if chordality.chordal:
-        cliques = chordality.tree.cliques
-    else:
-        cliques = _all_maximal_cliques(graph)
-        if any(len(c) > 12 for c in cliques):
-            raise ValueError("clique size cap exceeded on a non-chordal input")
+    cliques = chordality.tree.cliques if chordality.chordal else _all_maximal_cliques(graph)
     checks = tuple(_realize_clique(graph, clique, n)[0] for clique in cliques)
     return all(c.realized for c in checks), checks
 
@@ -323,11 +318,13 @@ def _anchored_null_vector(anchors: np.ndarray, targets: np.ndarray,
     system = anchors @ eta
     rhs = -targets
     particular, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    scale = max(1.0, float(np.abs(targets).max()), float(np.abs(anchors).max()) ** 2)
+    # After the division the largest anchor entry, and so the top singular
+    # value of the system, is at least 1.
+    scale = max(float(np.abs(targets).max()), float(np.abs(anchors).max()) ** 2)
     if float(np.linalg.norm(system @ particular - rhs)) > RESIDUAL * scale:
         raise AlignmentError("anchored gluing: product constraints are inconsistent")
     _, singular, vt = np.linalg.svd(system)
-    rank = int(np.sum(singular > max(singular[0], 1.0) * 1e-12)) if singular.size else 0
+    rank = int(np.sum(singular > singular[0] * 1e-12))
     null_basis = vt[rank:].T
     base_norm = float(particular @ eta @ particular)
     if null_basis.shape[1] == 0:

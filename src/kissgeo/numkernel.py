@@ -199,7 +199,7 @@ def signature_form(dim: int) -> np.ndarray:
 
 def sym_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues in descending order with matching orthonormal eigenvector columns."""
-    a = as_symmetric(matrix)
+    a, high, low = symmetric_extent(matrix)
     try:
         values, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -207,7 +207,7 @@ def sym_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = vectors[:, order]
-    scale = max_abs(a)
+    scale = max(high, -low)
     # |(V diag(values)) V^T - a| in the one buffer the product occupies.
     product = (vectors * values) @ vectors.T
     product -= a

@@ -165,11 +165,14 @@ def kissing_cone_embed(anchor, vector) -> np.ndarray:
     v = np.asarray(vector, dtype=float)
     if a.shape != v.shape or a.ndim != 1:
         raise ValueError("dimension mismatch")
+    if not (np.isfinite(a).all() and np.isfinite(v).all()):
+        raise ValueError("vectors must be finite")
     scale = max(1.0, float(a @ a), float(v @ v))
-    if abs(minkowski_inner(a, a) - 1.0) > RESIDUAL * scale:
+    # Written so that a NaN (an overflowed product) fails each test.
+    if not abs(minkowski_inner(a, a) - 1.0) <= RESIDUAL * scale:
         raise ValueError("anchor is not on the unit pseudosphere")
-    if abs(minkowski_inner(v, v) - 1.0) > RESIDUAL * scale:
+    if not abs(minkowski_inner(v, v) - 1.0) <= RESIDUAL * scale:
         raise ValueError("vector is not on the unit pseudosphere")
-    if abs(minkowski_inner(v, a) + 1.0) > RESIDUAL * scale:
+    if not abs(minkowski_inner(v, a) + 1.0) <= RESIDUAL * scale:
         raise ValueError("vectors are not tangent: mutual product must be -1")
     return (SQRT2 / 2.0) * (a + v)

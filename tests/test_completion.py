@@ -377,6 +377,19 @@ class TestCliqueFeasible:
         assert ok
         assert len(checks) == 4
 
+    def test_non_chordal_graph_with_a_13_clique_checks_every_clique(self, rng):
+        # 16 spheres in ambient dimension 3: vertices 0-12 pairwise joined,
+        # and a chordless 4-cycle 0-13-14-15 hanging off vertex 0.
+        spheres = [random_sphere(rng, 3) for _ in range(16)]
+        pairs = list(combinations(range(13), 2)) + [(0, 13), (13, 14), (14, 15), (0, 15)]
+        g = LengthGraph(16, tuple((u, v, distance(spheres[u], spheres[v])) for u, v in pairs))
+        assert not is_chordal(g).chordal
+        ok, checks = clique_feasible(g, 3)
+        assert ok
+        assert [c.clique for c in checks] == [
+            tuple(range(13)), (0, 13), (0, 15), (13, 14), (14, 15)]
+        assert all(c.realized for c in checks)
+
 
 class TestCompleteChordal:
     def test_path(self):

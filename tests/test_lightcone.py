@@ -311,6 +311,58 @@ class TestFromLightconeStack:
                 from_lightcone(bad)
 
 
+@st.composite
+def stacks_with_one_bad_row(draw):
+    """A stack of to_lightcone images at one scale, (m, n+1) in either memory
+    layout, with row k made zero, moved off the cone by scaling its time
+    coordinate, or negated; with the stack before the change."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-20, 1e-3, 1.0, 1e3, 1e20]))
+    coords = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    rows = []
+    for _ in range(m):
+        if draw(st.integers(0, 4)) == 0:
+            p = Plane(draw(SCALES.filter(lambda h: 1e-20 <= h <= 1e20)))
+        else:
+            tangent = draw(st.lists(coords, min_size=n - 1, max_size=n - 1))
+            p = Sphere(tuple(tangent), draw(st.sampled_from([1e-3, 0.5, 1.0, 2.0, 1e3])))
+        rows.append(scale * to_lightcone(p, n))
+    clean = np.array(rows)
+    stack = clean.copy()
+    k = draw(st.integers(0, m - 1))
+    kind = draw(st.sampled_from(["zero", "off cone", "past"]))
+    if kind == "zero":
+        stack[k] = 0.0
+    elif kind == "off cone":
+        # The time coordinate is the largest entry of an image, and nonzero.
+        stack[k, -1] *= 1.0 + draw(st.sampled_from([1e-6, 1e-3, 0.5]))
+    else:
+        stack[k] = -stack[k]
+    order = draw(st.sampled_from("CF"))
+    return np.array(clean, order=order), np.array(stack, order=order), k
+
+
+class TestOneFutureNullRule:
+    """from_lightcone and lorentz_align read a stack by one rule: the same
+    first refused row, with the same reason."""
+
+    @given(stacks_with_one_bad_row())
+    @settings(max_examples=300)
+    def test_both_refuse_the_same_row_for_the_same_reason(self, case):
+        clean, stack, k = case
+        with pytest.raises(InverseMapError) as err:
+            from_lightcone(stack)
+        assert err.value.row == k
+        reason = str(err.value)
+        with pytest.raises(AlignmentError) as err:
+            lorentz_align(stack, stack)
+        assert str(err.value) == f"source vector {k}: {reason}"
+        with pytest.raises(AlignmentError) as err:
+            lorentz_align(clean, stack)
+        assert str(err.value) == f"target vector {k}: {reason}"
+
+
 class TestCurvedMap:
     def test_infinite_diameter(self):
         out = to_lightcone_curved((1.0, 0.0), math.inf, 1.0)
@@ -330,6 +382,14 @@ class TestCurvedMap:
             to_lightcone_curved((1.0, 0.0), 2.0, 0.0)
         with pytest.raises(ValueError, match="unit"):
             to_lightcone_curved((2.0, 0.0), 2.0, 1.0)
+
+    def test_nan_refused(self):
+        for direction in ((math.nan, 0.0), (math.inf, 0.0)):
+            with pytest.raises(ValueError, match="^direction must be a unit vector$"):
+                to_lightcone_curved(direction, 2.0, 1.0)
+        for diameter, kappa in ((math.nan, 1.0), (2.0, math.nan)):
+            with pytest.raises(ValueError, match="^curvature and diameter must not be NaN$"):
+                to_lightcone_curved((1.0, 0.0), diameter, kappa)
 
     def test_images_are_null(self, rng):
         for _ in range(20):
@@ -355,6 +415,13 @@ class TestLorentzPredicates:
 
     def test_non_square_rejected(self):
         assert not is_lorentz(np.eye(3)[:2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        for entry in ((0, 1), (2, 2)):
+            m = np.eye(3)
+            m[entry] = bad
+            assert not is_lorentz(m)
 
     def test_compose_and_inverse(self, rng):
         a = random_lorentz(rng, 4)
@@ -408,13 +475,14 @@ class TestLorentzAlign:
             assert np.allclose(x @ transform.T, y, atol=1e-8)
 
     def test_zero_rows_match_zero_rows(self):
-        x = np.array([[0.0, 0.0, 0.0], [SQRT2 / 2, 0.0, SQRT2 / 2]])
-        y = np.array([[0.0, 0.0, 0.0], [SQRT2 / 2, 0.0, SQRT2 / 2]])
-        transform = lorentz_align(x, y)
-        assert is_lorentz(transform)
-        bad = np.array([[0.1, 0.0, 0.1], [SQRT2 / 2, 0.0, SQRT2 / 2]])
-        with pytest.raises(AlignmentError, match="zero"):
-            lorentz_align(x, bad)
+        # A zero row is not a future null vector on either side, as in from_lightcone.
+        x = np.array([[SQRT2 / 2, 0.0, SQRT2 / 2], [0.0, 0.0, 0.0]])
+        good = np.array([[SQRT2 / 2, 0.0, SQRT2 / 2], [0.1, 0.0, 0.1]])
+        zero = "vector 1: the zero vector is not on the future lightcone"
+        with pytest.raises(AlignmentError, match=f"^source {zero}$"):
+            lorentz_align(x, x.copy())
+        with pytest.raises(AlignmentError, match=f"^target {zero}$"):
+            lorentz_align(good, x)
 
     def test_gram_mismatch_rejected(self, rng):
         x = [to_lightcone(random_sphere(rng, 3)) for _ in range(2)]
@@ -424,15 +492,17 @@ class TestLorentzAlign:
 
     def test_inconsistent_proportional_nulls_rejected(self):
         # Equal Grams (all zero products) but incompatible scale factors:
-        # no linear map can reconcile the systems.
+        # no linear map can reconcile the systems. The frames see only the
+        # first vector, so only the final residual check refuses the map.
         x0 = np.array([SQRT2 / 2, 0.0, SQRT2 / 2])
-        with pytest.raises(AlignmentError, match="dependent"):
+        with pytest.raises(AlignmentError, match="residual"):
             lorentz_align([x0, 2.0 * x0], [x0, 3.0 * x0])
 
     def test_spacelike_source_rejected(self):
         # Matching Grams, but the vectors are spacelike, not null.
         x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        with pytest.raises(AlignmentError, match="^source vector 0 is not null$"):
+        with pytest.raises(AlignmentError,
+                           match="^source vector 0: vector is not null to tolerance$"):
             lorentz_align(x, x.copy())
 
     def test_past_directed_rejected(self):
@@ -453,7 +523,20 @@ class TestLorentzAlign:
         assert np.abs(x @ transform.T - y).max() <= 1e-14 * np.abs(y).max()
 
     def test_all_zero_systems_give_the_identity(self):
-        assert np.array_equal(lorentz_align(np.zeros((2, 3)), np.zeros((2, 3))), np.eye(3))
+        # The zero vector is not on the future lightcone.
+        with pytest.raises(AlignmentError,
+                           match="^source vector 0: the zero vector is not on the future"):
+            lorentz_align(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_refused(self, bad):
+        # Refused before any linear algebra reaches the entries.
+        x = np.stack([to_lightcone(Sphere((0.0, 1.0), 1.0)), to_lightcone(Sphere((2.0, 0.5), 0.5))])
+        y = x.copy()
+        y[1, 0] = bad
+        for source, target in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="^vectors must be finite$"):
+                lorentz_align(source, target)
 
     def test_near_coincident_pair_is_aligned_or_refused(self):
         # Two unit spheres whose tangent points are delta apart, moved by 0.5.

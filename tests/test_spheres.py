@@ -220,6 +220,24 @@ class TestKissingConeEmbed:
         with pytest.raises(ValueError, match="pseudosphere"):
             kissing_cone_embed(2.0 * x_p, x_p)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        x_p = hyperboloid_embed(EuclideanSphere((0.0, 0.0), 1.0))
+        x_q = hyperboloid_embed(EuclideanSphere((2.0, 0.0), 1.0))
+        broken = x_q.copy()
+        broken[0] = bad
+        for anchor, vector in ((broken, x_q), (x_p, broken)):
+            with pytest.raises(ValueError, match="^vectors must be finite$"):
+                kissing_cone_embed(anchor, vector)
+
+    def test_overflowed_products_are_refused(self):
+        # Finite entries whose self-product overflows: inf - inf is NaN, which
+        # fails the pseudosphere test instead of passing it.
+        huge = np.array([1e200, 0.0, 0.0, 1e200])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="anchor is not on the unit pseudosphere"):
+            kissing_cone_embed(huge, huge)
+
     def test_cross_model_consistency(self, rng):
         # Spheres tangent to a fixed anchor, seen two ways: cone images in the
         # anchor's pseudosphere model, and kissing spheres after a conformal
