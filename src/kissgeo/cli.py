@@ -116,7 +116,10 @@ def _cmd_lightcone(args) -> int:
     payload = _read_json(args.input)
     if args.inverse:
         n, vectors = io.load_vectors(payload)
-        recovered = lightcone.from_lightcone(vectors)
+        try:
+            recovered = lightcone.from_lightcone(vectors)
+        except lightcone.InverseMapError as exc:
+            raise ValueError(f"vector {exc.row}: {exc}") from exc
         _emit(io.dump_sphere_set(n, recovered), args.output)
         return EXIT_OK
     n, sphere_set = io.load_sphere_set(payload)

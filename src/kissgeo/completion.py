@@ -32,7 +32,7 @@ from .embed import (
     refusal,
 )
 from .lightcone import AlignmentError, lorentz_align, to_lightcone
-from .numkernel import RESIDUAL, GramInfeasibleError, is_integer, signature_form
+from .numkernel import GramInfeasibleError, is_integer, signature_form
 
 COMPLETED = "Completed"
 INFEASIBLE = "Infeasible"
@@ -304,63 +304,6 @@ def clique_feasible(graph: LengthGraph, n: int) -> tuple[bool, tuple[CliqueCheck
     return all(c.realized for c in checks), checks
 
 
-def _anchored_null_vector(anchors: np.ndarray, targets: np.ndarray,
-                          eta: np.ndarray) -> np.ndarray:
-    """Future null vector z with <z, anchor_i> = -targets_i for every anchor.
-
-    Least-squares on the linear product constraints, then a null-space
-    correction chosen along an eigendirection of the residual form to land on
-    the cone exactly. It runs on anchors divided by a power of two s and
-    targets by s^2, exactly, so that its thresholds act at the data's scale.
-    """
-    unit = numkernel.power_of_two_below(float(np.abs(anchors).max()))
-    anchors, targets = anchors / unit, targets / (unit * unit)
-    system = anchors @ eta
-    rhs = -targets
-    particular, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    # After the division the largest anchor entry, and so the top singular
-    # value of the system, is at least 1.
-    scale = max(float(np.abs(targets).max()), float(np.abs(anchors).max()) ** 2)
-    if float(np.linalg.norm(system @ particular - rhs)) > RESIDUAL * scale:
-        raise AlignmentError("anchored gluing: product constraints are inconsistent")
-    _, singular, vt = np.linalg.svd(system)
-    rank = int(np.sum(singular > singular[0] * 1e-12))
-    null_basis = vt[rank:].T
-    base_norm = float(particular @ eta @ particular)
-    if null_basis.shape[1] == 0:
-        if abs(base_norm) > RESIDUAL * scale:
-            raise AlignmentError("anchored gluing: constrained vector is not null")
-        candidate = particular
-    else:
-        form = null_basis.T @ eta @ null_basis
-        form = (form + form.T) / 2.0
-        cross = null_basis.T @ eta @ particular
-        values, vecs = np.linalg.eigh(form)
-        order = np.argsort(-np.abs(values), kind="stable")
-        candidate = None
-        for idx in order:
-            quad = float(values[idx])
-            lin = 2.0 * float(cross @ vecs[:, idx])
-            if abs(quad) <= 1e-14:
-                if abs(lin) <= 1e-14:
-                    continue
-                alpha = -base_norm / lin
-            else:
-                disc = lin * lin - 4.0 * quad * base_norm
-                if disc < 0.0:
-                    continue
-                root = math.sqrt(disc)
-                options = [(-lin - root) / (2.0 * quad), (-lin + root) / (2.0 * quad)]
-                alpha = min(options, key=abs)
-            candidate = particular + alpha * (null_basis @ vecs[:, idx])
-            break
-        if candidate is None:
-            raise AlignmentError("anchored gluing: no null solution along the residual form")
-    if candidate[-1] <= 0.0:
-        raise AlignmentError("anchored gluing: solution is not future-directed")
-    return candidate * unit
-
-
 @dataclass(frozen=True)
 class TargetReport:
     """The four target-matrix conditions, reported independently.
@@ -407,26 +350,46 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int) -> TargetReport:
     return TargetReport(diagonal_ok, edges_ok, rank_ok, signature_ok, tuple(failures))
 
 
-def complete_chordal(graph: LengthGraph, n: int, *, root_index: int = 0) -> CompletionResult:
+def _center(neighbors) -> int:
+    """A center of a tree given by its adjacency lists of (node, label): the
+    middle node of a longest path, whose ends two breadth-first passes find."""
+
+    def farthest(start: int) -> tuple[int, dict[int, int | None]]:
+        parents: dict[int, int | None] = {start: None}
+        queue = deque([start])
+        while queue:
+            last = queue.popleft()
+            for node, _ in neighbors[last]:
+                if node not in parents:
+                    parents[node] = last
+                    queue.append(node)
+        return last, parents
+
+    end, parents = farthest(farthest(0)[0])
+    path = [end]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return path[len(path) // 2]
+
+
+def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
     """Complete the missing distances of a chordal length graph at dimension n.
 
     Each maximal clique is realized and mapped to future null vectors, and one
-    breadth-first walk from the root clique places them. A child's map to the
-    root frame is its parent's composed with the Lorentz alignment of their
-    separator vectors; a new component, across an empty separator, inherits
-    its parent's map (the identity if the parent has none). So the completed
-    matrix does not depend on the root. When the alignment fails, or the parent
-    has no map, the child's new vertices are solved one by one against the
-    placed anchors. Rounding below zero is clipped, and the completed matrix is
-    verified against the target conditions before being returned.
+    breadth-first walk from a center of the clique tree places them, so that
+    no clique is farther than half the tree's diameter from the root. A
+    child's map to the root frame is its parent's composed with the Lorentz
+    alignment of their separator vectors; a new component, across an empty
+    separator, inherits its parent's map. A refused alignment makes the graph
+    Infeasible with the alignment's reason. Rounding below zero is clipped,
+    and the completed matrix is verified against the target conditions before
+    being returned.
     """
     n = numkernel.dimension(n)
     chordality = is_chordal(graph)
     if not chordality.chordal:
         return CompletionResult(NOT_CHORDAL, witness=chordality.cycle)
     cliques = chordality.tree.cliques
-    if not (0 <= root_index < len(cliques)):
-        raise ValueError("root index out of range")
 
     own: list[dict[int, np.ndarray]] = []
     for clique in cliques:
@@ -440,44 +403,32 @@ def complete_chordal(graph: LengthGraph, n: int, *, root_index: int = 0) -> Comp
         neighbors[i].append((j, separator))
         neighbors[j].append((i, separator))
 
-    eta = signature_form(n + 1)
-    placed = dict(own[root_index])
-    # Transports double as the visited set; None marks an anchored placement.
-    transports: dict[int, np.ndarray | None] = {root_index: np.eye(n + 1)}
-    queue = deque([root_index])
+    root = _center(neighbors)
+    placed = dict(own[root])
+    # Transports double as the visited set.
+    transports = {root: np.eye(n + 1)}
+    queue = deque([root])
     while queue:
         parent = queue.popleft()
         for child, separator in sorted(neighbors[parent]):
             if child in transports:
                 continue
             transport = transports[parent]
-            if not separator:
-                transport = np.eye(n + 1) if transport is None else transport
-            elif transport is not None:
+            if separator:
                 try:
                     transport = transport @ lorentz_align(
                         np.stack([own[child][v] for v in separator]),
                         np.stack([own[parent][v] for v in separator]))
-                except AlignmentError:
-                    transport = None
-            transports[child] = transport
-            queue.append(child)
-            anchors = list(separator)
-            for vertex in cliques[child]:
-                if vertex in placed:
-                    continue
-                if transport is not None:
-                    placed[vertex] = transport @ own[child][vertex]
-                    continue
-                targets = np.array([graph.length(vertex, v) ** 2 for v in anchors])
-                try:
-                    placed[vertex] = _anchored_null_vector(
-                        np.stack([placed[v] for v in anchors]), targets, eta)
                 except AlignmentError as exc:
                     return CompletionResult(INFEASIBLE, witness=f"gluing of clique {cliques[child]}"
                                             f" onto separator {separator} failed: {exc}")
-                anchors.append(vertex)
+            transports[child] = transport
+            queue.append(child)
+            for vertex in cliques[child]:
+                if vertex not in placed:
+                    placed[vertex] = transport @ own[child][vertex]
 
+    eta = signature_form(n + 1)
     vectors = np.stack([placed[v] for v in range(graph.vertex_count)])
     gram = vectors @ eta @ vectors.T
     full = np.maximum(-(gram + gram.T) / 2.0, 0.0)

@@ -93,12 +93,18 @@ def _self_dots(rows: np.ndarray) -> np.ndarray:
 def _first_refused(v: np.ndarray) -> tuple[int, str | None]:
     """The first row of a C-ordered stack that is zero, off the cone at its own
     scale (|x_s . x_s - t^2| > RESIDUAL * max|row|^2) or not future (t <= 0),
-    with the reason; (len(v), None) when there is none."""
+    with the reason; (len(v), None) when there is none. The null test reads
+    each row divided exactly by the power of two below its largest entry, so
+    that no square overflows or underflows."""
     t = v[:, -1]
     top = np.abs(v).max(axis=1)
     zero = top == 0.0
-    with np.errstate(all="ignore"):
-        off_cone = np.abs(_self_dots(v[:, :-1]) - t * t) > RESIDUAL * top * top
+    unit = np.ldexp(1.0, np.frexp(top)[1] - 1)
+    u, top_u = v / unit[:, None], top / unit
+    t_u = u[:, -1]
+    # Non-finite rows give NaN here and are refused when their spheres are built.
+    with np.errstate(invalid="ignore"):
+        off_cone = np.abs(_self_dots(u[:, :-1]) - t_u * t_u) > RESIDUAL * top_u * top_u
     refused = zero | off_cone | (t <= 0.0)
     if not refused.any():
         return len(v), None
@@ -295,7 +301,10 @@ def lorentz_align(source, target) -> np.ndarray:
     identity = np.eye(dim)
     for _ in range(3):
         drift = transform.T @ eta @ transform - eta
-        if float(np.abs(drift).max()) <= RESIDUAL * 1e-3:
+        # Relative to max|T|^2, the scale is_lorentz tests at: rounding in
+        # T^T eta T alone is about max|T|^2 times the machine epsilon.
+        size = max(1.0, float(np.abs(transform).max()) ** 2)
+        if float(np.abs(drift).max()) <= RESIDUAL * 1e-3 * size:
             break
         transform = transform @ (1.5 * identity - 0.5 * (eta @ transform.T @ eta @ transform))
 

@@ -294,7 +294,20 @@ class TestLightcone:
         path = write(tmp_path, "off.json", {"n": 2, "vectors": vectors})
         code, out, err = run(capsys, ["lightcone", path, "--inverse"])
         assert (code, out) == (2, "")
-        assert err == "kissgeo: invalid request: vector is not null to tolerance\n"
+        assert err == "kissgeo: invalid request: vector 1: vector is not null to tolerance\n"
+
+    @pytest.mark.parametrize("row, reason", [
+        ([0.0, 0.0, 0.0], "the zero vector is not on the future lightcone"),
+        ([0.5, 0.0, -0.5], "vector is not future-directed"),
+        ([1e160, 0.0, 2e160], "vector is not null to tolerance"),
+    ])
+    def test_inverse_names_the_refused_row(self, tmp_path, capsys, row, reason):
+        half = math.sqrt(2.0) / 2.0
+        vectors = [[half, 0.0, half], [half, 0.0, half], row]
+        path = write(tmp_path, "refused.json", {"n": 2, "vectors": vectors})
+        code, out, err = run(capsys, ["lightcone", path, "--inverse"])
+        assert (code, out) == (2, "")
+        assert err == f"kissgeo: invalid request: vector 2: {reason}\n"
 
 
 class TestSpheresCommand:

@@ -21,7 +21,7 @@ from kissgeo.lightcone import (
     to_lightcone,
     to_lightcone_curved,
 )
-from kissgeo.numkernel import RESIDUAL, signature_form
+from kissgeo.numkernel import RESIDUAL, power_of_two_below, signature_form
 
 
 def rotation(dim, i, j, angle):
@@ -159,6 +159,29 @@ class TestFromLightcone:
         got = from_lightcone(1e-10 * np.array([SQRT2 / 2, 0.0, SQRT2 / 2]))
         assert got.diameter == pytest.approx(1e10, rel=1e-15)
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e-10, 1.0, 1e10, 1e150, 1e160])
+    def test_null_test_holds_at_every_scale(self, scale):
+        # Squared, 1e-170 underflows to zero and 1e160 overflows to inf; the
+        # test reads the row divided exactly by a power of two instead.
+        row = scale * np.array([1.0, 0.0, 1.1])
+        with pytest.raises(InverseMapError, match="not null"):
+            from_lightcone(row)
+        with pytest.raises(AlignmentError, match="source vector 0: vector is not null"):
+            lorentz_align(row, row)
+        timelike = scale * np.array([1.0, 0.0, 2.0])
+        with pytest.raises(InverseMapError, match="not null"):
+            from_lightcone(timelike)
+
+    def test_tiny_sphere_maps_back(self):
+        # Its image has entries near 9e159, whose squares overflow.
+        sphere = Sphere((0.5,), 1e-160)
+        image = to_lightcone(sphere)
+        assert float(np.abs(image).max()) > math.sqrt(np.finfo(float).max)
+        got = from_lightcone(image)
+        assert got.tangent == pytest.approx(sphere.tangent, rel=1e-15)
+        assert got.diameter == pytest.approx(sphere.diameter, rel=1e-15)
+        assert np.allclose(lorentz_align(image, image), np.eye(3), rtol=0.0, atol=1e-12)
+
     def test_rejects_bad_vectors(self):
         with pytest.raises(ValueError, match="null"):
             from_lightcone([1.0, 0.0, 2.0])
@@ -170,12 +193,16 @@ class TestFromLightcone:
 
 def reference_from_lightcone(x):
     """The per-vector rule as scalar code: from_lightcone before it took
-    stacks, reading the vector in C order."""
+    stacks, reading the vector in C order, with the null test at the row's
+    own scale."""
     v = np.ascontiguousarray(x, dtype=float)
     top = float(np.abs(v).max())
     if top == 0.0:
         raise ValueError("the zero vector is not on the future lightcone")
-    if abs(minkowski_inner(v, v)) > RESIDUAL * top * top:
+    # The null test on the row divided exactly by the power of two below top.
+    u = v / power_of_two_below(top)
+    top_u = float(np.abs(u).max())
+    if abs(minkowski_inner(u, u)) > RESIDUAL * top_u * top_u:
         raise ValueError("vector is not null to tolerance")
     x0, t, mid = float(v[0]), float(v[-1]), v[1:-1]
     if t <= 0.0:
@@ -298,7 +325,7 @@ class TestFromLightconeStack:
     def test_unrepresentable_sphere_names_its_row(self):
         # Null and future, but |mid|^2 overflows, so w is infinite and the
         # diameter sqrt(2)/w is zero.
-        stack = np.array([[SQRT2 / 2, 0.0, SQRT2 / 2], [-1e300, 1e300, 1e300]])
+        stack = np.array([[SQRT2 / 2, 0.0, SQRT2 / 2], [-1e300, 1e300, SQRT2 * 1e300]])
         with pytest.raises(InverseMapError, match="diameter") as err:
             from_lightcone(stack)
         assert err.value.row == 1
