@@ -26,12 +26,17 @@ EXIT_NUMERICAL = 3
 
 
 def _read_json(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    return json.loads(text)
+    """The document at path ("-" for stdin). Text that does not decode or
+    parse, nesting beyond the parser's depth included, is an input error."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise io.SchemaError(str(exc)) from None
 
 
 def _emit(payload, output: str | None) -> None:
@@ -133,9 +138,7 @@ def _cmd_spheres(args) -> int:
     matrix = spheres.separation_matrix(sphere_set)
     payload = io.dump_matrix(matrix, diagonal=-1.0)
     payload["n"] = n
-    payload["hyperboloid"] = [
-        [float(x) for x in spheres.hyperboloid_embed(s)] for s in sphere_set
-    ]
+    payload["hyperboloid"] = [spheres.hyperboloid_embed(s).tolist() for s in sphere_set]
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -146,8 +149,8 @@ def _cmd_complete(args) -> int:
     if result.verdict == completion.COMPLETED:
         payload = {
             "verdict": result.verdict,
-            "d2": [[float(x) for x in row] for row in result.full_matrix],
-            "embedding": [[float(x) for x in row] for row in result.embedding],
+            "d2": result.full_matrix.tolist(),
+            "embedding": result.embedding.tolist(),
         }
         _emit(payload, args.output)
         return EXIT_OK
@@ -217,7 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (io.SchemaError, json.JSONDecodeError, OSError) as exc:
+    except (io.SchemaError, OSError) as exc:
         print(f"kissgeo: input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (

@@ -1,7 +1,8 @@
 """JSON schemas for sphere sets, matrices, graphs, and vector lists.
 
-All numeric output is rendered with 17 significant digits so that round trips
-are lossless at double precision, and serialization is deterministic.
+All output is written by the standard JSON encoder: each number is its
+shortest round-trip repr, so round trips are lossless at double precision and
+serialization is deterministic.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarra
 
 
 def dump_matrix(matrix, diagonal: float = 0.0) -> dict:
-    out = {"d2": [[float(x) for x in row] for row in np.asarray(matrix, dtype=float)]}
+    out = {"d2": np.asarray(matrix, dtype=float).tolist()}
     if diagonal == -1.0:
         out["diag"] = -1
     return out
@@ -194,7 +195,7 @@ def load_vectors(obj) -> tuple[int, np.ndarray]:
 
 
 def dump_vectors(n: int, vectors) -> dict:
-    return {"n": n, "vectors": [[float(x) for x in row] for row in np.asarray(vectors, dtype=float)]}
+    return {"n": n, "vectors": np.asarray(vectors, dtype=float).tolist()}
 
 
 def load_euclidean_spheres(obj) -> tuple[int, list[EuclideanSphere]]:
@@ -218,21 +219,6 @@ def load_euclidean_spheres(obj) -> tuple[int, list[EuclideanSphere]]:
     return n, spheres
 
 
-def _format_value(value) -> str:
-    if value is None or isinstance(value, (bool, str, int)):
-        return json.dumps(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError("cannot serialize a non-finite number")
-        return "%.17g" % value
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_format_value(v) for v in value) + "]"
-    if isinstance(value, dict):
-        parts = (f"{json.dumps(str(k))}: {_format_value(v)}" for k, v in value.items())
-        return "{" + ", ".join(parts) + "}"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def format_json(value) -> str:
-    """Deterministic single-document rendering with %.17g floats."""
-    return _format_value(value)
+    """Deterministic single-document rendering; non-finite numbers are refused."""
+    return json.dumps(value, allow_nan=False)

@@ -260,6 +260,7 @@ def normalize_pair(p: KissingSphere, q: KissingSphere) -> InversionSphere | None
     return InversionSphere(center=center, radius=gap / (root_p + root_q))
 
 
+@np.errstate(all="ignore")
 def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     """Symmetric matrix of squared pairwise distances with zero diagonal.
 
@@ -271,7 +272,8 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     mirrored tiles (numkernel.tile_pairs) is computed once, into the upper
     tile, and copied to its mirror, so the only full-size array is the
     result and it is bitwise symmetric: (t_i - t_j)^2 and phi_i phi_j are
-    exactly (t_j - t_i)^2 and phi_j phi_i.
+    exactly (t_j - t_i)^2 and phi_j phi_i. A distance beyond the float range
+    comes out inf or nan, silently; the caller decides whether to refuse it.
     """
     items = list(spheres)
     if not items:

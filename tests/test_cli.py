@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -468,6 +469,40 @@ class TestInputHandling:
         assert code == 2
         assert out == ""
         assert "input error" in err
+
+    @pytest.mark.parametrize("raw, reason", [
+        (b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+        (b'{"d2": [[0, 1], [1, 0]], "labels": ["\xe9", "b"]}', "'utf-8' codec can't decode byte 0xe9"),
+    ], ids=["deeply_nested", "invalid_utf8"])
+    def test_unreadable_document(self, tmp_path, capsys, raw, reason):
+        path = tmp_path / "doc.json"
+        path.write_bytes(raw)
+        code, out, err = run(capsys, ["embed", "--n", "2", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"kissgeo: input error: {reason}")
+
+    @pytest.mark.parametrize("edge, reason", [
+        ({"u": 0, "v": 3, "len": 1.0}, "edge (0, 3) out of range"),
+        ({"u": 1, "v": 1, "len": 1.0}, "self-loops are not allowed"),
+        ({"u": 1, "v": 0, "len": 2.0}, "duplicate edge (0, 1)"),
+    ])
+    def test_graph_refused_by_length_graph(self, tmp_path, capsys, edge, reason):
+        graph = {"vertices": 3, "edges": [{"u": 0, "v": 1, "len": 1.0}, edge]}
+        path = write(tmp_path, "graph.json", graph)
+        code, out, err = run(capsys, ["complete", path, "--n", "2"])
+        assert (code, out) == (2, "")
+        assert err == f"kissgeo: input error: {reason}\n"
+
+    def test_distance_overflow_is_one_line(self, tmp_path, capsys):
+        # The squared tangent gap overflows and the diameter product underflows.
+        spheres = [{"t": [1e200, 0], "phi": 1e-200}, {"t": [-1e200, 0], "phi": 1e-200}]
+        path = write(tmp_path, "huge.json", {"n": 3, "spheres": spheres})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["dist", path])
+        assert (code, out) == (2, "")
+        assert err.startswith("kissgeo: invalid request: ")
+        assert err.count("\n") == 1
 
     def test_boolean_graph_endpoint(self, tmp_path, capsys):
         path = write(tmp_path, "bool.json", {"vertices": 2, "edges": [{"u": True, "v": 0, "len": 1}]})
