@@ -1,10 +1,10 @@
 """File-driven command line over the library.
 
 Subcommands: dist, classify, check, embed, lightcone, spheres, complete,
-witness. Inputs are JSON files ("-" reads stdin); every output is a single
-JSON document on stdout, diagnostics go to stderr. Exit codes: 0 success or
-feasible, 1 certified infeasible / not embeddable / not chordal (witness on
-stdout), 2 malformed input, 3 numerical failure.
+witness. Inputs are JSON files ("-" reads stdin); every document, errors
+included, goes to stdout (there is no output option), diagnostics to stderr.
+Exit codes: 0 success or feasible, 1 certified infeasible / not embeddable /
+not chordal (witness on stdout), 2 malformed input, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -39,13 +39,8 @@ def _read_json(path: str):
         raise io.SchemaError(str(exc)) from None
 
 
-def _emit(payload, output: str | None) -> None:
-    text = io.format_json(payload)
-    if output and output != "-":
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+def _emit(payload) -> None:
+    sys.stdout.write(io.format_json(payload) + "\n")
 
 
 def _witness_payload(witness) -> object:
@@ -78,7 +73,7 @@ def _certificate_payload(certificate: embed.Certificate, n: int) -> dict:
 def _cmd_dist(args) -> int:
     n, sphere_set = io.load_sphere_set(_read_json(args.input))
     rows = np.sqrt(kissing.distance_matrix(sphere_set)).tolist()
-    _emit({"n": n, "d": rows}, args.output)
+    _emit({"n": n, "d": rows})
     return EXIT_OK
 
 
@@ -89,7 +84,7 @@ def _cmd_classify(args) -> int:
         for j in range(i + 1, len(sphere_set)):
             relation = kissing.classify_pair(sphere_set[i], sphere_set[j])
             pairs.append({"i": i, "j": j, "class": relation.value})
-    _emit({"n": n, "pairs": pairs}, args.output)
+    _emit({"n": n, "pairs": pairs})
     return EXIT_OK
 
 
@@ -102,7 +97,7 @@ def _cmd_check(args) -> int:
         certificate = embed.check_euclidean(matrix, args.n, args.method)
     else:
         certificate = spheres.check_spheres(matrix, args.n, args.method)
-    _emit(_certificate_payload(certificate, args.n), args.output)
+    _emit(_certificate_payload(certificate, args.n))
     return EXIT_OK if certificate.embeddable else EXIT_INFEASIBLE
 
 
@@ -111,9 +106,9 @@ def _cmd_embed(args) -> int:
     try:
         realized = embed.construct_embedding(matrix, args.n)
     except GramInfeasibleError as exc:
-        _emit(_certificate_payload(embed.refusal(exc), args.n), args.output)
+        _emit(_certificate_payload(embed.refusal(exc), args.n))
         return EXIT_INFEASIBLE
-    _emit(io.dump_sphere_set(args.n, realized), args.output)
+    _emit(io.dump_sphere_set(args.n, realized))
     return EXIT_OK
 
 
@@ -125,11 +120,11 @@ def _cmd_lightcone(args) -> int:
             recovered = lightcone.from_lightcone(vectors)
         except lightcone.InverseMapError as exc:
             raise ValueError(f"vector {exc.row}: {exc}") from exc
-        _emit(io.dump_sphere_set(n, recovered), args.output)
+        _emit(io.dump_sphere_set(n, recovered))
         return EXIT_OK
     n, sphere_set = io.load_sphere_set(payload)
     vectors = [lightcone.to_lightcone(s, n) for s in sphere_set]
-    _emit(io.dump_vectors(n, np.stack(vectors)), args.output)
+    _emit(io.dump_vectors(n, np.stack(vectors)))
     return EXIT_OK
 
 
@@ -139,7 +134,7 @@ def _cmd_spheres(args) -> int:
     payload = io.dump_matrix(matrix, diagonal=-1.0)
     payload["n"] = n
     payload["hyperboloid"] = [spheres.hyperboloid_embed(s).tolist() for s in sphere_set]
-    _emit(payload, args.output)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -152,10 +147,10 @@ def _cmd_complete(args) -> int:
             "d2": result.full_matrix.tolist(),
             "embedding": result.embedding.tolist(),
         }
-        _emit(payload, args.output)
+        _emit(payload)
         return EXIT_OK
     if result.verdict == completion.NOT_CHORDAL:
-        _emit({"verdict": result.verdict, "witness_cycle": list(result.witness)}, args.output)
+        _emit({"verdict": result.verdict, "witness_cycle": list(result.witness)})
         return EXIT_INFEASIBLE
     witness = result.witness
     if isinstance(witness, completion.CliqueCheck):
@@ -167,7 +162,7 @@ def _cmd_complete(args) -> int:
         }
     else:
         payload = {"verdict": result.verdict, "diagnostic": str(witness)}
-    _emit(payload, args.output)
+    _emit(payload)
     return EXIT_INFEASIBLE
 
 
@@ -175,12 +170,12 @@ def _cmd_witness(args) -> int:
     graph = io.load_graph(_read_json(args.input))
     chordality = completion.is_chordal(graph)
     if chordality.chordal:
-        _emit({"error": "graph is chordal; no witness exists"}, args.output)
+        _emit({"error": "graph is chordal; no witness exists"})
         return EXIT_INFEASIBLE
     lengths = completion.non_chordal_witness(graph)
     payload = io.dump_graph(lengths)
     payload["cycle"] = list(chordality.cycle)
-    _emit(payload, args.output)
+    _emit(payload)
     return EXIT_OK
 
 
@@ -195,7 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, handler, help_text: str, needs_n: bool = False):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("input", help="input JSON path, or - for stdin")
-        cmd.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         if needs_n:
             cmd.add_argument("--n", type=int, required=True, help="ambient dimension")
         cmd.set_defaults(handler=handler)
@@ -230,7 +224,7 @@ def main(argv=None) -> int:
         NonConvergenceError,
         SingularPivotError,
     ) as exc:
-        sys.stdout.write(io.format_json({"error": str(exc)}) + "\n")
+        _emit({"error": str(exc)})
         print(f"kissgeo: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, KeyError) as exc:

@@ -150,6 +150,13 @@ def refusal(exc: GramInfeasibleError) -> Certificate:
     return Certificate(NOT_EMBEDDABLE, "inertia", InertiaWitness(exc.inertia, exc.reason, exc.exact))
 
 
+def _signed_minor(d: np.ndarray, subset: tuple[int, ...], bordered: bool) -> float:
+    """(-1)^|J| det M_J, where M_J is D_J, bordered with ones if bordered."""
+    block = d[np.ix_(subset, subset)]
+    minor = float(np.linalg.det(_border(block, 1.0) if bordered else block))
+    return minor if len(subset) % 2 == 0 else -minor
+
+
 def _minors_certificate(d: np.ndarray, rank_bound: int, bordered: bool) -> Certificate:
     """The minors route: signed principal minors, then the rank.
 
@@ -160,19 +167,21 @@ def _minors_certificate(d: np.ndarray, rank_bound: int, bordered: bool) -> Certi
     in D: |J|, or |J| - 1 when bordered. The first violation is reported
     with its signed minor (-1)^|J| det M_J; a single point's D_J is [0] and
     never violates. Then the rank of D, or of D bordered at its own scale,
-    must be at most rank_bound.
+    must be at most rank_bound. As in verify_schur_relations, all tests run
+    on D divided exactly by the power of two below max D, so no power of max D
+    leaves the float range; the reported minor is taken at the data's own
+    scale, and is inf or 0 beyond the float range.
     """
-    scale = float(d.max())
+    scaled = d / numkernel.power_of_two_below(float(d.max()))
+    top = float(scaled.max())
     shift = 1 if bordered else 0
     for subset in numkernel.principal_subsets(d.shape[0]):
-        idx = np.asarray(subset)
-        block = d[np.ix_(idx, idx)]
-        minor = float(np.linalg.det(_border(block, 1.0) if bordered else block))
-        signed = minor if len(subset) % 2 == 0 else -minor
-        tested = -signed if bordered else signed
-        if tested > EIG_ZERO * scale ** (len(subset) - shift):
+        signed = _signed_minor(scaled, subset, bordered)
+        if (-signed if bordered else signed) > EIG_ZERO * top ** (len(subset) - shift):
+            with np.errstate(all="ignore"):
+                signed = _signed_minor(d, subset, bordered)
             return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed))
-    rank = numkernel.inertia(_data_border(d) if bordered else d).rank
+    rank = numkernel.inertia(_data_border(scaled) if bordered else scaled).rank
     if rank > rank_bound:
         return Certificate(NOT_EMBEDDABLE, "minors", RankWitness(rank, rank_bound))
     return Certificate(EMBEDDABLE, "minors")
@@ -189,7 +198,6 @@ def check_kissing(matrix, n: int, method: str = "inertia") -> Certificate:
     """
     d = validate_squared_distances(matrix)
     n = numkernel.dimension(n)
-    method = method.lower()
     if method == "inertia":
         return _spectrum_certificate(d, n, method)
     if method != "minors":
@@ -202,17 +210,13 @@ def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
 
     Minors and inertia both act on the bordered matrix: signed bordered minors
     (-1)^{|J|} det M_J >= 0 over point subsets with rank(M) <= n + 2, or
-    exactly one positive and at most n + 1 negative eigenvalues of M. The
-    distance_inertia method applies the eigenvalue counts to the plain
-    distance matrix instead; it is a necessary condition only. Inertia and
-    rank are taken on the matrix bordered at the data's own scale, which has
-    the inertia of the Cayley-Menger matrix.
+    exactly one positive and at most n + 1 negative eigenvalues of M. Inertia
+    and rank are taken on the matrix bordered at the data's own scale, which
+    has the inertia of the Cayley-Menger matrix. On the plain distance matrix
+    the counts, a necessary condition only, are check_kissing(matrix, n + 1).
     """
     d = validate_squared_distances(matrix)
     n = numkernel.dimension(n)
-    method = method.lower()
-    if method == "distance_inertia":
-        return _spectrum_certificate(d, n + 1, method)
     if method == "inertia":
         return _spectrum_certificate(_data_border(d), n + 1, method)
     if method != "minors":

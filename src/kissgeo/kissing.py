@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .numkernel import TILE, tile_pairs
+from .numkernel import TILE, power_of_two_below, tile_pairs
 
 
 def _as_point(coords) -> tuple[float, ...]:
@@ -84,19 +84,21 @@ class InversionSphere:
             raise ValueError("radius must be a positive finite real")
 
 
-def _gap_sq(p: Sphere, q: Sphere) -> float:
+def _gap_sq(p: Sphere, q: Sphere, unit: float = 1.0) -> float:
     if len(p.tangent) != len(q.tangent):
         raise ValueError("ambient dimensions differ")
-    # A product, not ** 2: pow need not round correctly, and distance_matrix squares by product.
-    return math.fsum((a - b) * (a - b) for a, b in zip(p.tangent, q.tangent))
-
-
-def _gap(p: Sphere, q: Sphere) -> float:
-    return math.sqrt(_gap_sq(p, q))
+    gaps = [(a - b) / unit for a, b in zip(p.tangent, q.tangent)]
+    try:
+        # A product, not ** 2: pow need not round correctly, and distance_matrix squares by product.
+        return math.fsum(g * g for g in gaps)
+    except OverflowError:  # finite squares whose sum is beyond the float range
+        return math.inf
 
 
 def distance_sq(p: KissingSphere, q: KissingSphere) -> float:
-    """Squared distance; exact in the shared-tangent and hyperplane cases."""
+    """Squared distance; exact in the shared-tangent and hyperplane cases. Gaps
+    and diameters are first divided exactly by the power of two below the
+    larger diameter, so no product underflows; beyond the float range it is inf."""
     if isinstance(p, Plane) and isinstance(q, Plane):
         return 0.0
     if isinstance(p, Plane):
@@ -105,7 +107,8 @@ def distance_sq(p: KissingSphere, q: KissingSphere) -> float:
         return q.height / p.diameter
     if p.tangent == q.tangent:
         return 0.0
-    return _gap_sq(p, q) / (p.diameter * q.diameter)
+    unit = power_of_two_below(max(p.diameter, q.diameter))
+    return _gap_sq(p, q, unit) / ((p.diameter / unit) * (q.diameter / unit))
 
 
 def distance(p: KissingSphere, q: KissingSphere) -> float:
@@ -117,12 +120,12 @@ def classify_pair(p: KissingSphere, q: KissingSphere) -> PairClass:
 
     The distance is 1 exactly at tangency, above 1 for disjoint pairs, below 1
     for intersecting ones, and 0 when the tangent points coincide; comparisons
-    use the relative tolerance 1e-9.
+    use the relative tolerance 1e-9; an infinite distance is Disjoint.
     """
     d = distance(p, q)
     if d <= 1e-9:
         return PairClass.SHARED_TANGENT_POINT
-    if abs(d - 1.0) <= 1e-9 * max(1.0, d):
+    if d < math.inf and abs(d - 1.0) <= 1e-9 * max(1.0, d):
         return PairClass.TANGENT
     return PairClass.DISJOINT if d > 1.0 else PairClass.INTERSECTING
 
@@ -252,7 +255,7 @@ def normalize_pair(p: KissingSphere, q: KissingSphere) -> InversionSphere | None
         return InversionSphere(center=center, radius=math.sqrt(plane.height))
     if p.tangent == q.tangent:
         return None
-    gap = _gap(p, q)
+    gap = math.sqrt(_gap_sq(p, q))
     root_p = math.sqrt(p.diameter)
     root_q = math.sqrt(q.diameter)
     weight = root_p / (root_p + root_q)
@@ -267,7 +270,10 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     Whole-array form of distance_sq: the squared tangent gaps accumulate one
     boundary coordinate at a time (so up to two coordinates the result is
     bit-identical to distance_sq), then divide by the diameter products;
-    shared tangent points give an exact zero. Rows and columns of hyperplanes
+    shared tangent points give an exact zero. As in distance_sq, one power of
+    two divides first, so a dilation by 2^k changes no entry; the division is
+    masked, to keep those zeros, only where a product can still underflow.
+    Rows and columns of hyperplanes
     are h / phi against spheres and zero against each other. Each pair of
     mirrored tiles (numkernel.tile_pairs) is computed once, into the upper
     tile, and copied to its mirror, so the only full-size array is the
@@ -283,10 +289,12 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
         raise ValueError("mixed ambient dimensions")
     m = len(items)
     origin = (0.0,) * (dims.pop() - 1 if dims else 0)
-    # Hyperplanes sit at the origin with diameter one until their rows are overwritten.
+    unit = power_of_two_below(max((s.diameter for s in items if isinstance(s, Sphere)), default=0.0))
+    # Hyperplanes sit at the origin with scaled diameter one until their rows are overwritten.
     tangent = np.array([origin if isinstance(s, Plane) else s.tangent for s in items])
-    tangent = tangent.reshape(m, len(origin))
-    diameter = np.array([1.0 if isinstance(s, Plane) else s.diameter for s in items])
+    tangent = tangent.reshape(m, len(origin)) / unit
+    diameter = np.array([unit if isinstance(s, Plane) else s.diameter for s in items]) / unit
+    underflows = float(diameter.min()) ** 2 == 0.0
     planes = [i for i, s in enumerate(items) if isinstance(s, Plane)]
     out = np.empty((m, m))
     work = np.empty((2, min(m, TILE) ** 2))
@@ -305,13 +313,16 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
             if k:
                 tile += gap
         np.multiply.outer(diameter[rows], diameter[cols], out=scratch)
-        tile /= scratch
+        if underflows:  # a shared tangent point keeps its zero where the product is zero
+            np.divide(tile, scratch, out=tile, where=tile != 0.0)
+        else:
+            tile /= scratch
         upper[...] = tile
         if cols.start > rows.start:
             out[cols, rows] = tile.T
     if planes:
         heights = np.array([items[i].height for i in planes])
-        out[planes] = heights[:, None] / diameter
+        out[planes] = heights[:, None] / unit / diameter
         out[:, planes] = out[planes].T
         out[np.ix_(planes, planes)] = 0.0
     return out

@@ -8,6 +8,7 @@ never written. All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -108,8 +109,9 @@ def _least(x: float, y: float) -> float:
 
 
 def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, float]:
-    """as_symmetric(matrix, rtol) with the largest and least entries of the
-    array it returns (see _extent for the sign of a zero minimum).
+    """The finite square matrix, if max|a - a^T| <= rtol * max|a|, exactly
+    symmetric and read-only, with its largest and least entries (see _extent
+    for the sign of a zero minimum).
 
     Two read-only passes: one over contiguous bands of TILE rows checks
     that the entries are finite, which outranks an asymmetry anywhere, and
@@ -174,18 +176,10 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     return out, high, low
 
 
-def as_symmetric(matrix, rtol: float = 1e-8) -> np.ndarray:
-    """Validate a square symmetric matrix; return it exactly symmetric and read-only.
-
-    Entries must be finite and max|a - a^T| may not exceed rtol * max|a|.
-    A contiguous float input that equals its transpose bit for bit comes
-    back as a read-only view of itself, with no m x m allocation; otherwise
-    the result is a new read-only (a + a^T) / 2, bit for bit. The input is
-    never written. Measured with tracemalloc at m = 600, an exactly
-    symmetric input costs no m x m allocation and any other one the single
-    array returned. See symmetric_extent for the passes.
-    """
-    return symmetric_extent(matrix, rtol)[0]
+def as_symmetric(matrix) -> np.ndarray:
+    """symmetric_extent's matrix at rtol 1e-8: a view of an exactly symmetric
+    input, else a new (a + a^T) / 2; the input is never written."""
+    return symmetric_extent(matrix)[0]
 
 
 def signature_form(dim: int) -> np.ndarray:
@@ -452,22 +446,15 @@ MINORS_MAX_ORDER = 12
 
 
 def principal_subsets(order: int):
-    """Every nonempty subset of range(order) as a sorted tuple, one at a time, in
-    lexicographic order: (0,), (0, 1), (0, 1, 2), ..., (0, 2), ..., (order - 1,).
-    An order above MINORS_MAX_ORDER raises ValueError when the walk starts."""
+    """Every nonempty subset of range(order) as a sorted tuple, in lexicographic
+    order: (0,), (0, 1), (0, 1, 2), ..., (0, 2), ..., (order - 1,). An order
+    above MINORS_MAX_ORDER raises ValueError when the walk starts."""
     if order > MINORS_MAX_ORDER:
         raise ValueError(
             f"order {order} exceeds the minors-mode cap {MINORS_MAX_ORDER}; use the inertia method"
         )
-    subset: list[int] = []
-    following = 0
-    while following < order or subset:
-        if following < order:
-            subset.append(following)
-            yield tuple(subset)
-            following += 1
-        else:
-            following = subset.pop() + 1
+    yield from sorted(subset for size in range(1, order + 1)
+                      for subset in itertools.combinations(range(order), size))
 
 
 def principal_minor_sums(matrix) -> np.ndarray:

@@ -43,11 +43,20 @@ class EuclideanSphere:
 
 
 def separation(p: EuclideanSphere, q: EuclideanSphere) -> float:
-    """Signed separation; never square-rooted (it may be negative)."""
+    """Signed separation; never square-rooted (it may be negative). Only when a
+    radius is outside (1e-150, 1e150), as ** 2 need not round correctly, are
+    centers and radii first divided exactly by the power of two below the
+    larger radius, so that no square underflows; beyond the float range: inf."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    gap_sq = math.fsum((a - b) ** 2 for a, b in zip(p.center, q.center))
-    return (gap_sq - p.radius**2 - q.radius**2) / (2.0 * p.radius * q.radius)
+    big, small = max(p.radius, q.radius), min(p.radius, q.radius)
+    unit = 1.0 if 1e-150 < small and big < 1e150 else numkernel.power_of_two_below(big)
+    r_p, r_q = p.radius / unit, q.radius / unit
+    try:
+        gap_sq = math.fsum(((a - b) / unit) ** 2 for a, b in zip(p.center, q.center))
+    except OverflowError:  # a squared gap, or their sum, beyond the float range
+        return math.inf
+    return (gap_sq - r_p**2 - r_q**2) / (2.0 * r_p * r_q)
 
 
 def separation_matrix(spheres: Sequence[EuclideanSphere]) -> np.ndarray:
@@ -140,15 +149,15 @@ def check_spheres(matrix, n: int, method: str = "inertia") -> Certificate:
     The matrix must have at most one positive eigenvalue and at most n + 1
     negative ones (so rank at most n + 2). The minors route recovers the same
     counts purely from determinant sums via Descartes' rule and is capped at
-    order 12.
+    order 12; it reads S divided exactly by the power of two below max|S|.
     """
     s = validate_separation_matrix(matrix)
     n = numkernel.dimension(n)
-    method = method.lower()
     if method == "inertia":
         return _spectrum_certificate(s, n + 1, method, exactly_one=False)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
+    s = s / numkernel.power_of_two_below(numkernel.max_abs(s))
     sums = numkernel.principal_minor_sums(s)
     counts = _descartes_inertia(sums, s.shape[0], numkernel.max_abs(s))
     return _inertia_certificate(counts, n + 1, method, exactly_one=False)

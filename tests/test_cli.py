@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gen import coincident_sphere_set, graph_from_configuration
+from gen import coincident_sphere_set, graph_from_configuration, random_sphere_set
 from kissgeo import numkernel
 from kissgeo.cli import main
 from kissgeo.kissing import distance_matrix
@@ -434,6 +434,57 @@ class TestWitness:
         assert "chordal" in json.loads(out)["error"]
 
 
+class TestExtremeScales:
+    """Valid inputs whose diameter or radius products underflow, and minors
+    whose powers overflow: none of them may end in a traceback."""
+
+    def test_classify_tiny_pair(self, tmp_path, capsys):
+        spheres = [{"t": [1, 0], "phi": 1e-170}, {"t": [2, 0], "phi": 1e-170}]
+        path = write(tmp_path, "tiny.json", {"n": 3, "spheres": spheres})
+        code, out, _ = run(capsys, ["classify", path])
+        assert code == 0
+        assert json.loads(out)["pairs"] == [{"i": 0, "j": 1, "class": "Disjoint"}]
+
+    def test_dist_tiny_shared_tangent_point(self, tmp_path, capsys):
+        spheres = [{"t": [0], "phi": 1e-200}, {"t": [0], "phi": 1e-200}, {"t": [1], "phi": 1}]
+        path = write(tmp_path, "tiny.json", {"n": 2, "spheres": spheres})
+        code, out, _ = run(capsys, ["dist", path])
+        assert code == 0
+        d = json.loads(out)["d"]
+        assert d[0][:2] == d[1][:2] == [0.0, 0.0]
+        assert d[0][2] == d[1][2] == pytest.approx(1e100, rel=1e-15)
+
+    def test_spheres_tiny_radii(self, tmp_path, capsys):
+        # Co-scaled circles have a finite separation; circles of radius
+        # 1e-200 one unit apart have one near 5e399, which no document holds.
+        near = [{"c": [0, 0], "r": 1e-200}, {"c": [3e-200, 0], "r": 1e-200}]
+        path = write(tmp_path, "near.json", {"n": 2, "spheres": near})
+        code, out, _ = run(capsys, ["spheres", path])
+        assert code == 0
+        assert json.loads(out)["d2"][0][1] == pytest.approx(3.5, rel=1e-15)
+        far = [{"c": [0, 0], "r": 1e-200}, {"c": [1, 0], "r": 1e-200}]
+        path = write(tmp_path, "far.json", {"n": 2, "spheres": far})
+        code, out, err = run(capsys, ["spheres", path])
+        assert (code, out) == (2, "")
+        assert err == "kissgeo: invalid request: Out of range float values are not JSON compliant\n"
+
+    def test_minors_at_a_huge_scale(self, tmp_path, capsys):
+        d = 1e25 * distance_matrix(random_sphere_set(np.random.default_rng(1), 12, 3))
+        path = write(tmp_path, "huge.json", {"d2": d.tolist()})
+        for method in ("minors", "inertia"):
+            code, out, _ = run(capsys, ["check", path, "--mode", "kissing", "--n", "3", "--method", method])
+            assert code == 0
+            assert json.loads(out)["verdict"] == "Embeddable"
+        circles = [{"c": [1e15 * i, 0, 0], "r": 1e-15} for i in range(12)]
+        path = write(tmp_path, "circles.json", {"n": 3, "spheres": circles})
+        code, out, _ = run(capsys, ["spheres", path])
+        assert code == 0
+        path = write(tmp_path, "separations.json", json.loads(out))
+        code, out, _ = run(capsys, ["check", path, "--mode", "spheres", "--n", "3", "--method", "minors"])
+        assert code == 0
+        assert json.loads(out)["verdict"] == "Embeddable"
+
+
 class TestInputHandling:
     def test_stdin(self, capsys, monkeypatch):
         import io as stdlib_io
@@ -519,10 +570,23 @@ class TestInputHandling:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_output_file(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", [
+        ["dist"], ["classify"], ["check", "--mode", "kissing", "--n", "2"], ["embed", "--n", "2"],
+        ["lightcone"], ["spheres"], ["complete", "--n", "2"], ["witness"],
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("flag", ["-o", "--output"])
+    def test_no_output_option(self, tmp_path, capsys, command, flag):
         path = write(tmp_path, "pair.json", TANGENT_PAIR)
         out_path = tmp_path / "out.json"
-        code, out, _ = run(capsys, ["dist", path, "-o", str(out_path)])
-        assert code == 0
-        assert out == ""
-        assert json.loads(out_path.read_text())["d"][0][1] == 1.0
+        with pytest.raises(SystemExit) as exc:
+            main([*command, path, flag, str(out_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert not out_path.exists()
+
+    def test_numerical_failure_document_goes_to_stdout(self, tmp_path, capsys):
+        path = write(tmp_path, "deg.json", {"d2": [[0, 0, 0], [0, 0, 1], [0, 1, 0]]})
+        code, out, err = run(capsys, ["embed", "--n", "2", path])
+        reason = "degenerate zero-distance pattern: zero factor rows (0,)"
+        assert (code, out) == (3, json.dumps({"error": reason}) + "\n")
+        assert err == f"kissgeo: numerical failure: {reason}\n"

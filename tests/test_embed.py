@@ -215,14 +215,15 @@ class TestCheckEuclidean:
     def test_repeated_points(self):
         assert check_euclidean(np.zeros((3, 3)), 2).embeddable
 
-    def test_distance_inertia_is_necessary(self, rng):
-        # Realizable data passes the plain distance-matrix eigenvalue counts.
+    def test_kissing_one_dimension_up_is_necessary(self, rng):
+        # Realizable data passes the plain distance-matrix eigenvalue counts:
+        # points in n-space are kissing spheres of one diameter in n + 1.
         for _ in range(20):
             points = rng.normal(size=(5, 3))
             d = np.array(
                 [[float(np.sum((a - b) ** 2)) for b in points] for a in points]
             )
-            assert check_euclidean(d, 3, "distance_inertia").embeddable
+            assert check_kissing(d, 4).embeddable
 
     def test_methods_agree_on_random_instances(self, rng):
         for _ in range(40):
@@ -242,20 +243,22 @@ class TestCheckEuclidean:
                 )
 
 
-    @pytest.mark.parametrize("method, max_negative", [("inertia", 4), ("distance_inertia", 4)])
-    def test_large_refusal_skips_sym_eigen(self, rng, monkeypatch, eigh_orders,
-                                          method, max_negative):
+    @pytest.mark.parametrize("check", [
+        lambda d: check_euclidean(d, 3, "inertia"),
+        lambda d: check_kissing(d, 4),
+    ], ids=["inertia", "kissing_one_up"])
+    def test_large_refusal_skips_sym_eigen(self, rng, monkeypatch, eigh_orders, check):
         # 120 points in 40 dimensions: rank far above n + 2 = 5.
         points = rng.normal(size=(120, 40))
         sq = np.sum(points * points, axis=1)
         d = np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
         np.fill_diagonal(d, 0.0)
-        cert = check_euclidean(d, 3, method)
+        cert = check(d)
         assert eigh_orders == []
         assert not cert.embeddable and not cert.witness.exact
-        assert cert.witness.requirement == f"at most {max_negative} negative eigenvalues"
+        assert cert.witness.requirement == "at most 4 negative eigenvalues"
         monkeypatch.setattr(numkernel, "_sketched_spectrum", lambda *args: None)
-        exact = check_euclidean(d, 3, method).witness
+        exact = check(d).witness
         assert exact.exact and exact.requirement == cert.witness.requirement
         assert cert.witness.inertia.negative <= exact.inertia.negative
 
@@ -530,7 +533,8 @@ class TestMatricesClose:
 ROUTES = (
     (check_kissing, "inertia"),
     (check_kissing, "minors"),
-    (check_euclidean, "distance_inertia"),
+    # The Euclidean necessary condition on the plain distance matrix.
+    (lambda d, n, method: check_kissing(d, n + 1, method), "inertia"),
     (check_euclidean, "inertia"),
     (check_euclidean, "minors"),
 )
@@ -577,6 +581,39 @@ class TestScaleCovariance:
                 assert not check_euclidean(scale * broken, 2, method).embeddable, (scale, method)
         signed = check_euclidean(1e4 * broken, 2, "minors").witness.signed_minor
         assert signed == pytest.approx(1e8 * check_euclidean(broken, 2, "minors").witness.signed_minor)
+
+    def test_minors_route_does_not_overflow(self):
+        d = distance_matrix(random_sphere_set(np.random.default_rng(1), 12, 3))
+        # (max D)^12 overflows at 1e25 and underflows at 1e-25.
+        for scale in [1e25, 1e-25] + [2.0**k for k in (-1000, -500, 0, 80, 300, 500, 1000)]:
+            assert check_kissing(scale * d, 3, "minors").embeddable, scale
+            assert check_kissing(scale * d, 3).embeddable, scale
+
+    def test_minor_witness_under_dilation_by_powers_of_two(self):
+        # Two tangent triples at distance zero from each other, refused by a
+        # signed 5 x 5 minor; the kissing minor has degree 5 in D.
+        triple = np.ones((3, 3)) - np.eye(3)
+        d = np.block([[triple, np.zeros((3, 3))], [np.zeros((3, 3)), triple]])
+        base = check_kissing(d, 1, "minors").witness
+        assert base.subset == (0, 1, 2, 3, 4) and base.signed_minor > 0.0
+        for k in (-200, -80, 80, 200):
+            witness = check_kissing(2.0**k * d, 1, "minors").witness
+            assert witness.subset == base.subset, k
+            # The minor is the one numpy gives at the data's own scale, which
+            # scales with c^5 up to numpy's rounding.
+            scaled = 2.0**k * d[:5, :5]
+            assert witness.signed_minor == -float(np.linalg.det(scaled))
+            assert witness.signed_minor == pytest.approx(math.ldexp(base.signed_minor, 5 * k), rel=1e-12)
+        # Beyond the float range the minor at the data's own scale rounds to
+        # inf or zero; the verdict and the subset are decided at scale.
+        assert check_kissing(2.0**1000 * d, 1, "minors").witness == MinorWitness(base.subset, math.inf)
+        assert check_kissing(2.0**-1000 * d, 1, "minors").witness == MinorWitness(base.subset, 0.0)
+
+    def test_bordered_minor_verdicts_under_dilation_by_powers_of_two(self):
+        broken = np.array([[0.0, 1.0, 4.004], [1.0, 0.0, 1.0], [4.004, 1.0, 0.0]])
+        base = check_euclidean(broken, 2, "minors").witness
+        for k in (-1000, -500, 500, 1000):
+            assert check_euclidean(2.0**k * broken, 2, "minors").witness.subset == base.subset, k
 
     def test_construct_embedding_at_extreme_scales(self, rng):
         for scale in (1e-20, 1e-10, 1e10, 1e20):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,19 @@ class TestIntegerFields:
     def test_booleans_are_refused(self, load, obj):
         with pytest.raises(io.SchemaError, match="integer"):
             load(obj)
+
+
+class TestLoadGraph:
+    @pytest.mark.parametrize("obj, message", [
+        ({"edges": []}, "vertex count must be a positive integer"),
+        ({"vertices": 0, "edges": []}, "vertex count must be a positive integer"),
+        ({"vertices": 2, "edges": [{"u": 0.0, "v": 1, "len": 1}]}, "edge endpoints must be integers"),
+        ({"vertices": 2, "edges": [{"u": 0, "v": 1, "len": -1}]},
+         "edge lengths must be finite and nonnegative"),
+        # LengthGraph would read these as lengths, so io refuses them first.
+        ({"vertices": 2, "edges": [{"u": 0, "v": 1, "len": True}]}, "edge 0: 'len' must be a finite number"),
+        ({"vertices": 2, "edges": [{"u": 0, "v": 1, "len": "1"}]}, "edge 0: 'len' must be a finite number"),
+    ])
+    def test_refusals_name_the_rule(self, obj, message):
+        with pytest.raises(io.SchemaError, match=f"^{re.escape(message)}$"):
+            io.load_graph(obj)

@@ -308,3 +308,32 @@ def test_distance_scale_invariance(t1, t2, d1, d2, scale):
 def test_distance_sq_matches_distance(t1, d1, d2):
     p, q = Sphere((t1,), d1), Sphere((t1 + 1.0,), d2)
     assert distance_sq(p, q) == pytest.approx(distance(p, q) ** 2, rel=1e-12)
+
+
+class TestExtremeScales:
+    """Diameters whose product underflows, and distances beyond the float range."""
+
+    def test_tiny_pair_is_disjoint(self):
+        p, q = Sphere((1.0, 0.0), 1e-170), Sphere((2.0, 0.0), 1e-170)
+        assert distance_sq(p, q) == math.inf
+        assert classify_pair(p, q) is PairClass.DISJOINT
+
+    def test_infinite_distance_is_not_tangent(self):
+        # inf - 1 <= 1e-9 * inf would read it as Tangent.
+        assert distance(Plane(1.0), Sphere((0.0,), 1e-310)) == math.inf
+        assert classify_pair(Plane(1.0), Sphere((0.0,), 1e-310)) is PairClass.DISJOINT
+
+    def test_tiny_shared_tangent_point_keeps_its_zero(self):
+        spheres = [Sphere((0.0, 0.0), 1e-200), Sphere((0.0, 0.0), 1e-200), Sphere((1.0, 0.0), 1.0)]
+        d = distance_matrix(spheres)
+        assert np.array_equal(d, pairwise_distance_matrix(spheres))
+        assert d[0, 1] == d[1, 0] == 0.0 and not np.diag(d).any()
+        assert d[0, 2] == d[1, 2] == pytest.approx(1e200, rel=1e-15)
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_dilation_by_a_power_of_two_changes_no_entry(self, rng, k):
+        spheres = coincident_sphere_set(rng, 40, 3)
+        dilated = [apply_generator(s, Dilation(2.0**k)) for s in spheres]
+        want = distance_matrix(spheres)
+        assert distance_matrix(dilated).tobytes() == want.tobytes()
+        assert pairwise_distance_matrix(dilated).tobytes() == want.tobytes()

@@ -463,7 +463,7 @@ class TestInterlacingRefusal:
             np.fill_diagonal(s, -1.0)
             calls = [(lambda: check_kissing(d, n), n),
                      (lambda: check_euclidean(d, n, "inertia"), n + 1),
-                     (lambda: check_euclidean(d, n, "distance_inertia"), n + 1),
+                     (lambda: check_kissing(d, n + 1), n + 1),
                      (lambda: check_spheres(s, n), n + 1)]
             for call, max_negative in calls:
                 got = call()

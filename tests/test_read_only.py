@@ -87,7 +87,7 @@ DISTANCE_CALLS = {
     "check_kissing": lambda d: check_kissing(d, 3),
     "check_kissing minors": lambda d: check_kissing(d, 3, "minors"),
     "check_euclidean": lambda d: check_euclidean(d, 3),
-    "check_euclidean distance_inertia": lambda d: check_euclidean(d, 3, "distance_inertia"),
+    "check_kissing one dimension up": lambda d: check_kissing(d, 4),
     "check_euclidean minors": lambda d: check_euclidean(d, 3, "minors"),
     "construct_embedding": lambda d: construct_embedding(d, 3),
     "schur_embedding": lambda d: schur_embedding(d, 3, (0, d.shape[0] - 1)),

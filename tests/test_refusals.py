@@ -30,8 +30,14 @@ REFUSALS = [
     # embed
     (lambda: embed.check_kissing(TRIPLE, 2, "cholesky"), ValueError, "unknown method 'cholesky'"),
     (lambda: embed.check_euclidean(TRIPLE, 2, "cholesky"), ValueError, "unknown method 'cholesky'"),
+    # Method names are matched exactly; the plain distance-matrix counts are check_kissing at n + 1.
+    (lambda: embed.check_kissing(TRIPLE, 2, "Inertia"), ValueError, "unknown method 'Inertia'"),
+    (lambda: embed.check_euclidean(TRIPLE, 2, "MINORS"), ValueError, "unknown method 'MINORS'"),
+    (lambda: embed.check_euclidean(TRIPLE, 2, "distance_inertia"),
+     ValueError, "unknown method 'distance_inertia'"),
     # spheres
     (lambda: spheres.check_spheres(SEPARATIONS, 2, "cholesky"), ValueError, "unknown method 'cholesky'"),
+    (lambda: spheres.check_spheres(SEPARATIONS, 2, "Minors"), ValueError, "unknown method 'Minors'"),
     (lambda: spheres.separation_matrix([]), ValueError, "need at least one sphere"),
     (lambda: spheres.separation_matrix([EuclideanSphere((0.0,), 1.0), EuclideanSphere((0.0, 0.0), 1.0)]),
      ValueError, "mixed dimensions"),

@@ -270,3 +270,32 @@ class TestKissingConeEmbed:
                 gap_sq = -minkowski_inner(cones[i], cones[j])
                 want = kissing_distance(images[i], images[j]) ** 2
                 assert gap_sq == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestExtremeScales:
+    """Radii whose squares and products underflow."""
+
+    def test_tiny_radii(self):
+        far = separation(EuclideanSphere((0.0, 0.0), 1e-200), EuclideanSphere((1.0, 0.0), 1e-200))
+        assert far == math.inf
+        near = separation(EuclideanSphere((0.0, 0.0), 1e-200), EuclideanSphere((3e-200, 0.0), 1e-200))
+        assert near == pytest.approx(3.5, rel=1e-15)
+
+    def test_dilation_by_a_power_of_two(self, rng):
+        spheres = [EuclideanSphere(tuple(rng.normal(size=3)), float(np.exp(rng.uniform(-1, 1))))
+                   for _ in range(20)]
+
+        def dilated(k):
+            return separation_matrix([EuclideanSphere(tuple(2.0**k * c for c in s.center),
+                                                      2.0**k * s.radius) for s in spheres])
+
+        # Radii beyond 1e150 and below 1e-150 take the exact division, so
+        # these two agree bit for bit; at unit scale ** 2 rounds on its own.
+        assert dilated(500).tobytes() == dilated(-500).tobytes()
+        assert np.allclose(dilated(500), separation_matrix(spheres), rtol=1e-14, atol=0.0)
+
+    def test_minors_route_at_a_huge_separation_scale(self):
+        # Separations near 1e61: their 12th power overflows a double.
+        s = separation_matrix([EuclideanSphere((1e15 * i, 0.0, 0.0), 1e-15) for i in range(12)])
+        assert check_spheres(s, 3, "minors").embeddable
+        assert check_spheres(s, 3, "inertia").embeddable
