@@ -48,7 +48,10 @@ def _witness_payload(witness) -> object:
     if witness is None:
         return None
     if isinstance(witness, embed.MinorWitness):
-        return {"type": "minor", "subset": list(witness.subset), "signed_minor": witness.signed_minor}
+        payload = {"type": "minor", "subset": list(witness.subset), "signed_minor": witness.signed_minor}
+        if witness.exponent:
+            payload["exponent"] = witness.exponent
+        return payload
     if isinstance(witness, embed.RankWitness):
         return {"type": "rank", "rank": witness.rank, "bound": witness.bound}
     payload = {

@@ -12,6 +12,7 @@ conditions admit false positives on degenerate zero-distance patterns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,13 @@ class InadmissiblePivotError(ValueError):
 
 @dataclass(frozen=True)
 class MinorWitness:
+    """The subset whose signed minor breaks the sign rule; the minor is
+    signed_minor * 2**exponent, and exponent is 0 unless the minor at the
+    data's own scale is inf, nan or 0."""
+
     subset: tuple[int, ...]
     signed_minor: float
+    exponent: int = 0
 
 
 @dataclass(frozen=True)
@@ -168,19 +174,25 @@ def _minors_certificate(d: np.ndarray, rank_bound: int, bordered: bool) -> Certi
     with its signed minor (-1)^|J| det M_J; a single point's D_J is [0] and
     never violates. Then the rank of D, or of D bordered at its own scale,
     must be at most rank_bound. As in verify_schur_relations, all tests run
-    on D divided exactly by the power of two below max D, so no power of max D
-    leaves the float range; the reported minor is taken at the data's own
-    scale, and is inf or 0 beyond the float range.
+    on D divided exactly by 2^e, the power of two below max D, so no power of
+    max D leaves the float range. The minor is reported at the data's own
+    scale, or for D / 2^e, with e times its degree, where that is not finite
+    and nonzero.
     """
-    scaled = d / numkernel.power_of_two_below(float(d.max()))
+    unit = numkernel.power_of_two_below(float(d.max()))
+    scaled = d / unit
     top = float(scaled.max())
     shift = 1 if bordered else 0
     for subset in numkernel.principal_subsets(d.shape[0]):
         signed = _signed_minor(scaled, subset, bordered)
-        if (-signed if bordered else signed) > EIG_ZERO * top ** (len(subset) - shift):
+        degree = len(subset) - shift
+        if (-signed if bordered else signed) > EIG_ZERO * top**degree:
             with np.errstate(all="ignore"):
-                signed = _signed_minor(d, subset, bordered)
-            return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed))
+                own = _signed_minor(d, subset, bordered)
+            if math.isfinite(own) and own != 0.0:
+                return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, own))
+            exponent = degree * (math.frexp(unit)[1] - 1)
+            return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed, exponent))
     rank = numkernel.inertia(_data_border(scaled) if bordered else scaled).rank
     if rank > rank_bound:
         return Certificate(NOT_EMBEDDABLE, "minors", RankWitness(rank, rank_bound))

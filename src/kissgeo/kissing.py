@@ -84,21 +84,22 @@ class InversionSphere:
             raise ValueError("radius must be a positive finite real")
 
 
-def _gap_sq(p: Sphere, q: Sphere, unit: float = 1.0) -> float:
+def _gap_sq(p: Sphere, q: Sphere, shift: int = 0) -> float:
+    """|t_p - t_q|^2 / 4^shift, each gap divided by 2^shift after the subtraction."""
     if len(p.tangent) != len(q.tangent):
         raise ValueError("ambient dimensions differ")
-    gaps = [(a - b) / unit for a, b in zip(p.tangent, q.tangent)]
     try:
+        gaps = [math.ldexp(a - b, -shift) for a, b in zip(p.tangent, q.tangent)]
         # A product, not ** 2: pow need not round correctly, and distance_matrix squares by product.
         return math.fsum(g * g for g in gaps)
-    except OverflowError:  # finite squares whose sum is beyond the float range
+    except OverflowError:  # a gap, or the sum of squares, beyond the float range
         return math.inf
 
 
 def distance_sq(p: KissingSphere, q: KissingSphere) -> float:
     """Squared distance; exact in the shared-tangent and hyperplane cases. Gaps
-    and diameters are first divided exactly by the power of two below the
-    larger diameter, so no product underflows; beyond the float range it is inf."""
+    are divided exactly by the power of two at the mean exponent of the two
+    diameters, which leaves their product in [1/4, 2); beyond the float range: inf."""
     if isinstance(p, Plane) and isinstance(q, Plane):
         return 0.0
     if isinstance(p, Plane):
@@ -107,8 +108,9 @@ def distance_sq(p: KissingSphere, q: KissingSphere) -> float:
         return q.height / p.diameter
     if p.tangent == q.tangent:
         return 0.0
-    unit = power_of_two_below(max(p.diameter, q.diameter))
-    return _gap_sq(p, q, unit) / ((p.diameter / unit) * (q.diameter / unit))
+    (m_p, e_p), (m_q, e_q) = math.frexp(p.diameter), math.frexp(q.diameter)
+    shift = (e_p + e_q) // 2
+    return _gap_sq(p, q, shift) / math.ldexp(m_p * m_q, e_p + e_q - 2 * shift)
 
 
 def distance(p: KissingSphere, q: KissingSphere) -> float:
@@ -267,19 +269,20 @@ def normalize_pair(p: KissingSphere, q: KissingSphere) -> InversionSphere | None
 def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     """Symmetric matrix of squared pairwise distances with zero diagonal.
 
-    Whole-array form of distance_sq: the squared tangent gaps accumulate one
-    boundary coordinate at a time (so up to two coordinates the result is
-    bit-identical to distance_sq), then divide by the diameter products;
-    shared tangent points give an exact zero. As in distance_sq, one power of
-    two divides first, so a dilation by 2^k changes no entry; the division is
-    masked, to keep those zeros, only where a product can still underflow.
-    Rows and columns of hyperplanes
+    Whole-array form of distance_sq: tangent points and diameters are divided
+    exactly by the power of two below the largest diameter (a dilation by 2^k
+    changes no entry), the squared tangent gaps accumulate one boundary
+    coordinate at a time, then divide by the diameter products; shared
+    tangent points give an exact zero. Up to two coordinates it is
+    bit-identical to distance_sq wherever no squared gap is subnormal, and
+    it is distance_sq pair by pair where a scaled diameter is below 2^-200 or
+    a scaled coordinate overflows. Rows and columns of hyperplanes
     are h / phi against spheres and zero against each other. Each pair of
     mirrored tiles (numkernel.tile_pairs) is computed once, into the upper
     tile, and copied to its mirror, so the only full-size array is the
     result and it is bitwise symmetric: (t_i - t_j)^2 and phi_i phi_j are
     exactly (t_j - t_i)^2 and phi_j phi_i. A distance beyond the float range
-    comes out inf or nan, silently; the caller decides whether to refuse it.
+    comes out inf, silently; the caller decides whether to refuse it.
     """
     items = list(spheres)
     if not items:
@@ -289,12 +292,18 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
         raise ValueError("mixed ambient dimensions")
     m = len(items)
     origin = (0.0,) * (dims.pop() - 1 if dims else 0)
-    unit = power_of_two_below(max((s.diameter for s in items if isinstance(s, Sphere)), default=0.0))
-    # Hyperplanes sit at the origin with scaled diameter one until their rows are overwritten.
+    top = max((s.diameter for s in items if isinstance(s, Sphere)), default=1.0)
+    unit = power_of_two_below(top)
+    # Hyperplanes sit at the origin with the largest diameter until their rows are overwritten.
     tangent = np.array([origin if isinstance(s, Plane) else s.tangent for s in items])
     tangent = tangent.reshape(m, len(origin)) / unit
-    diameter = np.array([unit if isinstance(s, Plane) else s.diameter for s in items]) / unit
-    underflows = float(diameter.min()) ** 2 == 0.0
+    phi = np.array([top if isinstance(s, Plane) else s.diameter for s in items])
+    diameter = phi / unit
+    # Scaled diameters of at least 2^-200 keep every diameter product above
+    # 2^-400, a normal number, so a squared gap is subnormal only where the
+    # squared distance is below 2^-622.
+    if float(diameter.min()) < 2.0**-200 or not np.isfinite(tangent).all():
+        return np.array([[distance_sq(p, q) for q in items] for p in items])
     planes = [i for i, s in enumerate(items) if isinstance(s, Plane)]
     out = np.empty((m, m))
     work = np.empty((2, min(m, TILE) ** 2))
@@ -313,16 +322,13 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
             if k:
                 tile += gap
         np.multiply.outer(diameter[rows], diameter[cols], out=scratch)
-        if underflows:  # a shared tangent point keeps its zero where the product is zero
-            np.divide(tile, scratch, out=tile, where=tile != 0.0)
-        else:
-            tile /= scratch
+        tile /= scratch
         upper[...] = tile
         if cols.start > rows.start:
             out[cols, rows] = tile.T
     if planes:
         heights = np.array([items[i].height for i in planes])
-        out[planes] = heights[:, None] / unit / diameter
+        out[planes] = heights[:, None] / phi
         out[:, planes] = out[planes].T
         out[np.ix_(planes, planes)] = 0.0
     return out

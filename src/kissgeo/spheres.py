@@ -11,7 +11,9 @@ fixed one land on a lightcone through it.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,20 +45,28 @@ class EuclideanSphere:
 
 
 def separation(p: EuclideanSphere, q: EuclideanSphere) -> float:
-    """Signed separation; never square-rooted (it may be negative). Only when a
-    radius is outside (1e-150, 1e150), as ** 2 need not round correctly, are
-    centers and radii first divided exactly by the power of two below the
-    larger radius, so that no square underflows; beyond the float range: inf."""
+    """Signed separation; never square-rooted (it may be negative). Where a
+    square or the product of the radii would leave the normal float range,
+    the numerator is divided exactly by 4^e, for the power of two 2^e above
+    the largest length, and the denominator by the powers of two above each
+    radius; the quotient is scaled back, to +-inf beyond the float range."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    big, small = max(p.radius, q.radius), min(p.radius, q.radius)
-    unit = 1.0 if 1e-150 < small and big < 1e150 else numkernel.power_of_two_below(big)
-    r_p, r_q = p.radius / unit, q.radius / unit
+    gaps = [a - b for a, b in zip(p.center, q.center)]
+    with contextlib.suppress(OverflowError):
+        squares = (math.fsum(g**2 for g in gaps), p.radius**2, q.radius**2)
+        numerator = squares[0] - squares[1] - squares[2]
+        denominator = 2.0 * p.radius * q.radius
+        if min(squares[1:]) >= sys.float_info.min and math.isfinite(numerator) and denominator < math.inf:
+            return numerator / denominator
+    e = math.frexp(max([p.radius, q.radius, *map(abs, gaps)]))[1]
+    gap_sq = math.fsum(math.ldexp(g, -e) ** 2 for g in gaps)
+    numerator = gap_sq - math.ldexp(p.radius, -e) ** 2 - math.ldexp(q.radius, -e) ** 2
+    (m_p, e_p), (m_q, e_q) = math.frexp(p.radius), math.frexp(q.radius)
     try:
-        gap_sq = math.fsum(((a - b) / unit) ** 2 for a, b in zip(p.center, q.center))
-    except OverflowError:  # a squared gap, or their sum, beyond the float range
-        return math.inf
-    return (gap_sq - r_p**2 - r_q**2) / (2.0 * r_p * r_q)
+        return math.ldexp(numerator / (2.0 * m_p * m_q), 2 * e - e_p - e_q)
+    except OverflowError:
+        return math.copysign(math.inf, numerator)
 
 
 def separation_matrix(spheres: Sequence[EuclideanSphere]) -> np.ndarray:
@@ -97,20 +107,27 @@ def validate_separation_matrix(matrix) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")
 def hyperboloid_embed(sphere: EuclideanSphere) -> np.ndarray:
     """Unit-pseudonorm vector of signature (n+1, 1) representing the sphere.
 
     Minus the inner product of two images equals their separation; the
-    self-product is one.
+    self-product is one. Where |c|^2 or r^2 overflows, c and r are first
+    divided exactly by the power of two 2^e above the largest length, the 1
+    by 4^e, and the first and last entries are multiplied back by 2^e.
     """
     c = np.asarray(sphere.center, dtype=float)
     r = sphere.radius
+    e = 0 if math.isfinite(float(c @ c) + r * r) else math.frexp(float(np.abs(c).max(initial=r)))[1]
+    c, r, one = np.ldexp(c, -e), math.ldexp(r, -e), math.ldexp(1.0, -2 * e)
     norm_sq = float(c @ c)
     out = np.empty(c.size + 2)
-    out[0] = 1.0 - norm_sq + r * r
+    out[0] = one - norm_sq + r * r
     out[1:-1] = 2.0 * c
-    out[-1] = 1.0 + norm_sq - r * r
-    return out / (2.0 * r)
+    out[-1] = one + norm_sq - r * r
+    out /= 2.0 * r
+    out[[0, -1]] = np.ldexp(out[[0, -1]], e)
+    return out
 
 
 def _descartes_inertia(minor_sums: np.ndarray, order: int, scale: float) -> Inertia:

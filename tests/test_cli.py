@@ -468,6 +468,37 @@ class TestExtremeScales:
         assert (code, out) == (2, "")
         assert err == "kissgeo: invalid request: Out of range float values are not JSON compliant\n"
 
+    def test_sizes_far_apart(self, tmp_path, capsys):
+        spheres = [{"t": [0], "phi": 1e-300}, {"t": [1], "phi": 1e30}]
+        path = write(tmp_path, "apart.json", {"n": 2, "spheres": spheres})
+        code, out, _ = run(capsys, ["classify", path])
+        assert code == 0
+        assert json.loads(out)["pairs"] == [{"i": 0, "j": 1, "class": "Disjoint"}]
+        code, out, _ = run(capsys, ["dist", path])
+        assert code == 0
+        assert json.loads(out)["d"][0][1] == pytest.approx(1e135, rel=1e-15)
+        circles = [{"c": [0, 0], "r": 1e100}, {"c": [1e160, 0], "r": 1e100}]
+        path = write(tmp_path, "circles.json", {"n": 2, "spheres": circles})
+        code, out, _ = run(capsys, ["spheres", path])
+        assert code == 0
+        assert json.loads(out)["d2"][0][1] == pytest.approx(5e119, rel=1e-15)
+
+    def test_dist_coordinates_far_beyond_the_diameter(self, tmp_path, capsys):
+        path = write(tmp_path, "far.json", {"n": 2, "spheres": [{"t": [1e10], "phi": 1e-299}]})
+        code, out, _ = run(capsys, ["dist", path])
+        assert (code, json.loads(out)["d"]) == (0, [[0.0]])
+
+    def test_minor_witness_beyond_the_float_range(self, tmp_path, capsys):
+        # Two tangent triples at distance zero from each other: at 2^1000 their
+        # refusing 5 x 5 minor is inf, so it is written for D / 2^1000.
+        triple = np.ones((3, 3)) - np.eye(3)
+        d = np.block([[triple, np.zeros((3, 3))], [np.zeros((3, 3)), triple]])
+        path = write(tmp_path, "huge.json", {"d2": (2.0**1000 * d).tolist()})
+        code, out, _ = run(capsys, ["check", path, "--mode", "kissing", "--n", "1", "--method", "minors"])
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        assert witness == {"type": "minor", "subset": [0, 1, 2, 3, 4], "signed_minor": 2.0, "exponent": 5000}
+
     def test_minors_at_a_huge_scale(self, tmp_path, capsys):
         d = 1e25 * distance_matrix(random_sphere_set(np.random.default_rng(1), 12, 3))
         path = write(tmp_path, "huge.json", {"d2": d.tolist()})

@@ -605,15 +605,23 @@ class TestScaleCovariance:
             assert witness.signed_minor == -float(np.linalg.det(scaled))
             assert witness.signed_minor == pytest.approx(math.ldexp(base.signed_minor, 5 * k), rel=1e-12)
         # Beyond the float range the minor at the data's own scale rounds to
-        # inf or zero; the verdict and the subset are decided at scale.
-        assert check_kissing(2.0**1000 * d, 1, "minors").witness == MinorWitness(base.subset, math.inf)
-        assert check_kissing(2.0**-1000 * d, 1, "minors").witness == MinorWitness(base.subset, 0.0)
+        # inf or zero. The witness is then the minor of D / 2^k, the data
+        # divided by the power of two below max D, with the exponent 5k.
+        for k in (1000, -1000):
+            witness = check_kissing(2.0**k * d, 1, "minors").witness
+            assert witness == MinorWitness(base.subset, base.signed_minor, 5 * k), k
 
     def test_bordered_minor_verdicts_under_dilation_by_powers_of_two(self):
         broken = np.array([[0.0, 1.0, 4.004], [1.0, 0.0, 1.0], [4.004, 1.0, 0.0]])
         base = check_euclidean(broken, 2, "minors").witness
         for k in (-1000, -500, 500, 1000):
             assert check_euclidean(2.0**k * broken, 2, "minors").witness.subset == base.subset, k
+        # At 2^+-1000 the bordered minor, of degree 2, is inf or 0 at the data's
+        # own scale; it is reported for D / 2^(k + 2), as the exponent 2(k + 2).
+        quarter = check_euclidean(broken / 4.0, 2, "minors").witness.signed_minor
+        for k in (-1000, 1000):
+            witness = check_euclidean(2.0**k * broken, 2, "minors").witness
+            assert witness == MinorWitness(base.subset, quarter, 2 * (k + 2)), k
 
     def test_construct_embedding_at_extreme_scales(self, rng):
         for scale in (1e-20, 1e-10, 1e10, 1e20):

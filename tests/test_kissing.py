@@ -323,6 +323,26 @@ class TestExtremeScales:
         assert distance(Plane(1.0), Sphere((0.0,), 1e-310)) == math.inf
         assert classify_pair(Plane(1.0), Sphere((0.0,), 1e-310)) is PairClass.DISJOINT
 
+    def test_diameters_far_apart_in_size(self):
+        # Divided by the larger diameter, 1e-300 would underflow; the product
+        # of the two diameters is formed at their mean exponent instead.
+        p, q = Sphere((0.0,), 1e-300), Sphere((1.0,), 1e30)
+        assert distance_sq(p, q) == distance_sq(q, p) == pytest.approx(1e270, rel=1e-15)
+        assert classify_pair(p, q) is PairClass.DISJOINT
+        d = distance_matrix([p, q])
+        assert np.array_equal(d, pairwise_distance_matrix([p, q]))
+        assert d[0, 1] == distance_sq(p, q)
+
+    def test_coordinates_far_beyond_the_diameters(self):
+        # 1e10 / 1e-299 overflows, so tangent points are not scaled before
+        # the subtraction: the diagonal and a shared point stay exact zeros.
+        assert distance_matrix([Sphere((1e10,), 1e-299)]).tolist() == [[0.0]]
+        spheres = [Sphere((1e10,), 1e-299), Sphere((1e10,), 1e-299), Sphere((0.0,), 1.0)]
+        d = distance_matrix(spheres)
+        assert np.array_equal(d, pairwise_distance_matrix(spheres))
+        assert d[0, 1] == d[1, 0] == 0.0 and not np.diag(d).any()
+        assert d[0, 2] == math.inf
+
     def test_tiny_shared_tangent_point_keeps_its_zero(self):
         spheres = [Sphere((0.0, 0.0), 1e-200), Sphere((0.0, 0.0), 1e-200), Sphere((1.0, 0.0), 1.0)]
         d = distance_matrix(spheres)
@@ -330,7 +350,7 @@ class TestExtremeScales:
         assert d[0, 1] == d[1, 0] == 0.0 and not np.diag(d).any()
         assert d[0, 2] == d[1, 2] == pytest.approx(1e200, rel=1e-15)
 
-    @pytest.mark.parametrize("k", [-500, 500])
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
     def test_dilation_by_a_power_of_two_changes_no_entry(self, rng, k):
         spheres = coincident_sphere_set(rng, 40, 3)
         dilated = [apply_generator(s, Dilation(2.0**k)) for s in spheres]

@@ -273,13 +273,29 @@ class TestKissingConeEmbed:
 
 
 class TestExtremeScales:
-    """Radii whose squares and products underflow."""
+    """Radii and gaps whose squares or products leave the normal float range."""
 
     def test_tiny_radii(self):
         far = separation(EuclideanSphere((0.0, 0.0), 1e-200), EuclideanSphere((1.0, 0.0), 1e-200))
         assert far == math.inf
         near = separation(EuclideanSphere((0.0, 0.0), 1e-200), EuclideanSphere((3e-200, 0.0), 1e-200))
         assert near == pytest.approx(3.5, rel=1e-15)
+
+    def test_radii_far_apart_in_size(self):
+        # The small radius squared underflows, and so does its ratio to the
+        # large one: the circles touch, and the separation rounds to zero.
+        tiny, huge = EuclideanSphere((0.0, 0.0), 1e-300), EuclideanSphere((1e30, 0.0), 1e30)
+        assert separation(tiny, huge) == separation(huge, tiny) == 0.0
+        assert separation_matrix([tiny, huge]).tolist() == [[-1.0, 0.0], [0.0, -1.0]]
+
+    def test_gap_whose_square_overflows(self):
+        # The squared gap, 1e320, is beyond the float range; the separation is not.
+        p, q = EuclideanSphere((0.0, 0.0), 1e100), EuclideanSphere((1e160, 0.0), 1e100)
+        assert separation(p, q) == pytest.approx(5e119, rel=1e-15)
+        assert separation(EuclideanSphere((-1e308,), 1.0), EuclideanSphere((1e308,), 1.0)) == math.inf
+        # Its hyperboloid image: |c|^2 = 1e320 overflows, the image does not.
+        image = hyperboloid_embed(q)
+        assert image.tolist() == pytest.approx([-5e219, 1e60, 0.0, 5e219], rel=1e-15)
 
     def test_dilation_by_a_power_of_two(self, rng):
         spheres = [EuclideanSphere(tuple(rng.normal(size=3)), float(np.exp(rng.uniform(-1, 1))))
@@ -289,10 +305,12 @@ class TestExtremeScales:
             return separation_matrix([EuclideanSphere(tuple(2.0**k * c for c in s.center),
                                                       2.0**k * s.radius) for s in spheres])
 
-        # Radii beyond 1e150 and below 1e-150 take the exact division, so
-        # these two agree bit for bit; at unit scale ** 2 rounds on its own.
-        assert dilated(500).tobytes() == dilated(-500).tobytes()
-        assert np.allclose(dilated(500), separation_matrix(spheres), rtol=1e-14, atol=0.0)
+        # Where a radius squared leaves the normal range, lengths are divided
+        # exactly by powers of two, so these agree bit for bit; at unit scale
+        # the squares are taken as they are, and ** 2 rounds on its own.
+        want = dilated(1000).tobytes()
+        assert all(dilated(k).tobytes() == want for k in (-1000, -600, 600))
+        assert np.allclose(dilated(600), separation_matrix(spheres), rtol=1e-14, atol=0.0)
 
     def test_minors_route_at_a_huge_separation_scale(self):
         # Separations near 1e61: their 12th power overflows a double.
