@@ -273,10 +273,11 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     exactly by the power of two below the largest diameter (a dilation by 2^k
     changes no entry), the squared tangent gaps accumulate one boundary
     coordinate at a time, then divide by the diameter products; shared
-    tangent points give an exact zero. Up to two coordinates it is
-    bit-identical to distance_sq wherever no squared gap is subnormal, and
-    it is distance_sq pair by pair where a scaled diameter is below 2^-200 or
-    a scaled coordinate overflows. Rows and columns of hyperplanes
+    tangent points give an exact zero. Where a scaled diameter is below
+    2^-200 or a scaled coordinate overflows, each pair is scaled at its own
+    mean exponent instead, as in distance_sq. Up to two coordinates the
+    result is bit-identical to distance_sq wherever no squared gap is
+    subnormal. Rows and columns of hyperplanes
     are h / phi against spheres and zero against each other. Each pair of
     mirrored tiles (numkernel.tile_pairs) is computed once, into the upper
     tile, and copied to its mirror, so the only full-size array is the
@@ -295,24 +296,35 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     top = max((s.diameter for s in items if isinstance(s, Sphere)), default=1.0)
     unit = power_of_two_below(top)
     # Hyperplanes sit at the origin with the largest diameter until their rows are overwritten.
-    tangent = np.array([origin if isinstance(s, Plane) else s.tangent for s in items])
-    tangent = tangent.reshape(m, len(origin)) / unit
+    points = np.array([origin if isinstance(s, Plane) else s.tangent for s in items]).reshape(m, len(origin))
     phi = np.array([top if isinstance(s, Plane) else s.diameter for s in items])
-    diameter = phi / unit
+    tangent, diameter = points / unit, phi / unit
+    planes = [i for i, s in enumerate(items) if isinstance(s, Plane)]
+    out = np.empty((m, m))
     # Scaled diameters of at least 2^-200 keep every diameter product above
     # 2^-400, a normal number, so a squared gap is subnormal only where the
     # squared distance is below 2^-622.
     if float(diameter.min()) < 2.0**-200 or not np.isfinite(tangent).all():
-        return np.array([[distance_sq(p, q) for q in items] for p in items])
-    planes = [i for i, s in enumerate(items) if isinstance(s, Plane)]
-    out = np.empty((m, m))
+        _fill_rows(out, points, phi)
+    else:
+        _fill_tiles(out, tangent, diameter)
+    if planes:
+        heights = np.array([items[i].height for i in planes])
+        out[planes] = heights[:, None] / phi
+        out[:, planes] = out[planes].T
+        out[np.ix_(planes, planes)] = 0.0
+    return out
+
+
+def _fill_tiles(out: np.ndarray, tangent: np.ndarray, diameter: np.ndarray) -> None:
+    m = len(diameter)
     work = np.empty((2, min(m, TILE) ** 2))
     for rows, cols in tile_pairs(m):
         upper = out[rows, cols]
         # Formed in a contiguous buffer, and both copies written from it: a
         # mirror written from out itself would first be copied by numpy.
         tile, scratch = (w[:upper.size].reshape(upper.shape) for w in work)
-        if not len(origin):
+        if not tangent.shape[1]:
             tile.fill(0.0)
         for k, coordinate in enumerate(tangent.T):
             # The first squared coordinate is written, not added to zero: 0 + x is x.
@@ -326,9 +338,13 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
         upper[...] = tile
         if cols.start > rows.start:
             out[cols, rows] = tile.T
-    if planes:
-        heights = np.array([items[i].height for i in planes])
-        out[planes] = heights[:, None] / phi
-        out[:, planes] = out[planes].T
-        out[np.ix_(planes, planes)] = 0.0
-    return out
+
+
+def _fill_rows(out: np.ndarray, points: np.ndarray, phi: np.ndarray) -> None:
+    """distance_sq of every pair, a row at a time: gaps over 2^h and the
+    diameter product over 4^h, h the mean exponent of each pair's diameters."""
+    mantissa, exponent = np.frexp(phi)
+    for i, point in enumerate(points):
+        shift = (exponent[i] + exponent) >> 1
+        gaps = np.ldexp(points - point, -shift[:, None])
+        out[i] = (gaps * gaps).sum(axis=1) / np.ldexp(mantissa[i] * mantissa, exponent[i] + exponent - 2 * shift)
