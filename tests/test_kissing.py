@@ -343,6 +343,16 @@ class TestExtremeScales:
         assert d[0, 1] == d[1, 0] == 0.0 and not np.diag(d).any()
         assert d[0, 2] == math.inf
 
+    def test_pair_scaled_rows_with_planes(self, rng):
+        # One sphere 1e250 times smaller than the rest, sharing a tangent
+        # point, sends the whole set through the rows scaled pair by pair.
+        spheres = coincident_sphere_set(rng, 40, 3, planes=3, shared=3)
+        first = next(s for s in spheres if isinstance(s, Sphere))
+        spheres.append(Sphere(first.tangent, 1e-250 * first.diameter))
+        d = distance_matrix(spheres)
+        assert np.array_equal(d, pairwise_distance_matrix(spheres))
+        assert np.array_equal(d, d.T) and d[spheres.index(first), -1] == 0.0
+
     def test_tiny_shared_tangent_point_keeps_its_zero(self):
         spheres = [Sphere((0.0, 0.0), 1e-200), Sphere((0.0, 0.0), 1e-200), Sphere((1.0, 0.0), 1.0)]
         d = distance_matrix(spheres)
