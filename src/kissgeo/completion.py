@@ -308,9 +308,9 @@ def clique_feasible(graph: LengthGraph, n: int) -> tuple[bool, tuple[CliqueCheck
 class TargetReport:
     """The four target-matrix conditions, reported independently.
 
-    Edge agreement is enforced in the forward direction only: entries on
-    edges must match the squared lengths by the rule of matrices_close;
-    non-edge entries are free.
+    Edge agreement is enforced in the forward direction only: an entry on
+    an edge must be within ROUND_TRIP_RTOL * (l^2 + min(1, max l^2)) of the
+    squared length l^2; non-edge entries are free.
     """
 
     diagonal_ok: bool

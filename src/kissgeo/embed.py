@@ -89,6 +89,11 @@ def validate_squared_distances(matrix) -> np.ndarray:
     beyond its input, and construct_embedding one, the round trip's
     distance matrix.
     """
+    return _validated(matrix)[0]
+
+
+def _validated(matrix) -> tuple[np.ndarray, float]:
+    """validate_squared_distances with max D, which symmetric_extent measures."""
     a, high, low = numkernel.symmetric_extent(matrix)
     scale = max(high, -low)
     diagonal = np.diagonal(a)
@@ -97,7 +102,7 @@ def validate_squared_distances(matrix) -> np.ndarray:
     if low < -1e-12 * scale:
         raise ValueError("squared-distance entries must be nonnegative")
     if not np.signbit(low) and not diagonal.any():
-        return a
+        return a, high
     # A new array from symmetric_extent is private, so it is clipped in place.
     private = a.flags.owndata
     if private:
@@ -105,7 +110,7 @@ def validate_squared_distances(matrix) -> np.ndarray:
     out = np.maximum(a, 0.0, out=a if private else None)
     np.fill_diagonal(out, 0.0)
     out.setflags(write=False)
-    return out
+    return out, high
 
 
 def _border(d: np.ndarray, edge: float) -> np.ndarray:
@@ -236,48 +241,27 @@ def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
     return _minors_certificate(d, n + 2, bordered=True)
 
 
-def matrices_close(actual, expected) -> bool:
-    """|actual - expected| <= ROUND_TRIP_RTOL * (|expected| + min(1, max|expected|)) entrywise.
+def _symmetric_close(actual: np.ndarray, expected: np.ndarray, top: float) -> bool:
+    """|actual - expected| <= ROUND_TRIP_RTOL * (|expected| + top) entrywise, for
+    two bitwise symmetric matrices and top = max|expected|.
 
-    The additive term lets entries near zero match to within ROUND_TRIP_RTOL of the
-    matrix's own scale, capped at 1. A NaN in either matrix fails. The
-    comparison runs over the TILE x TILE tiles of expected in two tile-sized
-    work arrays.
+    The additive term lets entries near zero match to within ROUND_TRIP_RTOL
+    of the matrix's own scale, so the rule commutes with D -> cD. A NaN in
+    either matrix fails. Only the upper tile pairs (numkernel.tile_pairs) are
+    read, in two tile-sized work arrays, up to the first tile with a
+    violation or a NaN. This is exact, not a looser test: entry (j, i) of
+    each matrix is entry (i, j) bit for bit, so its excess and its allowance
+    are those of (i, j). distance_matrix returns such a matrix, and so does
+    validation.
     """
-    a = np.asarray(actual, dtype=float)
-    b = np.asarray(expected, dtype=float)
-    rows, cols = b.shape
-    tiles = [(slice(i, i + TILE), slice(j, j + TILE))
-             for i in range(0, rows, TILE) for j in range(0, cols, TILE)]
-    return _all_close(a, b, tiles)
-
-
-def _symmetric_close(actual: np.ndarray, expected: np.ndarray) -> bool:
-    """matrices_close for two bitwise symmetric matrices, over the upper tile
-    pairs (numkernel.tile_pairs) only.
-
-    This is exact, not a looser test: entry (j, i) of each matrix is entry
-    (i, j) bit for bit, so its excess and its allowance are those of (i, j).
-    distance_matrix returns such a matrix, and so does validation.
-    """
-    pairs = list(numkernel.tile_pairs(expected.shape[0]))
-    return _all_close(actual, expected, pairs)
-
-
-def _all_close(a: np.ndarray, b: np.ndarray, blocks: list) -> bool:
-    """The rule of matrices_close on each tile ((rows, cols) slices of a and b)
-    in turn, in two work arrays; False at the first tile with a violation or a NaN."""
-    # The floor is 1 as soon as one entry reaches 1; only smaller data needs the full scan.
-    first = b[blocks[0]]
-    floor = 1.0 if numkernel.max_abs(first) >= 1.0 else min(1.0, numkernel.max_abs(b))
-    work = np.empty((2, first.size))
-    for index in blocks:
-        block = b[index]
+    work = np.empty((2, min(expected.shape[0], TILE) ** 2))
+    for index in numkernel.tile_pairs(expected.shape[0]):
+        block = expected[index]
         allowed, excess = (w[:block.size].reshape(block.shape) for w in work)
         np.abs(block, out=allowed)
-        allowed += floor
+        allowed += top
         allowed *= ROUND_TRIP_RTOL
-        np.subtract(a[index], block, out=excess)
+        np.subtract(actual[index], block, out=excess)
         np.abs(excess, out=excess)
         excess -= allowed
         if not float(excess.max()) <= 0.0:
@@ -296,13 +280,13 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     one tangent point. Otherwise the factor columns are oriented to the future (a global
     sign flip when every time coordinate is negative), mapped back to spheres
     by one from_lightcone call on the whole factor, and validated by a round
-    trip at 1e-7 relative. A zero factor row, mixed
-    orientations, a factor row off the future cone, or a failed round trip
-    raise RealizationError: the certificate passed, but the factor gives no
+    trip at 1e-7 relative. A zero factor row, a factor row that is off the
+    future cone or not future-directed, or a failed round trip raise
+    RealizationError: the certificate passed, but the factor gives no
     sphere set, as on the degenerate zero-distance patterns the signature
     rule does not exclude.
     """
-    d = validate_squared_distances(matrix)
+    d, top = _validated(matrix)
     n = numkernel.dimension(n)
     m = d.shape[0]
     # Row by row: a nonzero row, almost always the first, ends the test early.
@@ -315,16 +299,13 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
             f"degenerate zero-distance pattern: zero factor rows {factor.degenerate_rows}"
         )
     vectors = factor.vectors
-    times = vectors[:, -1]
-    if np.all(times < 0.0):
+    if np.all(vectors[:, -1] < 0.0):
         vectors = -vectors
-    elif not np.all(times > 0.0):
-        raise RealizationError("mixed time orientations in the factorization")
     try:
         spheres = from_lightcone(vectors)
     except InverseMapError as exc:
         raise RealizationError(f"factor row {exc.row} is not a future null vector: {exc}") from exc
-    if not _symmetric_close(distance_matrix(spheres), d):
+    if not _symmetric_close(distance_matrix(spheres), d, top):
         raise RealizationError("round trip failed: realized distances do not reproduce the input")
     return spheres
 
@@ -339,7 +320,7 @@ def schur_embedding(matrix, n: int, pivot: tuple[int, int]) -> list[KissingSpher
     which must be positive semidefinite of rank at most n - 1. Requires
     D[i, b] > 0 for every i != b, and re-validates by a round trip.
     """
-    d = validate_squared_distances(matrix)
+    d, top = _validated(matrix)
     n = numkernel.dimension(n)
     m = d.shape[0]
     a, b = _pivot(pivot, m)
@@ -363,7 +344,7 @@ def schur_embedding(matrix, n: int, pivot: tuple[int, int]) -> list[KissingSpher
     out[a] = Sphere(tangent=(0.0,) * (n - 1), diameter=1.0 / d[a, b])
     for i, point, diameter in zip(rest, points, phi):
         out[i] = Sphere(tangent=point, diameter=diameter)
-    if not _symmetric_close(distance_matrix(out), d):
+    if not _symmetric_close(distance_matrix(out), d, top):
         raise RealizationError("round trip failed: Schur construction does not reproduce the input")
     return out
 

@@ -42,23 +42,31 @@ def _number(value, message: str) -> float:
 _PLAIN_NUMBERS = {int, float}
 
 
-def _fill_rows(out: np.ndarray, rows: list) -> bool:
-    """Copy rows of plain JSON numbers into out, one whole row at a time.
+def _fill_rows(out: np.ndarray, rows: list, row_message, entry_message) -> np.ndarray:
+    """Copy rows of plain JSON numbers into out, one whole row at a time, and return it.
 
-    Returns False on a row that is not a list of out's width, an entry that is
-    not an int or float (bools, strings and null included), an integer beyond
-    the float range, or a non-finite value; the caller's per-entry loop then
-    names the first bad entry.
+    On a row that is not a list of out's width, an entry that is not an int
+    or float (bools, strings and null included), an integer beyond the float
+    range, or a non-finite value, a per-entry loop raises SchemaError at the
+    first bad row i, with row_message(i), or entry (i, j), with
+    entry_message(i, j).
     """
     width = out.shape[1]
     try:
         for i, row in enumerate(rows):
             if not (isinstance(row, list) and len(row) == width and set(map(type, row)) <= _PLAIN_NUMBERS):
-                return False
+                break
             out[i] = row
+        else:
+            if np.isfinite(out).all():
+                return out
     except OverflowError:
-        return False
-    return bool(np.isfinite(out).all())
+        pass
+    for i, row in enumerate(rows):
+        _require(isinstance(row, list) and len(row) == width, row_message(i))
+        for j, value in enumerate(row):
+            out[i, j] = _number(value, entry_message(i, j))
+    return out
 
 
 def load_sphere_set(obj) -> tuple[int, list[KissingSphere]]:
@@ -100,15 +108,8 @@ def dump_sphere_set(n: int, spheres: Sequence[KissingSphere]) -> dict:
 
 def _load_square(rows, what: str) -> np.ndarray:
     _require(isinstance(rows, list) and rows, f'"{what}" must be a nonempty list of rows')
-    m = len(rows)
-    out = np.zeros((m, m))
-    if _fill_rows(out, rows):
-        return out
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == m, f'"{what}" must be square')
-        for j, value in enumerate(row):
-            out[i, j] = _number(value, f'"{what}"[{i}][{j}] must be a finite number')
-    return out
+    return _fill_rows(np.zeros((len(rows), len(rows))), rows, lambda i: f'"{what}" must be square',
+                      lambda i, j: f'"{what}"[{i}][{j}] must be a finite number')
 
 
 def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarray]:
@@ -177,15 +178,9 @@ def load_vectors(obj) -> tuple[int, np.ndarray]:
     _require(is_integer(n) and n >= 1, '"n" must be a positive integer')
     raw = obj.get("vectors")
     _require(isinstance(raw, list) and raw, '"vectors" must be a nonempty list')
-    out = np.zeros((len(raw), n + 1))
-    if _fill_rows(out, raw):
-        return n, out
-    for i, row in enumerate(raw):
-        _require(isinstance(row, list) and len(row) == n + 1,
-                 f"vector {i} must list {n + 1} coordinates")
-        for j, value in enumerate(row):
-            out[i, j] = _number(value, f"vector coordinate [{i}][{j}] must be a finite number")
-    return n, out
+    return n, _fill_rows(np.zeros((len(raw), n + 1)), raw,
+                         lambda i: f"vector {i} must list {n + 1} coordinates",
+                         lambda i, j: f"vector coordinate [{i}][{j}] must be a finite number")
 
 
 def dump_vectors(n: int, vectors) -> dict:

@@ -305,7 +305,8 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     # 2^-400, a normal number, so a squared gap is subnormal only where the
     # squared distance is below 2^-622.
     if float(diameter.min()) < 2.0**-200 or not np.isfinite(tangent).all():
-        _fill_rows(out, points, phi)
+        mantissa, exponent = np.frexp(phi)
+        _fill_tiles(out, points, mantissa, exponent)
     else:
         _fill_tiles(out, tangent, diameter)
     if planes:
@@ -316,7 +317,11 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     return out
 
 
-def _fill_tiles(out: np.ndarray, tangent: np.ndarray, diameter: np.ndarray) -> None:
+def _fill_tiles(out: np.ndarray, tangent: np.ndarray, diameter: np.ndarray,
+                exponent: np.ndarray | None = None) -> None:
+    """Given exponent, tangent holds the unscaled points and diameter the
+    mantissas of phi, and each pair is scaled at its own mean exponent h, as
+    in distance_sq: its gaps over 2^h, its diameter product over 4^h."""
     m = len(diameter)
     work = np.empty((2, min(m, TILE) ** 2))
     for rows, cols in tile_pairs(m):
@@ -324,27 +329,24 @@ def _fill_tiles(out: np.ndarray, tangent: np.ndarray, diameter: np.ndarray) -> N
         # Formed in a contiguous buffer, and both copies written from it: a
         # mirror written from out itself would first be copied by numpy.
         tile, scratch = (w[:upper.size].reshape(upper.shape) for w in work)
+        if exponent is not None:
+            total = np.add.outer(exponent[rows], exponent[cols])
+            half = total >> 1
         if not tangent.shape[1]:
             tile.fill(0.0)
         for k, coordinate in enumerate(tangent.T):
             # The first squared coordinate is written, not added to zero: 0 + x is x.
             gap = scratch if k else tile
             np.subtract.outer(coordinate[rows], coordinate[cols], out=gap)
+            if exponent is not None:
+                np.ldexp(gap, -half, out=gap)
             np.multiply(gap, gap, out=gap)
             if k:
                 tile += gap
         np.multiply.outer(diameter[rows], diameter[cols], out=scratch)
+        if exponent is not None:
+            np.ldexp(scratch, total - 2 * half, out=scratch)
         tile /= scratch
         upper[...] = tile
         if cols.start > rows.start:
             out[cols, rows] = tile.T
-
-
-def _fill_rows(out: np.ndarray, points: np.ndarray, phi: np.ndarray) -> None:
-    """distance_sq of every pair, a row at a time: gaps over 2^h and the
-    diameter product over 4^h, h the mean exponent of each pair's diameters."""
-    mantissa, exponent = np.frexp(phi)
-    for i, point in enumerate(points):
-        shift = (exponent[i] + exponent) >> 1
-        gaps = np.ldexp(points - point, -shift[:, None])
-        out[i] = (gaps * gaps).sum(axis=1) / np.ldexp(mantissa[i] * mantissa, exponent[i] + exponent - 2 * shift)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -315,7 +315,11 @@ def certified_eigen(matrix, rank: int) -> Spectrum:
 
 
 def _sketched_spectrum(a: np.ndarray, rank: int) -> Spectrum | None:
-    """The certified Spectrum from a range sketch of a, or None."""
+    """The certified Spectrum from a range sketch of a, or None. Where max|mu|
+    is not finite or leaves [2^-400, 2^400], so that its square or |A|_F^2
+    might not be a normal number, the sketch runs on a divided exactly by the
+    power of two below max|a|, and its values and cutoff are scaled back;
+    the zero matrix stays as it is."""
     m = a.shape[0]
     width = rank + SKETCH_OVERSAMPLE
     omega = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
@@ -325,6 +329,12 @@ def _sketched_spectrum(a: np.ndarray, rank: int) -> Spectrum | None:
     mu, v = np.linalg.eigh((ritz + ritz.T) / 2.0)
     mu, v = mu[::-1], v[:, ::-1]
     top = float(np.abs(mu).max())
+    unit = 1.0 if 2.0**-400 <= top <= 2.0**400 else power_of_two_below(max_abs(a))
+    if unit != 1.0:
+        found = _sketched_spectrum(a / unit, rank)
+        if found is not None:
+            found = replace(found, values=found.values * unit, cutoff=found.cutoff * unit)
+        return found
     c_mid = EIG_ZERO * top
     # |A - Q Q^T A Q Q^T|_F^2 >= |A|_F^2 - |AQ|_F^2. The rounding slack is
     # generous: a needless rejection only hands the matrix to sym_eigen.

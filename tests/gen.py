@@ -1,8 +1,10 @@
-"""Shared random-instance samplers for the test suite."""
+"""Shared random-instance samplers and checks for the test suite."""
 
 import numpy as np
 
 from kissgeo import LengthGraph, Plane, Sphere, distance
+from kissgeo.embed import _symmetric_close
+from kissgeo.numkernel import max_abs
 from kissgeo.kissing import InversionSphere
 
 
@@ -123,3 +125,10 @@ def shared_point_chordal_graph(rng, vertices, n=3, shared_share=0.03, max_clique
         d2 = gap * (inv[u] * inv[v]) + (height[u] * inv[v] + inv[u] * height[v])
         edges.append((u, v, float(np.sqrt(d2))))
     return LengthGraph(vertices, tuple(edges))
+
+
+def round_trip_close(actual, expected):
+    """The round-trip rule of the embedding routes on two symmetric matrices,
+    with the largest entry of expected as its floor."""
+    expected = np.asarray(expected, dtype=float)
+    return _symmetric_close(np.asarray(actual, dtype=float), expected, max_abs(expected))

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import coincident_sphere_set, graph_from_configuration, random_sphere, random_sphere_set
+from gen import (
+    coincident_sphere_set,
+    graph_from_configuration,
+    random_sphere,
+    random_sphere_set,
+    round_trip_close,
+)
 from kissgeo.embed import (
     Certificate,
     InadmissiblePivotError,
@@ -18,7 +24,6 @@ from kissgeo.embed import (
     check_euclidean,
     check_kissing,
     construct_embedding,
-    matrices_close,
     schur_embedding,
     verify_schur_relations,
 )
@@ -267,11 +272,11 @@ class TestConstructEmbedding:
     def test_tangent_pair(self):
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         spheres = construct_embedding(d, 1)
-        assert matrices_close(distance_matrix(spheres), d)
+        assert round_trip_close(distance_matrix(spheres), d)
 
     def test_tangent_triple(self):
         spheres = construct_embedding(TANGENT_TRIPLE, 2)
-        assert matrices_close(distance_matrix(spheres), TANGENT_TRIPLE)
+        assert round_trip_close(distance_matrix(spheres), TANGENT_TRIPLE)
 
     def test_boundary_gap_detected(self):
         # Both algebraic checks pass at every n >= 1, yet the configuration is
@@ -296,14 +301,14 @@ class TestConstructEmbedding:
             for _ in range(15):
                 d = distance_matrix(random_sphere_set(rng, 6, n, plane_chance=0.15))
                 spheres = construct_embedding(d, n)
-                assert matrices_close(distance_matrix(spheres), d)
+                assert round_trip_close(distance_matrix(spheres), d)
 
     def test_partial_zero_pattern_realizable(self):
         # Two spheres at distance zero plus one at unit distance from both is
         # realizable (the pair coincides); the pipeline must succeed.
         d = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
         spheres = construct_embedding(d, 2)
-        assert matrices_close(distance_matrix(spheres), d)
+        assert round_trip_close(distance_matrix(spheres), d)
 
     def test_off_cone_factor_row_is_a_realization_error(self):
         # Clique (1, 5, 6, 18) of a realizable graph at n = 3: its factor row 1
@@ -333,9 +338,9 @@ class TestSchurEmbedding:
 
     def test_tangent_triple(self):
         spheres = schur_embedding(TANGENT_TRIPLE, 2, (0, 2))
-        assert matrices_close(distance_matrix(spheres), TANGENT_TRIPLE)
+        assert round_trip_close(distance_matrix(spheres), TANGENT_TRIPLE)
         other = construct_embedding(TANGENT_TRIPLE, 2)
-        assert matrices_close(distance_matrix(other), distance_matrix(spheres))
+        assert round_trip_close(distance_matrix(other), distance_matrix(spheres))
 
     def test_zero_in_pivot_column(self):
         with pytest.raises(InadmissiblePivotError):
@@ -366,7 +371,7 @@ class TestSchurEmbedding:
                 if d[np.triu_indices(5, 1)].min() <= 0.0:
                     continue
                 spheres = schur_embedding(d, n, (0, 4))
-                assert matrices_close(distance_matrix(spheres), d)
+                assert round_trip_close(distance_matrix(spheres), d)
 
 
 class TestRoundTripGuards:
@@ -383,7 +388,7 @@ class TestRoundTripGuards:
         return request.param * distance_matrix(self.SPHERES)
 
     def test_construct_embedding_round_trip(self, d, monkeypatch):
-        assert matrices_close(distance_matrix(construct_embedding(d, 3)), d)
+        assert round_trip_close(distance_matrix(construct_embedding(d, 3)), d)
         real = embed.from_lightcone
 
         # Doubling a null vector keeps it null and future: row 0 becomes a
@@ -407,11 +412,12 @@ class TestRoundTripGuards:
             return dataclasses.replace(factor, vectors=vectors)
 
         monkeypatch.setattr(numkernel, "gram_factor_lorentz", flip_row_zero)
-        with pytest.raises(RealizationError, match="mixed time orientations"):
+        with pytest.raises(RealizationError, match=r"^factor row \d+ is not a future null vector: "
+                                                   "vector is not future-directed$"):
             construct_embedding(d, 3)
 
     def test_schur_embedding_round_trip(self, d, monkeypatch):
-        assert matrices_close(distance_matrix(schur_embedding(d, 3, (0, 4))), d)
+        assert round_trip_close(distance_matrix(schur_embedding(d, 3, (0, 4))), d)
         real = numkernel.sym_eigen
 
         def stretch_row_zero(*args):
@@ -493,41 +499,60 @@ class TestDegenerationBridges:
             assert np.abs(d - bordered).max() <= 1e-12 * max(1.0, bordered.max())
 
 
-class TestMatricesClose:
+class TestRoundTripRule:
+    """embed._symmetric_close: |actual - expected| <= 1e-7 (|expected| + max|expected|)."""
+
     def test_rejects_a_large_error_at_small_scale(self):
         expected = 1e-9 * TRIANGLE_345
         wrong = expected.copy()
         wrong[0, 1] = wrong[1, 0] = 1.5 * expected[0, 1]
-        assert not matrices_close(wrong, expected)
-        assert matrices_close(expected * (1.0 + 1e-9), expected)
+        assert not round_trip_close(wrong, expected)
+        assert round_trip_close(expected * (1.0 + 1e-9), expected)
 
     def test_zero_entries_match_to_the_matrix_scale(self):
         expected = 1e-12 * BOUNDARY_GAP
         near = expected.copy()
         near[2, 3] = near[3, 2] = 1e-20
-        assert matrices_close(near, expected)
+        assert round_trip_close(near, expected)
         near[2, 3] = near[3, 2] = 1e-18
-        assert not matrices_close(near, expected)
+        assert not round_trip_close(near, expected)
 
-    def test_unchanged_when_the_largest_entry_is_at_least_one(self, rng):
-        for _ in range(50):
-            expected = distance_matrix(random_sphere_set(rng, 5, 3))
-            expected *= float(rng.uniform(1.0, 1e6)) / min(1.0, expected.max())
-            actual = expected * (1.0 + rng.normal(scale=1e-7, size=expected.shape))
-            old = float(np.max(np.abs(actual - expected) / (1.0 + np.abs(expected)))) <= 1e-7
-            assert matrices_close(actual, expected) == old
-
-    def test_floor_is_one_when_the_largest_entry_is_past_the_first_tile(self):
+    def test_floor_is_the_largest_entry_at_every_scale(self):
+        """A zero entry may come back within 1e-7 of max D, however large D
+        is, and the largest entry may sit past the first tile."""
         m = 300
         expected = np.full((m, m), 0.01)
         np.fill_diagonal(expected, 0.0)
+        expected[0, 1] = expected[1, 0] = 0.0
         expected[m - 1, m - 2] = expected[m - 2, m - 1] = 10.0
-        assert numkernel.max_abs(expected[:numkernel.TILE, :numkernel.TILE]) < 1.0
-        near = expected.copy()
-        near[0, 1] = near[1, 0] = 0.01 + 5e-8
-        assert matrices_close(near, expected)
-        near[0, 1] = near[1, 0] = 0.01 + 2e-7
-        assert not matrices_close(near, expected)
+        for k in range(-1000, 1001, 100):
+            scale = math.ldexp(1.0, k)
+            near = scale * expected
+            near[0, 1] = near[1, 0] = 0.9e-6 * scale
+            assert round_trip_close(near, scale * expected)
+            near[0, 1] = near[1, 0] = 1.1e-6 * scale
+            assert not round_trip_close(near, scale * expected)
+
+    def test_verdicts_commute_with_powers_of_two(self, rng):
+        """Scaling both matrices by 2^k changes no verdict: a wrong entry 1.5
+        times too large and a wrong pair in the last, partial tile are
+        refused at every scale, and entries within 1e-9 relative pass."""
+        m = 2 * numkernel.TILE + 44
+        expected = distance_matrix(coincident_sphere_set(rng, m, 3, planes=2, shared=10))
+        wrong = expected.copy()
+        wrong[3, 5] = wrong[5, 3] = 1.5 * expected[3, 5]
+        off_in_last_tile = expected.copy()
+        at = (m - 2, m - 1)
+        off_in_last_tile[at] = off_in_last_tile[at[::-1]] = 1.01 * expected[at] + 1e-3
+        noisy = expected * (1.0 + rng.normal(scale=1e-7, size=(m, m)))
+        noisy = (noisy + noisy.T) / 2.0
+        verdict = round_trip_close(noisy, expected)
+        for k in range(-1000, 1001, 100):
+            scale = math.ldexp(1.0, k)
+            assert round_trip_close(scale * expected * (1.0 + 1e-9), scale * expected)
+            assert not round_trip_close(scale * wrong, scale * expected)
+            assert not round_trip_close(scale * off_in_last_tile, scale * expected)
+            assert round_trip_close(scale * noisy, scale * expected) == verdict
 
 
 ROUTES = (
@@ -623,12 +648,36 @@ class TestScaleCovariance:
             witness = check_euclidean(2.0**k * broken, 2, "minors").witness
             assert witness == MinorWitness(base.subset, quarter, 2 * (k + 2)), k
 
+    def test_sketch_witness_at_every_power_of_two(self, eigh_orders):
+        """Where the sketch's squares would leave the float range, it runs on
+        D divided by a power of two: the refusal keeps its counts and stays
+        a lower bound (exact False), with no full eigensolve."""
+        from bench.inputs import N, not_embeddable_matrix
+
+        d = not_embeddable_matrix(np.random.default_rng(2), 200).d2
+        base = check_kissing(d, N).witness
+        assert not base.exact
+        for scale in [1e-300, 1e154, 1e300] + [math.ldexp(1.0, k) for k in range(-1000, 1001, 100)]:
+            assert check_kissing(scale * d, N).witness == base, scale
+        assert eigh_orders == []
+
+    def test_round_trip_floor_scales_with_the_data(self):
+        """A shared tangent point's zero comes back as rounding at the scale
+        of max D, which a floor capped at 1 refused from about 1e30 on."""
+        from bench.inputs import N, embeddable_matrix
+
+        for seed, m in ((1, 127), (4, 300)):
+            d = embeddable_matrix(np.random.default_rng(seed), m).d2
+            for scale in [1e40] + [math.ldexp(1.0, k) for k in range(-1000, 1001, 100)]:
+                spheres = construct_embedding(scale * d, N)
+                assert round_trip_close(distance_matrix(spheres), scale * d), (seed, scale)
+
     def test_construct_embedding_at_extreme_scales(self, rng):
         for scale in (1e-20, 1e-10, 1e10, 1e20):
             for _ in range(10):
                 d = scale * distance_matrix(random_sphere_set(rng, 6, 3, plane_chance=0.3))
                 spheres = construct_embedding(d, 3)
-                assert matrices_close(distance_matrix(spheres), d)
+                assert round_trip_close(distance_matrix(spheres), d)
 
 
 @given(

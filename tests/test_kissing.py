@@ -343,9 +343,34 @@ class TestExtremeScales:
         assert d[0, 1] == d[1, 0] == 0.0 and not np.diag(d).any()
         assert d[0, 2] == math.inf
 
+    @pytest.mark.parametrize("p, q", [
+        # The sum of the squared gaps overflows inside fsum.
+        (Sphere((0.0, 0.0), 1.0), Sphere((1.2e154, 1.2e154), 1.0)),
+        # The gap over 2^h overflows in ldexp.
+        (Sphere((0.0,), 1e-300), Sphere((1e10,), 1e-300)),
+    ])
+    def test_gaps_beyond_the_float_range_are_disjoint(self, p, q):
+        assert distance_sq(p, q) == distance_sq(q, p) == math.inf
+        assert classify_pair(p, q) is PairClass.DISJOINT
+        d = distance_matrix([p, q])
+        assert d[0, 1] == d[1, 0] == math.inf and not np.diag(d).any()
+
+    def test_a_tiny_sphere_moves_no_other_entry(self, rng):
+        """A sphere 2^-300 times the largest diameter sends the set down the
+        pair-scaled path; each other pair, scaled at its own mean exponent
+        rather than by the largest diameter, keeps its bits, with squares
+        summed in the same order (ten coordinates here)."""
+        spheres = coincident_sphere_set(rng, 40, 11, planes=3, shared=3)
+        top = max(s.diameter for s in spheres if isinstance(s, Sphere))
+        want = distance_matrix(spheres)
+        tiny = Sphere(tuple(rng.normal(size=10)), math.ldexp(top, -300))
+        got = distance_matrix(spheres + [tiny])
+        assert got[:-1, :-1].tobytes() == want.tobytes()
+        assert got[:-1, -1].tobytes() == got[-1, :-1].tobytes()
+
     def test_pair_scaled_rows_with_planes(self, rng):
         # One sphere 1e250 times smaller than the rest, sharing a tangent
-        # point, sends the whole set through the rows scaled pair by pair.
+        # point, sends the whole set through the tiles scaled pair by pair.
         spheres = coincident_sphere_set(rng, 40, 3, planes=3, shared=3)
         first = next(s for s in spheres if isinstance(s, Sphere))
         spheres.append(Sphere(first.tangent, 1e-250 * first.diameter))

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import coincident_sphere_set
+from gen import coincident_sphere_set, round_trip_close
 from kissgeo import embed, numkernel
 from kissgeo.embed import (
     RealizationError,
     check_euclidean,
     check_kissing,
     construct_embedding,
-    matrices_close,
     validate_squared_distances,
 )
 from kissgeo.kissing import Sphere, distance_matrix
@@ -337,7 +336,7 @@ class TestCertifiedEigen:
         assert check_kissing(d, 3).embeddable
         spheres = construct_embedding(d, 3)
         assert eigh_orders == []
-        assert matrices_close(distance_matrix(spheres), d)
+        assert round_trip_close(distance_matrix(spheres), d)
 
     def test_high_rank_refusal_skips_sym_eigen(self, rng, eigh_orders):
         d = raised_within_group(rng, 120, 3)
@@ -400,6 +399,13 @@ class TestCertifiedEigen:
         assert len(tried) == 1 and eigh_orders == [120]
         assert found.route == "eigh" and found.exact
         assert found.inertia == inertia(d)
+
+    def test_zero_matrix_is_not_rescaled(self):
+        """The sketch's values are all zero, outside the range it rescales
+        for; dividing by the power of two below max|A| = 0 would be no step."""
+        spectrum = certified_eigen(np.zeros((40, 40)), 4)
+        assert spectrum.route == "eigh" and spectrum.inertia == Inertia(0, 0, 40)
+        assert check_kissing(np.zeros((40, 40)), 3).embeddable
 
 
 def random_nonnegative(rng, m):
@@ -513,9 +519,9 @@ def reference_distance_matrix(spheres):
 
 class TestTiledPasses:
     """as_symmetric, the sketch residual, the factor residual, distance_matrix
-    and the round trip read the TILE x TILE tiles on and above the diagonal;
-    matrices_close reads every tile. An off-by-one hides at the tile edges
-    and in the last, partial tile, so the orders straddle TILE."""
+    and the round trip read the TILE x TILE tiles on and above the diagonal.
+    An off-by-one hides at the tile edges and in the last, partial tile, so
+    the orders straddle TILE."""
 
     @pytest.mark.parametrize("m", TILE_ORDERS)
     def test_distance_matrix_is_bitwise_symmetric(self, rng, m):
@@ -539,10 +545,10 @@ class TestTiledPasses:
             out[at] = out[at[::-1]] = 1.01 * out[at] + 1e-3
             return out
 
-        assert embed._symmetric_close(d.copy(), d)
-        assert not embed._symmetric_close(off_in_last_tile(spheres), d)
+        assert round_trip_close(d.copy(), d)
+        assert not round_trip_close(off_in_last_tile(spheres), d)
         if m > 1:
-            assert matrices_close(distance_matrix(construct_embedding(d, 3)), d)
+            assert round_trip_close(distance_matrix(construct_embedding(d, 3)), d)
             monkeypatch.setattr(embed, "distance_matrix", off_in_last_tile)
             with pytest.raises(RealizationError, match="^round trip failed"):
                 construct_embedding(d, 3)
@@ -604,27 +610,28 @@ class TestTiledPasses:
         with pytest.raises(ValueError, match="^matrix entries must be finite$"):
             as_symmetric(a)
 
-    def test_matrices_close_sees_the_last_partial_tile(self, rng):
+    def test_round_trip_rule_sees_the_last_partial_tile(self, rng):
+        """Both matrices are symmetric, so each wrong pair is mirrored."""
         m = 2 * TILE + 44
         last = (m - 1) // TILE * TILE
         assert m % TILE
         expected = distance_matrix(coincident_sphere_set(rng, m, 3, planes=2, shared=10))
-        assert matrices_close(expected.copy(), expected)
-        for at in [(m - 1, 0), (0, m - 1), (last, m - 1), (m - 1, last)]:
+        assert round_trip_close(expected.copy(), expected)
+        for at in [(m - 1, 0), (last, m - 1), (m - 1, m - 1)]:
             actual = expected.copy()
-            actual[at] = 1.01 * actual[at] + 1e-3
-            assert not matrices_close(actual, expected)
+            actual[at] = actual[at[::-1]] = 1.01 * actual[at] + 1e-3
+            assert not round_trip_close(actual, expected)
 
     @pytest.mark.parametrize("row", [0, -1])
-    def test_matrices_close_fails_on_nan(self, rng, row):
+    def test_round_trip_rule_fails_on_nan(self, rng, row):
         expected = distance_matrix(coincident_sphere_set(rng, 300, 3, planes=2, shared=10))
         broken = expected.copy()
-        broken[row, 1] = np.nan
-        assert not matrices_close(broken, expected)
-        assert not matrices_close(expected, broken)
+        broken[row, 1] = broken[1, row] = np.nan
+        assert not round_trip_close(broken, expected)
+        assert not round_trip_close(expected, broken)
 
     @pytest.mark.parametrize("name", ["as_symmetric", "as_symmetric rounded", "distance_matrix",
-                                      "matrices_close", "check_kissing", "gram_factor_lorentz",
+                                      "round_trip_close", "check_kissing", "gram_factor_lorentz",
                                       "construct_embedding"])
     def test_no_full_size_temporary(self, rng, name):
         """Peak allocation stays below the m x m arrays the call returns or
@@ -644,7 +651,7 @@ class TestTiledPasses:
         call, bound = {"as_symmetric": (lambda: as_symmetric(d), full),
                        "as_symmetric rounded": (lambda: as_symmetric(rounded), 2 * full),
                        "distance_matrix": (lambda: distance_matrix(spheres), 2 * full),
-                       "matrices_close": (lambda: matrices_close(near, d), full),
+                       "round_trip_close": (lambda: round_trip_close(near, d), full),
                        "check_kissing": (lambda: check_kissing(d, 3), full / 2),
                        "gram_factor_lorentz": (lambda: gram_factor_lorentz(d, 3), full / 2),
                        "construct_embedding": (lambda: construct_embedding(d, 3), 2 * full)}[name]
