@@ -25,9 +25,9 @@ import numpy as np
 from . import numkernel
 from .embed import (
     EMBEDDABLE,
-    ROUND_TRIP_RTOL,
     Certificate,
     RealizationError,
+    _round_trip_excess,
     construct_embedding,
     refusal,
 )
@@ -306,12 +306,8 @@ def clique_feasible(graph: LengthGraph, n: int) -> tuple[bool, tuple[CliqueCheck
 
 @dataclass(frozen=True)
 class TargetReport:
-    """The four target-matrix conditions, reported independently.
-
-    Edge agreement is enforced in the forward direction only: an entry on
-    an edge must be within ROUND_TRIP_RTOL * (l^2 + min(1, max l^2)) of the
-    squared length l^2; non-edge entries are free.
-    """
+    """The four target-matrix conditions of verify_target_matrix, reported
+    independently, with one message per failure."""
 
     diagonal_ok: bool
     edges_ok: bool
@@ -325,6 +321,18 @@ class TargetReport:
 
 
 def verify_target_matrix(matrix, graph: LengthGraph, n: int) -> TargetReport:
+    """Check a completed matrix against the four target conditions.
+
+    The matrix must be symmetric (numkernel.symmetric_extent), and
+    - its diagonal is zero to 1e-12 of max|entry|;
+    - each edge entry matches the squared length l^2 by the round trip's
+      closeness rule (embed._round_trip_excess), with top = max l^2: within
+      ROUND_TRIP_RTOL * (l^2 + max l^2), so every edge is checked at the
+      data's own scale and the report commutes with scaling all lengths by
+      one factor; non-edge entries are free;
+    - its rank, by numkernel.inertia, is at most n + 1;
+    - it has one positive eigenvalue, or is identically zero.
+    """
     d, high, low = numkernel.symmetric_extent(matrix)
     if d.shape[0] != graph.vertex_count:
         raise ValueError("matrix order must equal the vertex count")
@@ -334,8 +342,9 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int) -> TargetReport:
         failures.append("diagonal is not zero")
     u, v, length = np.array(graph.edges, dtype=float).reshape(-1, 3).T
     u, v, expected = u.astype(int), v.astype(int), length * length
-    floor = min(1.0, float(expected.max(initial=0.0)))
-    off = np.flatnonzero(np.abs(d[u, v] - expected) > ROUND_TRIP_RTOL * (expected + floor))
+    excess = _round_trip_excess(d[u, v], expected, float(expected.max(initial=0.0)),
+                                np.empty_like(expected), np.empty_like(expected))
+    off = np.flatnonzero(~(excess <= 0.0))
     edges_ok = not off.size
     failures += [f"edge ({u[k]}, {v[k]}) entry {float(d[u[k], v[k]])!r} != squared length "
                  f"{float(expected[k])!r}" for k in off]

@@ -241,30 +241,39 @@ def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
     return _minors_certificate(d, n + 2, bordered=True)
 
 
-def _symmetric_close(actual: np.ndarray, expected: np.ndarray, top: float) -> bool:
-    """|actual - expected| <= ROUND_TRIP_RTOL * (|expected| + top) entrywise, for
-    two bitwise symmetric matrices and top = max|expected|.
+def _round_trip_excess(actual: np.ndarray, expected: np.ndarray, top: float,
+                       allowed: np.ndarray, excess: np.ndarray) -> np.ndarray:
+    """|actual - expected| - ROUND_TRIP_RTOL * (|expected| + top), written into
+    excess, with allowed as scratch; both have expected's shape.
 
-    The additive term lets entries near zero match to within ROUND_TRIP_RTOL
-    of the matrix's own scale, so the rule commutes with D -> cD. A NaN in
-    either matrix fails. Only the upper tile pairs (numkernel.tile_pairs) are
-    read, in two tile-sized work arrays, up to the first tile with a
-    violation or a NaN. This is exact, not a looser test: entry (j, i) of
-    each matrix is entry (i, j) bit for bit, so its excess and its allowance
-    are those of (i, j). distance_matrix returns such a matrix, and so does
-    validation.
+    The one closeness rule: an entry matches where this is at most zero, and
+    a NaN never does. With top the largest entry of the data given, the rule
+    commutes with D -> cD.
+    """
+    np.abs(expected, out=allowed)
+    allowed += top
+    allowed *= ROUND_TRIP_RTOL
+    np.subtract(actual, expected, out=excess)
+    np.abs(excess, out=excess)
+    excess -= allowed
+    return excess
+
+
+def _symmetric_close(actual: np.ndarray, expected: np.ndarray, top: float) -> bool:
+    """_round_trip_excess is at most zero entrywise, for two bitwise symmetric
+    matrices and top = max|expected|.
+
+    Only the upper tile pairs (numkernel.tile_pairs) are read, in two
+    tile-sized work arrays, up to the first tile with a violation or a NaN.
+    This is exact, not a looser test: entry (j, i) of each matrix is entry
+    (i, j) bit for bit, so its excess and its allowance are those of (i, j).
+    distance_matrix returns such a matrix, and so does validation.
     """
     work = np.empty((2, min(expected.shape[0], TILE) ** 2))
     for index in numkernel.tile_pairs(expected.shape[0]):
         block = expected[index]
         allowed, excess = (w[:block.size].reshape(block.shape) for w in work)
-        np.abs(block, out=allowed)
-        allowed += top
-        allowed *= ROUND_TRIP_RTOL
-        np.subtract(actual[index], block, out=excess)
-        np.abs(excess, out=excess)
-        excess -= allowed
-        if not float(excess.max()) <= 0.0:
+        if not float(_round_trip_excess(actual[index], block, top, allowed, excess).max()) <= 0.0:
             return False
     return True
 

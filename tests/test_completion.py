@@ -25,14 +25,25 @@ from kissgeo.completion import (
     verify_target_matrix,
 )
 from kissgeo.embed import check_kissing
-from kissgeo.kissing import distance
-from kissgeo.lightcone import is_lorentz, lorentz_align
-from kissgeo.numkernel import RESIDUAL
+from kissgeo.kissing import Sphere, distance
+from kissgeo.lightcone import from_lightcone, is_lorentz, lorentz_align, to_lightcone
+from kissgeo.numkernel import RESIDUAL, signature_form
 
 
 def complete_graph(vertices, length=1.0):
     edges = tuple((u, v, length) for u, v in combinations(range(vertices), 2))
     return LengthGraph(vertices, edges)
+
+
+def scaled_lengths(graph, factor):
+    return LengthGraph(graph.vertex_count,
+                       tuple((u, v, length * factor) for u, v, length in graph.edges))
+
+
+def relabelled(instance, label=None):
+    label = np.arange(instance.vertices) if label is None else label
+    return LengthGraph(instance.vertices, tuple(
+        (int(label[int(u)]), int(label[int(v)]), float(length)) for u, v, length in instance.edges))
 
 
 def assert_is_chordless_cycle(graph, cycle):
@@ -446,8 +457,7 @@ class TestCompleteChordal:
         graph, _ = graph_from_configuration(np.random.default_rng(seed), 40, 3)
         assert complete_chordal(graph, 3).verdict == COMPLETED
         for c in (1e-20, 1e-10, 1e10, 1e20):
-            scaled = LengthGraph(graph.vertex_count, tuple(
-                (u, v, length * np.sqrt(c)) for u, v, length in graph.edges))
+            scaled = scaled_lengths(graph, np.sqrt(c))
             result = complete_chordal(scaled, 3)
             assert result.verdict == COMPLETED, c
             assert verify_target_matrix(result.full_matrix, scaled, 3).satisfied
@@ -477,9 +487,7 @@ class TestCompleteChordal:
         instance = chordal_graph(np.random.default_rng(2027), 200)
         perms = np.random.default_rng(0)
         for _ in range(20):
-            p = perms.permutation(instance.vertices)
-            graph = LengthGraph(instance.vertices, tuple(
-                (int(p[int(u)]), int(p[int(v)]), float(length)) for u, v, length in instance.edges))
+            graph = relabelled(instance, perms.permutation(instance.vertices))
             result = complete_chordal(graph, 3)
             assert result.verdict == COMPLETED
             assert verify_target_matrix(result.full_matrix, graph, 3).satisfied
@@ -693,6 +701,81 @@ class TestVerifyTargetMatrix:
         result = complete_chordal(zero, 2)
         assert result.verdict == INFEASIBLE
         assert "np.float64" not in str(result.witness)
+
+
+class TestEdgesAtTheDataScale:
+    """The edge test is the round trip's closeness rule with top = max l^2,
+    so a zero-length edge may come back as rounding at the data's own scale.
+    The completion of the shared-point graph below returns its zero-length
+    edge (0, 28) as 4.5e-16; the floor min(1, max l^2) refused that matrix
+    times 4^25 and 4^100."""
+
+    POWERS = (-100, -25, 25, 100)
+
+    @pytest.fixture(scope="class")
+    def shared(self):
+        graph = shared_point_chordal_graph(np.random.default_rng(1), 40, shared_share=0.2)
+        result = complete_chordal(graph, 3)
+        assert result.verdict == COMPLETED
+        assert graph.length(0, 28) == 0.0 and result.full_matrix[0, 28] > 0.0
+        return graph, result
+
+    def test_report_commutes_with_exact_scaling(self, shared):
+        graph, result = shared
+        report = verify_target_matrix(result.full_matrix, graph, 3)
+        assert report.satisfied
+        for k in self.POWERS:
+            scaled = scaled_lengths(graph, 2.0**k)
+            assert verify_target_matrix(4.0**k * result.full_matrix, scaled, 3) == report, k
+
+    def test_large_lengths_complete(self, shared):
+        graph, _ = shared
+        assert complete_chordal(scaled_lengths(graph, 1e5), 3).verdict == COMPLETED
+
+    def test_a_wrong_diameter_is_refused_at_every_scale(self, shared):
+        # Each row in turn is replaced by the null image of its sphere with
+        # the diameter times 1.001. The row stays a future null vector, so the
+        # rank and the signature still pass: only the edge test can refuse it.
+        graph, result = shared
+        eta = signature_form(4)
+        for i in range(graph.vertex_count):
+            sphere = from_lightcone(result.embedding[i])
+            vectors = result.embedding.copy()
+            wider = Sphere(tangent=sphere.tangent, diameter=1.001 * sphere.diameter)
+            vectors[i] = to_lightcone(wider, 3)
+            gram = vectors @ eta @ vectors.T
+            wrong = np.maximum(-(gram + gram.T) / 2.0, 0.0)
+            np.fill_diagonal(wrong, 0.0)
+            for k in (0, *self.POWERS):
+                report = verify_target_matrix(4.0**k * wrong, scaled_lengths(graph, 2.0**k), 3)
+                assert not report.edges_ok, (i, k)
+                assert report.diagonal_ok and report.rank_ok and report.signature_ok, (i, k)
+
+    @pytest.mark.parametrize("which", ["cli-complete [1, 3] draw 8", "bench800 37, relabel 2"])
+    def test_benchmark_graphs_refused_only_by_a_capped_floor(self, which):
+        from bench.inputs import chordal_graph
+
+        if which.startswith("cli"):
+            rng = np.random.default_rng([1, 3])
+            for _ in range(8):
+                instance = chordal_graph(rng, 800)
+            graph = relabelled(instance)
+        else:
+            labels = np.random.default_rng([37, 77])
+            labels.permutation(800)
+            instance = chordal_graph(np.random.default_rng(1037), 800)
+            graph = relabelled(instance, labels.permutation(800))
+        result = complete_chordal(graph, 3)
+        assert result.verdict == COMPLETED, result.witness
+        # An independent check: numpy's eigvalsh, and edges within 1e-7 of max l^2.
+        u, v, length = np.array(graph.edges).T
+        expected = length**2
+        error = np.abs(result.full_matrix[u.astype(int), v.astype(int)] - expected).max()
+        assert error <= 1e-7 * expected.max()
+        values = np.linalg.eigvalsh(result.full_matrix)
+        values = values[np.abs(values) > 1e-9 * np.abs(values).max()]
+        assert (values > 0).sum() == 1
+        assert values.size <= 4
 
 
 class TestNonChordalWitness:
