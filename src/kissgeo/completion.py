@@ -439,7 +439,9 @@ def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
 
     eta = signature_form(n + 1)
     vectors = np.stack([placed[v] for v in range(graph.vertex_count)])
-    gram = vectors @ eta @ vectors.T
+    # Products past the float range become inf or NaN, which verification refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = vectors @ eta @ vectors.T
     full = np.maximum(-(gram + gram.T) / 2.0, 0.0)
     np.fill_diagonal(full, 0.0)
     report = verify_target_matrix(full, graph, n)

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .kissing import KissingSphere, Plane, Sphere
-from .numkernel import RESIDUAL, power_of_two_below, signature_form
+from .numkernel import EIG_ZERO, RESIDUAL, power_of_two_below, signature_form
 
 SQRT2 = math.sqrt(2.0)
 
@@ -219,36 +219,69 @@ def _null_partner(v: np.ndarray) -> np.ndarray:
     return np.append(-v[:-1], t) / (2.0 * t * t)
 
 
-def _complement_frame(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (w.r.t. the form) of the orthogonal complement of the
-    frame's column span, columns ordered positive-norm first. Requires the
-    span to be nondegenerate."""
-    dim, k = frame.shape
-    if k >= dim:
-        return np.zeros((dim, 0))
+def _complement_frame(frame: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Basis of the orthogonal complement (w.r.t. the form) of the frame's
+    column span, as columns of norm +1 or -1 under the form, with those
+    signs. Requires the span to be nondegenerate."""
     _, _, vt = np.linalg.svd(frame.T @ eta)
-    null_basis = vt[k:].T
+    null_basis = vt[frame.shape[1]:].T
     restricted = null_basis.T @ eta @ null_basis
-    restricted = (restricted + restricted.T) / 2.0
-    values, vecs = np.linalg.eigh(restricted)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
-    if float(np.abs(values).min()) <= 1e-12 * max(1.0, float(np.abs(values).max())):
-        raise AlignmentError("degenerate complement form")
-    return null_basis @ vecs / np.sqrt(np.abs(values))
+    values, vecs = np.linalg.eigh((restricted + restricted.T) / 2.0)
+    return null_basis @ vecs / np.sqrt(np.abs(values)), np.sign(values)
+
+
+def _witt_map(x: np.ndarray, y: np.ndarray, gram: np.ndarray, eta: np.ndarray) -> np.ndarray | None:
+    """Orthochronous Lorentz map T with x @ T.T = y, for two stacks with
+    entries of order one whose common Gram matrix is gram and whose span is
+    nondegenerate; None when every eigenvalue of gram is at or below
+    EIG_ZERO times its scale.
+
+    By Witt's theorem the Gram matrix fixes the map on the span. With
+    (lambda, V) the kept eigenpairs, C = V |lambda|^-1/2 makes x^T C and
+    y^T C orthonormal under the form with the signs of lambda. Completed
+    by such bases of their complements to frames F_x and F_y with the signs
+    S, F_x^-1 is S F_x^T eta, so T = F_y S F_x^T eta. Up to three polish
+    steps then remove form drift.
+    """
+    values, vecs = np.linalg.eigh(gram)
+    keep = np.abs(values) > EIG_ZERO * max(1.0, float(np.abs(gram).max()))
+    if not keep.any():
+        return None
+    coefficients = vecs[:, keep] / np.sqrt(np.abs(values[keep]))
+    base_x, base_y = x.T @ coefficients, y.T @ coefficients
+    (comp_x, comp_signs), (comp_y, _) = _complement_frame(base_x, eta), _complement_frame(base_y, eta)
+    frame_x = np.column_stack([base_x, comp_x])
+    frame_y = np.column_stack([base_y, comp_y])
+    signs = np.concatenate([np.sign(values[keep]), comp_signs])
+    transform = (frame_y * signs) @ frame_x.T @ eta
+
+    identity = np.eye(len(eta))
+    for _ in range(3):
+        drift = transform.T @ eta @ transform - eta
+        # Relative to max|T|^2, the scale is_lorentz tests at: rounding in
+        # T^T eta T alone is about max|T|^2 times the machine epsilon.
+        size = max(1.0, float(np.abs(transform).max()) ** 2)
+        if float(np.abs(drift).max()) <= RESIDUAL * 1e-3 * size:
+            break
+        transform = transform @ (1.5 * identity - 0.5 * (eta @ transform.T @ eta @ transform))
+    return transform
 
 
 def lorentz_align(source, target) -> np.ndarray:
     """Orthochronous Lorentz map sending each source vector to its target.
 
     Inputs must be equally long stacks of finite future null vectors, as
-    from_lightcone reads them, with matching pairwise Gram matrices. The map
-    is assembled frame-wise: a linearly independent subset of the sources, a
-    hyperbolic partner when the span is a single null line, and matched
-    orthonormal completions of the two orthogonal complements. The result is
-    polished against form drift and verified against every input pair, which
-    also refuses dependent sources that map inconsistently.
+    from_lightcone reads them, with matching pairwise Gram matrices. Both
+    stacks are divided by one power of two, and the map is the one Witt's
+    theorem gives: the eigenvectors of the common Gram matrix
+    (G_x + G_y) / 2, scaled by |lambda|^-1/2, make both frames orthonormal
+    under the form with the same signs, so each frame's inverse is its
+    transpose between the forms and no matrix is inverted. When the sources
+    lie on one null line, every eigenvalue is below EIG_ZERO times the Gram
+    scale, and the first source and its future null partner (product -1)
+    span the frames instead. Up to three polish steps remove form drift; the
+    map must then pass is_lorentz and reproduce every target to RESIDUAL,
+    which also refuses dependent sources that map inconsistently.
     """
     x = np.array(source, dtype=float, ndmin=2, order="C")
     y = np.array(target, dtype=float, ndmin=2, order="C")
@@ -273,43 +306,17 @@ def lorentz_align(source, target) -> np.ndarray:
     gram_scale = max(1.0, float(np.abs(gram_x).max()), float(np.abs(gram_y).max()))
     if float(np.abs(gram_x - gram_y).max()) > RESIDUAL * gram_scale:
         raise AlignmentError("Gram mismatch between the vector systems")
-
-    norms_x = np.linalg.norm(x, axis=1)
-    vec_scale = max(float(norms_x.max()), float(np.linalg.norm(y, axis=1).max()))
-    basis: list[int] = []
-    ortho: list[np.ndarray] = []
-    for i in range(len(x)):
-        r = x[i].copy()
-        for u in ortho:
-            r -= (u @ r) * u
-        if np.linalg.norm(r) > 1e-9 * norms_x[i]:
-            basis.append(i)
-            ortho.append(r / np.linalg.norm(r))
-
-    b = x[basis].T
-    c = y[basis].T
-    if len(basis) == 1:
-        b = np.column_stack([b, _null_partner(b[:, 0])])
-        c = np.column_stack([c, _null_partner(c[:, 0])])
-
-    # Both spans are Lorentzian, so both complements are positive definite;
-    # a numerical sign mismatch fails the checks below.
-    frame_x = np.column_stack([b, _complement_frame(b, eta)])
-    frame_y = np.column_stack([c, _complement_frame(c, eta)])
-    transform = frame_y @ np.linalg.inv(frame_x)
-
-    identity = np.eye(dim)
-    for _ in range(3):
-        drift = transform.T @ eta @ transform - eta
-        # Relative to max|T|^2, the scale is_lorentz tests at: rounding in
-        # T^T eta T alone is about max|T|^2 times the machine epsilon.
-        size = max(1.0, float(np.abs(transform).max()) ** 2)
-        if float(np.abs(drift).max()) <= RESIDUAL * 1e-3 * size:
-            break
-        transform = transform @ (1.5 * identity - 0.5 * (eta @ transform.T @ eta @ transform))
-
+    transform = _witt_map(x, y, (gram_x + gram_y) / 2.0, eta)
+    if transform is None:
+        # One null line: on each side, its first vector and that vector's
+        # partner span a plane of Gram [[0, -1], [-1, 0]]. That Gram is given,
+        # not formed: a short vector's partner is long, and the partner's own
+        # product would be rounding at its length.
+        pair_x, pair_y = (np.stack([rows[0], _null_partner(rows[0])]) for rows in (x, y))
+        transform = _witt_map(pair_x, pair_y, np.array([[0.0, -1.0], [-1.0, 0.0]]), eta)
     if not is_lorentz(transform):
         raise AlignmentError("alignment failed the Lorentz checks")
+    vec_scale = max(float(np.linalg.norm(x, axis=1).max()), float(np.linalg.norm(y, axis=1).max()))
     residual = float(np.linalg.norm(x @ transform.T - y, axis=1).max())
     if residual > RESIDUAL * vec_scale:
         raise AlignmentError(f"alignment residual {residual * scale:.3g} out of tolerance")

@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -707,17 +708,17 @@ class TestEdgesAtTheDataScale:
     """The edge test is the round trip's closeness rule with top = max l^2,
     so a zero-length edge may come back as rounding at the data's own scale.
     The completion of the shared-point graph below returns its zero-length
-    edge (0, 28) as 4.5e-16; the floor min(1, max l^2) refused that matrix
+    edge (2, 4) as about 4e-15; the floor min(1, max l^2) refused that matrix
     times 4^25 and 4^100."""
 
     POWERS = (-100, -25, 25, 100)
 
     @pytest.fixture(scope="class")
     def shared(self):
-        graph = shared_point_chordal_graph(np.random.default_rng(1), 40, shared_share=0.2)
+        graph = shared_point_chordal_graph(np.random.default_rng(7), 40, shared_share=0.2)
         result = complete_chordal(graph, 3)
         assert result.verdict == COMPLETED
-        assert graph.length(0, 28) == 0.0 and result.full_matrix[0, 28] > 0.0
+        assert graph.length(2, 4) == 0.0 and result.full_matrix[2, 4] > 0.0
         return graph, result
 
     def test_report_commutes_with_exact_scaling(self, shared):
@@ -750,6 +751,17 @@ class TestEdgesAtTheDataScale:
                 report = verify_target_matrix(4.0**k * wrong, scaled_lengths(graph, 2.0**k), 3)
                 assert not report.edges_ok, (i, k)
                 assert report.diagonal_ok and report.rank_ok and report.signature_ok, (i, k)
+
+    def test_overflowing_products_are_a_silent_verdict(self):
+        # Lengths times 2^200 of a graph with an all-zero clique, whose absolute
+        # diameters do not scale: the placed vectors' products leave the float
+        # range, and target verification refuses the matrix without a warning.
+        graph = shared_point_chordal_graph(np.random.default_rng(4), 40, shared_share=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = complete_chordal(scaled_lengths(graph, 2.0**200), 3)
+        assert result.verdict == INFEASIBLE
+        assert result.witness.startswith("target verification failed: ")
 
     @pytest.mark.parametrize("which", ["cli-complete [1, 3] draw 8", "bench800 37, relabel 2"])
     def test_benchmark_graphs_refused_only_by_a_capped_floor(self, which):

@@ -11,6 +11,7 @@ from kissgeo.lightcone import (
     SQRT2,
     AlignmentError,
     InverseMapError,
+    _witt_map,
     distance_sq as minkowski_distance_sq,
     from_lightcone,
     is_future,
@@ -566,26 +567,51 @@ class TestLorentzAlign:
                 lorentz_align(source, target)
 
     def test_near_coincident_pair_is_aligned_or_refused(self):
-        # Two unit spheres whose tangent points are delta apart, moved by 0.5.
-        # The frame inverse amplifies rounding by about 1 / delta^2, so small
-        # gaps are refused, by the complement test or by the Lorentz and
-        # residual checks, but no wrong map is ever returned.
-        refusals = set()
-        for delta in 10.0 ** -np.arange(2, 10):
+        # Two unit spheres whose tangent points are delta apart, moved by 0.5,
+        # at delta = 10^(-k/2). The frames have size about 1 / delta and
+        # amplify rounding by its square, so middle gaps fail the residual
+        # check; below the Gram cutoff the pair reads as one null line, whose
+        # partner frame aligns it to about delta. No wrong map is returned.
+        aligned = set()
+        for k in range(4, 20):
+            delta = 10.0 ** (-k / 2)
             spheres = [Sphere((0.0, 0.0), 1.0), Sphere((delta, 0.0), 1.0)]
             moved = [Sphere((s.tangent[0] + 0.5, s.tangent[1]), 1.0) for s in spheres]
             x = np.stack([to_lightcone(s) for s in spheres])
             y = np.stack([to_lightcone(s) for s in moved])
             try:
                 transform = lorentz_align(x, y)
-            except AlignmentError as exc:
-                refusals.add(str(exc))
+            except AlignmentError:
                 continue
             assert is_lorentz(transform)
             norms = np.linalg.norm(np.vstack([x, y]), axis=1)
             residual = np.linalg.norm(x @ transform.T - y, axis=1).max()
             assert residual <= RESIDUAL * max(1.0, norms.max())
-        assert {"degenerate complement form", "alignment failed the Lorentz checks"} <= refusals
+            aligned.add(k)
+        # delta = 1e-2, 3e-3, 1e-3, 3e-4 and 3e-10 align.
+        assert {4, 5, 6, 7, 19} <= aligned
+
+    def test_gram_mismatch_above_residual_refused(self, rng):
+        x = np.stack([to_lightcone(random_sphere(rng, 3)) for _ in range(3)])
+        y = x.copy()
+        y[2] *= 1.0 + 1e-4
+        with pytest.raises(AlignmentError, match="^Gram mismatch between the vector systems$"):
+            lorentz_align(x, y)
+        # Below RESIDUAL the Grams match, and the map meets every target to rounding.
+        y = x.copy()
+        y[2] *= 1.0 + 1e-12
+        transform = lorentz_align(x, y)
+        assert np.abs(x @ transform.T - y).max() <= 1e-10 * np.abs(y).max()
+
+    def test_dependent_sources_on_one_ray_that_map_inconsistently(self):
+        # All products are zero on both sides, so the Grams match, but the
+        # ratios 1 : 2 : 3 cannot become 1 : 2 : 5 under a linear map.
+        a = to_lightcone(Sphere((0.5, -1.0), 2.0))
+        moved = boost(4, 1, 0.4) @ rotation(4, 0, 1, 0.9) @ a
+        with pytest.raises(AlignmentError, match="residual"):
+            lorentz_align([a, 2.0 * a, 3.0 * a], [moved, 2.0 * moved, 5.0 * moved])
+        transform = lorentz_align([a, 2.0 * a, 3.0 * a], [moved, 2.0 * moved, 3.0 * moved])
+        assert np.allclose(transform @ a, moved, rtol=0.0, atol=1e-14)
 
     def test_preserves_form_on_complement(self, rng):
         # Uniqueness on the span plus a valid extension off it.
@@ -596,6 +622,55 @@ class TestLorentzAlign:
         transform = lorentz_align(x, y)
         eta = signature_form(4)
         assert np.abs(transform.T @ eta @ transform - eta).max() < 1e-9
+
+
+class TestWittMap:
+    """The kernel behind lorentz_align: stacks with equal Gram matrices and a
+    nondegenerate span, not necessarily null, divided by a power of two."""
+
+    @staticmethod
+    def scaled(x, y):
+        scale = power_of_two_below(max(np.abs(x).max(), np.abs(y).max()))
+        return x / scale, y / scale
+
+    def test_timelike_vector_next_to_null_ones(self):
+        # The sum of four null images is future timelike; with three of the
+        # images it spans the whole space, so the map is the motion itself.
+        spheres = [Sphere((0.0, 1.0), 1.0), Sphere((2.0, 0.5), 0.5),
+                   Sphere((-1.0, 1.0), 2.0), Sphere((0.5, -1.5), 1.5)]
+        null = np.stack([to_lightcone(s) for s in spheres])
+        x = np.vstack([null.sum(axis=0), null[:3]])
+        eta = signature_form(4)
+        assert x[0] @ eta @ x[0] < 0.0 < x[0, -1]
+        motion = boost(4, 0, 0.7) @ rotation(4, 0, 1, 1.1) @ boost(4, 1, -0.3)
+        x, y = self.scaled(x, x @ motion.T)
+        transform = _witt_map(x, y, (x @ eta @ x.T + y @ eta @ y.T) / 2.0, eta)
+        assert is_lorentz(transform)
+        assert np.abs(x @ transform.T - y).max() <= 1e-13 * np.abs(y).max()
+        assert np.abs(transform - motion).max() <= 1e-12 * np.abs(motion).max()
+
+    def test_timelike_vector_and_one_null_vector(self):
+        # A two-dimensional span: the map is fixed on it, and the complement
+        # is completed orthonormally on both sides.
+        null = np.stack([to_lightcone(Sphere((0.0, 1.0), 1.0)), to_lightcone(Sphere((2.0, 0.5), 0.5))])
+        x = np.vstack([null.sum(axis=0), null[1]])
+        eta = signature_form(4)
+        motion = rotation(4, 1, 2, 0.4) @ boost(4, 2, 0.9)
+        x, y = self.scaled(x, x @ motion.T)
+        transform = _witt_map(x, y, (x @ eta @ x.T + y @ eta @ y.T) / 2.0, eta)
+        assert is_lorentz(transform)
+        assert np.abs(x @ transform.T - y).max() <= 1e-13 * np.abs(y).max()
+
+    def test_one_null_vector_takes_the_partner_route(self):
+        # A null vector's Gram is zero: the kernel keeps no eigenvalue, and
+        # lorentz_align glues the vector with its null partner instead.
+        x = np.array([[SQRT2 / 2, 0.0, 0.0, SQRT2 / 2]])
+        eta = signature_form(4)
+        assert _witt_map(x, x, x @ eta @ x.T, eta) is None
+        y = x @ (boost(4, 0, 0.5) @ rotation(4, 1, 2, 0.3) @ boost(4, 1, 1.2)).T
+        transform = lorentz_align(x, y)
+        assert is_lorentz(transform)
+        assert np.abs(x @ transform.T - y).max() <= 1e-14 * np.abs(y).max()
 
 
 class TestNullHyperplaneDegeneration:
