@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,7 +45,8 @@ NOT_CHORDAL = "NotChordal"
 class LengthGraph:
     """Undirected graph with nonnegative edge lengths; edges are normalized to
     (u, v, length) with u < v and sorted. The vertex count and the endpoints
-    must be integers (numkernel.is_integer)."""
+    must be integers (numkernel.is_integer), and each length a finite real
+    number (numbers.Real) other than a bool."""
 
     vertex_count: int
     edges: tuple[tuple[int, int, float], ...]
@@ -57,18 +60,21 @@ class LengthGraph:
         for u, v, length in self.edges:
             if not (is_integer(u) and is_integer(v)):
                 raise ValueError("edge endpoints must be integers")
-            u, v, length = int(u), int(v), float(length)
+            if isinstance(length, bool) or not isinstance(length, numbers.Real):
+                raise ValueError("edge lengths must be real numbers")
+            u, v = int(u), int(v)
             if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError("self-loops are not allowed")
-            if not (length >= 0.0 and math.isfinite(length)):
+            # Compared before conversion, so that an integer beyond the float range is refused.
+            if not 0.0 <= length <= sys.float_info.max:
                 raise ValueError("edge lengths must be finite and nonnegative")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
-            normalized.append((key[0], key[1], length))
+            normalized.append((key[0], key[1], float(length)))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     @cached_property
@@ -323,7 +329,8 @@ class TargetReport:
 def verify_target_matrix(matrix, graph: LengthGraph, n: int) -> TargetReport:
     """Check a completed matrix against the four target conditions.
 
-    The matrix must be symmetric (numkernel.symmetric_extent), and
+    n must be an integer >= 1 (numkernel.dimension). The matrix must be
+    symmetric (numkernel.symmetric_extent), and
     - its diagonal is zero to 1e-12 of max|entry|;
     - each edge entry matches the squared length l^2 by the round trip's
       closeness rule (embed._round_trip_excess), with top = max l^2: within
@@ -333,6 +340,7 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int) -> TargetReport:
     - its rank, by numkernel.inertia, is at most n + 1;
     - it has one positive eigenvalue, or is identically zero.
     """
+    n = numkernel.dimension(n)
     d, high, low = numkernel.symmetric_extent(matrix)
     if d.shape[0] != graph.vertex_count:
         raise ValueError("matrix order must equal the vertex count")

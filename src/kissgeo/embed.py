@@ -20,7 +20,7 @@ import numpy as np
 from . import numkernel
 from .kissing import KissingSphere, Plane, Sphere, distance_matrix
 from .lightcone import InverseMapError, from_lightcone
-from .numkernel import EIG_ZERO, TILE, GramInfeasibleError, Inertia
+from .numkernel import EIG_ZERO, GramInfeasibleError, Inertia
 
 EMBEDDABLE = "Embeddable"
 NOT_EMBEDDABLE = "NotEmbeddable"
@@ -263,17 +263,15 @@ def _symmetric_close(actual: np.ndarray, expected: np.ndarray, top: float) -> bo
     """_round_trip_excess is at most zero entrywise, for two bitwise symmetric
     matrices and top = max|expected|.
 
-    Only the upper tile pairs (numkernel.tile_pairs) are read, in two
-    tile-sized work arrays, up to the first tile with a violation or a NaN.
+    Only the upper tile pairs (numkernel.tile_pairs) are read, in their two
+    work tiles, up to the first tile with a violation or a NaN.
     This is exact, not a looser test: entry (j, i) of each matrix is entry
     (i, j) bit for bit, so its excess and its allowance are those of (i, j).
     distance_matrix returns such a matrix, and so does validation.
     """
-    work = np.empty((2, min(expected.shape[0], TILE) ** 2))
-    for index in numkernel.tile_pairs(expected.shape[0]):
-        block = expected[index]
-        allowed, excess = (w[:block.size].reshape(block.shape) for w in work)
-        if not float(_round_trip_excess(actual[index], block, top, allowed, excess).max()) <= 0.0:
+    for rows, cols, allowed, excess in numkernel.tile_pairs(expected.shape[0]):
+        _round_trip_excess(actual[rows, cols], expected[rows, cols], top, allowed, excess)
+        if not float(excess.max()) <= 0.0:
             return False
     return True
 

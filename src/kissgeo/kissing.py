@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .numkernel import TILE, power_of_two_below, tile_pairs
+from .numkernel import power_of_two_below, tile_pairs
 
 
 def _as_point(coords) -> tuple[float, ...]:
@@ -322,13 +322,9 @@ def _fill_tiles(out: np.ndarray, tangent: np.ndarray, diameter: np.ndarray,
     """Given exponent, tangent holds the unscaled points and diameter the
     mantissas of phi, and each pair is scaled at its own mean exponent h, as
     in distance_sq: its gaps over 2^h, its diameter product over 4^h."""
-    m = len(diameter)
-    work = np.empty((2, min(m, TILE) ** 2))
-    for rows, cols in tile_pairs(m):
-        upper = out[rows, cols]
-        # Formed in a contiguous buffer, and both copies written from it: a
-        # mirror written from out itself would first be copied by numpy.
-        tile, scratch = (w[:upper.size].reshape(upper.shape) for w in work)
+    for rows, cols, tile, scratch in tile_pairs(len(diameter)):
+        # Formed in a contiguous work tile, and both copies written from it:
+        # a mirror written from out itself would first be copied by numpy.
         if exponent is not None:
             total = np.add.outer(exponent[rows], exponent[cols])
             half = total >> 1
@@ -347,6 +343,6 @@ def _fill_tiles(out: np.ndarray, tangent: np.ndarray, diameter: np.ndarray,
         if exponent is not None:
             np.ldexp(scratch, total - 2 * half, out=scratch)
         tile /= scratch
-        upper[...] = tile
+        out[rows, cols] = tile
         if cols.start > rows.start:
             out[cols, rows] = tile.T

@@ -482,6 +482,16 @@ class TestLorentzAlign:
         assert is_lorentz(transform)
         assert np.allclose(transform @ x, y, atol=1e-12)
 
+    def test_map_that_is_not_lorentz_is_refused(self, monkeypatch):
+        """The Lorentz check guards the Witt map's result: a dilation by 2 is
+        refused, not returned."""
+        import kissgeo.lightcone
+
+        monkeypatch.setattr(kissgeo.lightcone, "_witt_map", lambda x, y, gram, eta: 2.0 * np.eye(3))
+        x = np.array([SQRT2 / 2, 0.0, SQRT2 / 2])
+        with pytest.raises(AlignmentError, match="^alignment failed the Lorentz checks$"):
+            lorentz_align([x], [x])
+
     def test_two_null_vectors(self, rng):
         spheres = [random_sphere(rng, 3) for _ in range(2)]
         x = [to_lightcone(s) for s in spheres]

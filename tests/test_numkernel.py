@@ -518,8 +518,9 @@ def reference_distance_matrix(spheres):
 
 
 class TestTiledPasses:
-    """as_symmetric, the sketch residual, the factor residual, distance_matrix
-    and the round trip read the TILE x TILE tiles on and above the diagonal.
+    """as_symmetric, the sketch, factor and eigendecomposition residuals,
+    distance_matrix and the round trip read the TILE x TILE tiles on and
+    above the diagonal.
     An off-by-one hides at the tile edges and in the last, partial tile, so
     the orders straddle TILE."""
 
@@ -566,6 +567,27 @@ class TestTiledPasses:
         bumped[last - 1, m - 1] = bumped[m - 1, last - 1] = d[last - 1, m - 1] + 1e-6 * d.max()
         with pytest.raises(NonConvergenceError, match="^factorization residual"):
             gram_factor_lorentz(bumped, 3)
+
+    def test_eigen_residual_is_checked_in_the_last_partial_tile(self, rng, monkeypatch):
+        """An eigendecomposition with one eigenvector entry off in the last
+        row, which the last, partial tiles of the upper tile pairs hold in
+        their last column, fails the reconstruction residual test."""
+        m = 2 * TILE + 44
+        assert m % TILE
+        s = rng.normal(size=(m, m))
+        a = s + s.T
+        sym_eigen(a)
+        real = np.linalg.eigh
+
+        def one_entry_off(matrix):
+            values, vectors = real(matrix)
+            vectors = vectors.copy()
+            vectors[m - 1, np.argmax(np.abs(values))] += 1e-6
+            return values, vectors
+
+        monkeypatch.setattr(numkernel.np.linalg, "eigh", one_entry_off)
+        with pytest.raises(NonConvergenceError, match="^reconstruction residual"):
+            sym_eigen(a)
 
     @pytest.mark.parametrize("m", TILE_ORDERS)
     @pytest.mark.parametrize("near", [False, True])
@@ -632,13 +654,15 @@ class TestTiledPasses:
 
     @pytest.mark.parametrize("name", ["as_symmetric", "as_symmetric rounded", "distance_matrix",
                                       "round_trip_close", "check_kissing", "gram_factor_lorentz",
-                                      "construct_embedding"])
+                                      "construct_embedding", "sym_eigen"])
     def test_no_full_size_temporary(self, rng, name):
         """Peak allocation stays below the m x m arrays the call returns or
         holds at once, plus less than one more. An exactly symmetric input is
         validated in place, and the sketch's residual is read tile by tile, so
         check_kissing and gram_factor_lorentz hold under half an m x m array,
-        and construct_embedding only the round trip's distance matrix."""
+        and construct_embedding only the round trip's distance matrix.
+        sym_eigen holds its eigenvectors and V diag(values), and reads its
+        reconstruction residual tile by tile."""
         import tracemalloc
 
         m = 600
@@ -654,7 +678,8 @@ class TestTiledPasses:
                        "round_trip_close": (lambda: round_trip_close(near, d), full),
                        "check_kissing": (lambda: check_kissing(d, 3), full / 2),
                        "gram_factor_lorentz": (lambda: gram_factor_lorentz(d, 3), full / 2),
-                       "construct_embedding": (lambda: construct_embedding(d, 3), 2 * full)}[name]
+                       "construct_embedding": (lambda: construct_embedding(d, 3), 2 * full),
+                       "sym_eigen": (lambda: sym_eigen(d), 2.5 * full)}[name]
         tracemalloc.start()
         try:
             call()

@@ -71,6 +71,20 @@ REFUSALS = [
      ValueError, "elimination ordering must be a permutation of the vertices"),
     (lambda: completion.verify_target_matrix([[0.0, 1.0], [1.0, 0.0]], PATH, 2),
      ValueError, "matrix order must equal the vertex count"),
+    # The dimension is checked first, as in check_kissing and complete_chordal.
+    (lambda: completion.verify_target_matrix(TRIPLE, PATH, 0),
+     ValueError, "dimension n must be an integer >= 1, got 0"),
+    (lambda: completion.verify_target_matrix(TRIPLE, PATH, 2.5),
+     ValueError, "dimension n must be an integer >= 1, got 2.5"),
+    (lambda: completion.verify_target_matrix(TRIPLE, PATH, True),
+     ValueError, "dimension n must be an integer >= 1, got True"),
+    (lambda: completion.verify_target_matrix(TRIPLE, PATH, "x"),
+     ValueError, "dimension n must be an integer >= 1, got 'x'"),
+    # A length must be a real number other than a bool, and finite as a float.
+    (lambda: LengthGraph(2, ((0, 1, "1.5"),)), ValueError, "edge lengths must be real numbers"),
+    (lambda: LengthGraph(2, ((0, 1, True),)), ValueError, "edge lengths must be real numbers"),
+    (lambda: LengthGraph(2, ((0, 1, None),)), ValueError, "edge lengths must be real numbers"),
+    (lambda: LengthGraph(2, ((0, 1, 10**400),)), ValueError, "edge lengths must be finite and nonnegative"),
 ]
 
 
