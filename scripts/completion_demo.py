@@ -2,13 +2,14 @@
 """End-to-end completion demo.
 
 Samples a chordal graph whose edge lengths come from an actual sphere
-configuration, completes the missing distances through the clique tree, and
-verifies the target conditions. Then shows the failure mode: a chordless
-cycle with the adversarial length assignment, where every clique is feasible
-but the graph is refused.
+configuration, completes the missing distances through the clique tree,
+verifies the target conditions and realizes the completed matrix as kissing
+spheres. Then shows the failure mode: a chordless cycle with the adversarial
+length assignment, where every clique is feasible but the graph is refused.
 
 Exits 1 when the realizable instance is not completed, when its completion
-misses a target condition, or when the 5-cycle is not refused.
+misses a target condition or is not realized, or when the 5-cycle is not
+refused.
 """
 
 import argparse
@@ -25,7 +26,9 @@ from kissgeo.completion import (
     non_chordal_witness,
     verify_target_matrix,
 )
+from kissgeo.embed import RealizationError, construct_embedding
 from kissgeo.kissing import Sphere, distance
+from kissgeo.numkernel import GramInfeasibleError
 
 
 def sample_instance(rng, vertices, n):
@@ -72,6 +75,11 @@ def main():
         print(f"target conditions satisfied: {report.satisfied}")
         if not report.satisfied:
             failures.append("completion misses the target: " + "; ".join(report.failures))
+        try:
+            spheres = construct_embedding(result.full_matrix, args.n)
+            print(f"realized as {len(spheres)} kissing spheres")
+        except (GramInfeasibleError, RealizationError) as exc:
+            failures.append(f"completion not realized: {exc}")
         with np.printoptions(precision=4, suppress=True):
             print(result.full_matrix)
 

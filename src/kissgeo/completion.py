@@ -3,10 +3,10 @@
 Given edge lengths on a chordal graph, each maximal clique is realized by
 kissing spheres, mapped to future null vectors, and the cliques are glued
 along the clique tree by orthochronous alignments of their shared separator
-vectors. The resulting vector system fills in every missing entry; the
-completed matrix is verified against the four target conditions (zero
-diagonal, edge agreement, rank at most n + 1, one positive eigenvalue) before
-being returned. Non-chordal graphs are refused with a chordless-cycle
+vectors. The placed vectors are read back as spheres, whose distance
+matrix fills in every missing entry; it is verified against the four target
+conditions (zero diagonal, edge agreement, rank at most n + 1, one positive
+eigenvalue) before being returned. Non-chordal graphs are refused with a chordless-cycle
 witness, and a length assignment built from such a cycle shows why: every
 clique stays feasible while the cycle itself cannot close up.
 """
@@ -33,8 +33,9 @@ from .embed import (
     construct_embedding,
     refusal,
 )
-from .lightcone import AlignmentError, lorentz_align, to_lightcone
-from .numkernel import GramInfeasibleError, is_integer, signature_form
+from .kissing import distance_matrix
+from .lightcone import AlignmentError, InverseMapError, from_lightcone, lorentz_align, to_lightcone
+from .numkernel import GramInfeasibleError, is_integer
 
 COMPLETED = "Completed"
 INFEASIBLE = "Infeasible"
@@ -398,9 +399,9 @@ def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
     child's map to the root frame is its parent's composed with the Lorentz
     alignment of their separator vectors; a new component, across an empty
     separator, inherits its parent's map. A refused alignment makes the graph
-    Infeasible with the alignment's reason. Rounding below zero is clipped,
-    and the completed matrix is verified against the target conditions before
-    being returned.
+    Infeasible with the alignment's reason. The verified matrix is the
+    distance_matrix of the placed vectors' spheres, unpatched; a placed
+    vector off the future cone makes the graph Infeasible, naming its vertex.
     """
     n = numkernel.dimension(n)
     chordality = is_chordal(graph)
@@ -445,13 +446,11 @@ def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
                 if vertex not in placed:
                     placed[vertex] = transport @ own[child][vertex]
 
-    eta = signature_form(n + 1)
     vectors = np.stack([placed[v] for v in range(graph.vertex_count)])
-    # Products past the float range become inf or NaN, which verification refuses.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = vectors @ eta @ vectors.T
-    full = np.maximum(-(gram + gram.T) / 2.0, 0.0)
-    np.fill_diagonal(full, 0.0)
+    try:
+        full = distance_matrix(from_lightcone(vectors))
+    except InverseMapError as exc:
+        return CompletionResult(INFEASIBLE, witness=f"placed vector of vertex {exc.row}: {exc}")
     report = verify_target_matrix(full, graph, n)
     if not report.satisfied:
         return CompletionResult(INFEASIBLE, witness="target verification failed: "

@@ -390,16 +390,28 @@ class TestComplete:
         assert payload["certificate"]["verdict"] == "Embeddable"
         assert payload["diagnostic"].startswith("factor row 1 is not a future null vector: ")
 
-    def test_diagnostic_prints_plain_floats(self, tmp_path, capsys):
-        # The glued edges of the all-zero triangle come back about 1e-17.
+    def test_all_zero_triangle_completes_to_zeros(self, tmp_path, capsys):
+        # Its placed vectors lie on one ray, so their spheres share one
+        # tangent point and every distance is an exact zero.
         graph = {"vertices": 3, "edges": [
             {"u": u, "v": v, "len": 0.0} for u, v in ((0, 1), (0, 2), (1, 2))
         ]}
         path = write(tmp_path, "zero_triangle.json", graph)
         code, out, _ = run(capsys, ["complete", path, "--n", "2"])
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "Completed"
+        assert payload["d2"] == [[0.0] * 3] * 3
+
+    def test_diagnostic_prints_plain_floats(self, tmp_path, capsys):
+        # The zero-pair graph below: its refused alignment names a residual.
+        lengths = ((0, 1, 0.0), (0, 2, 1.0), (1, 2, 2.0), (0, 3, 1.0), (1, 3, 3.0))
+        graph = {"vertices": 4, "edges": [{"u": u, "v": v, "len": w} for u, v, w in lengths]}
+        path = write(tmp_path, "zero_pair.json", graph)
+        code, out, _ = run(capsys, ["complete", path, "--n", "2"])
         assert code == 1
         diagnostic = json.loads(out)["diagnostic"]
-        assert diagnostic.startswith("target verification failed: edge (")
+        assert "alignment residual " in diagnostic
         assert "np.float64" not in diagnostic
 
     def test_infeasible_gluing_payload(self, tmp_path, capsys):

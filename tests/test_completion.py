@@ -25,10 +25,10 @@ from kissgeo.completion import (
     non_chordal_witness,
     verify_target_matrix,
 )
-from kissgeo.embed import check_kissing
-from kissgeo.kissing import Sphere, distance
-from kissgeo.lightcone import from_lightcone, is_lorentz, lorentz_align, to_lightcone
-from kissgeo.numkernel import RESIDUAL, signature_form
+from kissgeo.embed import check_kissing, construct_embedding
+from kissgeo.kissing import Sphere, distance, distance_matrix
+from kissgeo.lightcone import from_lightcone, is_lorentz, lorentz_align
+from kissgeo.numkernel import RESIDUAL
 
 
 def complete_graph(vertices, length=1.0):
@@ -578,11 +578,13 @@ class TestOneDecisionPerClique:
         LengthGraph(2, ((0, 1, 0.0),)),
         LengthGraph(3, ((0, 1, 0.0), (1, 2, 0.0))),
         LengthGraph(4, ((0, 1, 0.0), (0, 2, 0.0), (0, 3, 0.0))),
-    ], ids=["edge", "path", "star"])
+        LengthGraph(3, ((0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0))),
+    ], ids=["edge", "path", "star", "triangle"])
     def test_zero_data_completes_to_zero(self, graph, n):
         result = complete_chordal(graph, n)
         assert result.verdict == COMPLETED
-        assert not result.full_matrix.any()
+        # Exact +0.0 entries: the spheres share one tangent point.
+        assert not result.full_matrix.view(np.int64).any()
         assert verify_target_matrix(result.full_matrix, graph, n).satisfied
 
 
@@ -698,10 +700,12 @@ class TestVerifyTargetMatrix:
         g = LengthGraph(2, ((0, 1, 2.0),))
         report = verify_target_matrix(np.array([[0.0, 1e-17], [1e-17, 0.0]]), g, 2)
         assert report.failures == ("edge (0, 1) entry 1e-17 != squared length 4.0",)
-        zero = LengthGraph(3, ((0, 1, 0.0), (1, 2, 0.0), (0, 2, 0.0)))
-        result = complete_chordal(zero, 2)
+        # A refused gluing of the zero pair (0, 1), which names a residual.
+        zero_pair = LengthGraph(4, ((0, 1, 0.0), (0, 2, 1.0), (1, 2, 2.0), (0, 3, 1.0), (1, 3, 3.0)))
+        result = complete_chordal(zero_pair, 2)
         assert result.verdict == INFEASIBLE
-        assert "np.float64" not in str(result.witness)
+        assert "alignment residual " in result.witness
+        assert "np.float64" not in result.witness
 
 
 class TestEdgesAtTheDataScale:
@@ -734,34 +738,30 @@ class TestEdgesAtTheDataScale:
         assert complete_chordal(scaled_lengths(graph, 1e5), 3).verdict == COMPLETED
 
     def test_a_wrong_diameter_is_refused_at_every_scale(self, shared):
-        # Each row in turn is replaced by the null image of its sphere with
-        # the diameter times 1.001. The row stays a future null vector, so the
-        # rank and the signature still pass: only the edge test can refuse it.
+        # Each sphere in turn has its diameter times 1.001. The matrix stays a
+        # distance matrix of spheres, so the rank and the signature still
+        # pass: only the edge test can refuse it.
         graph, result = shared
-        eta = signature_form(4)
         for i in range(graph.vertex_count):
-            sphere = from_lightcone(result.embedding[i])
-            vectors = result.embedding.copy()
-            wider = Sphere(tangent=sphere.tangent, diameter=1.001 * sphere.diameter)
-            vectors[i] = to_lightcone(wider, 3)
-            gram = vectors @ eta @ vectors.T
-            wrong = np.maximum(-(gram + gram.T) / 2.0, 0.0)
-            np.fill_diagonal(wrong, 0.0)
+            spheres = from_lightcone(result.embedding)
+            spheres[i] = Sphere(tangent=spheres[i].tangent, diameter=1.001 * spheres[i].diameter)
+            wrong = distance_matrix(spheres)
             for k in (0, *self.POWERS):
                 report = verify_target_matrix(4.0**k * wrong, scaled_lengths(graph, 2.0**k), 3)
                 assert not report.edges_ok, (i, k)
                 assert report.diagonal_ok and report.rank_ok and report.signature_ok, (i, k)
 
-    def test_overflowing_products_are_a_silent_verdict(self):
+    def test_off_cone_placed_vector_is_a_silent_verdict(self):
         # Lengths times 2^200 of a graph with an all-zero clique, whose absolute
-        # diameters do not scale: the placed vectors' products leave the float
-        # range, and target verification refuses the matrix without a warning.
+        # diameters do not scale: the maps into and out of its frame scale by
+        # about 1e61, vertex 39's placed vector comes out off the cone, and
+        # it is refused by vertex without a warning.
         graph = shared_point_chordal_graph(np.random.default_rng(4), 40, shared_share=0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = complete_chordal(scaled_lengths(graph, 2.0**200), 3)
         assert result.verdict == INFEASIBLE
-        assert result.witness.startswith("target verification failed: ")
+        assert result.witness == "placed vector of vertex 39: vector is not null to tolerance"
 
     @pytest.mark.parametrize("which", ["cli-complete [1, 3] draw 8", "bench800 37, relabel 2"])
     def test_benchmark_graphs_refused_only_by_a_capped_floor(self, which):
@@ -788,6 +788,60 @@ class TestEdgesAtTheDataScale:
         values = values[np.abs(values) > 1e-9 * np.abs(values).max()]
         assert (values > 0).sum() == 1
         assert values.size <= 4
+
+
+class TestReadOffTheSpheres:
+    """The completed matrix is kissing.distance_matrix of the placed vectors'
+    spheres, so a Completed matrix is realizable, and a placed vector that
+    is not a future null vector is refused by vertex."""
+
+    @pytest.mark.parametrize("c", [1e-20, 1e-10, 1.0, 1e10])
+    def test_completed_means_realizable(self, c):
+        # Lengths times sqrt(c) of the shared-point graphs, whose all-zero
+        # cliques keep absolute diameters: at c = 1e-10 and 1e-20 some placed
+        # vectors of s13, s16 and s18 come out off the cone or zero, and each
+        # is refused by vertex, not returned in an unrealizable matrix.
+        completed = 0
+        for s in range(20):
+            graph = shared_point_chordal_graph(np.random.default_rng(s), 40, shared_share=0.2)
+            result = complete_chordal(scaled_lengths(graph, np.sqrt(c)), 3)
+            if result.completed:
+                completed += 1
+                assert len(construct_embedding(result.full_matrix, 3)) == 40, s
+        assert completed >= 14
+
+    @pytest.mark.parametrize("graph, n", [
+        (graph_from_configuration(np.random.default_rng(3), 12, 2)[0], 2),
+        (shared_point_chordal_graph(np.random.default_rng(7), 40, shared_share=0.2), 3),
+    ], ids=["configuration", "shared"])
+    def test_full_matrix_is_the_spheres_distance_matrix(self, graph, n):
+        result = complete_chordal(graph, n)
+        assert result.verdict == COMPLETED
+        expected = distance_matrix(from_lightcone(result.embedding))
+        assert result.full_matrix.tobytes() == expected.tobytes()
+        assert not np.diag(result.full_matrix).view(np.int64).any()
+
+    def test_a_sheared_alignment_is_refused_by_vertex(self, monkeypatch):
+        shear = np.eye(4)
+        shear[0, 1] = 1e-3
+        monkeypatch.setattr(completion, "lorentz_align", lambda x, y: lorentz_align(x, y) @ shear)
+        graph, _ = graph_from_configuration(np.random.default_rng(5), 12, 3)
+        result = complete_chordal(graph, 3)
+        assert result.verdict == INFEASIBLE
+        assert result.witness.startswith("placed vector of vertex ")
+
+    def test_benchmark_graph_edges_to_rounding(self):
+        # Rounding alone: the Gram product -X eta X^T of the same placed
+        # vectors cancels and misses these edges by up to 4.3e-8 of max l^2.
+        from bench.inputs import chordal_graph
+
+        graph = relabelled(chordal_graph(np.random.default_rng(1039), 800))
+        result = complete_chordal(graph, 3)
+        assert result.verdict == COMPLETED
+        u, v, length = np.array(graph.edges).T
+        expected = length**2
+        error = np.abs(result.full_matrix[u.astype(int), v.astype(int)] - expected).max()
+        assert error <= 1e-10 * expected.max()
 
 
 class TestNonChordalWitness:
