@@ -25,8 +25,7 @@ from kissgeo.kissing import (
     invert,
     normalize_pair,
 )
-from kissgeo.lightcone import distance_sq as minkowski_distance_sq
-from kissgeo.lightcone import from_lightcone, to_lightcone
+from kissgeo.lightcone import from_lightcone, minkowski_inner, to_lightcone
 
 
 def sample_sphere(rng, n):
@@ -77,7 +76,7 @@ def main():
         x, y = to_lightcone(p), to_lightcone(q)
         worst_isometry = max(
             worst_isometry,
-            abs(minkowski_distance_sq(x, y) - distance_sq(p, q)) / (1.0 + d * d),
+            abs(-minkowski_inner(x, y) - distance_sq(p, q)) / (1.0 + d * d),
         )
         back = from_lightcone(x)
         worst_round_trip = max(

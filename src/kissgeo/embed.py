@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkernel
-from .kissing import KissingSphere, Plane, Sphere, distance_matrix
+from .kissing import KissingSphere, Plane, Sphere, _distance_tiles
 from .lightcone import InverseMapError, from_lightcone
 from .numkernel import EIG_ZERO, GramInfeasibleError, Inertia
 
@@ -85,9 +85,9 @@ def validate_squared_distances(matrix) -> np.ndarray:
     had to symmetrize, its private copy is corrected in place. The scale of
     both tests is read from as_symmetric's pass; the input is never written.
     Measured with tracemalloc at m = 600 on clean input, this function
-    allocates no m x m array, check_kissing holds under a fifth of one
-    beyond its input, and construct_embedding one, the round trip's
-    distance matrix.
+    allocates no m x m array, and check_kissing and construct_embedding
+    each hold about a fifth of one beyond their input: the round trip forms
+    its realized distances tile by tile.
     """
     return _validated(matrix)[0]
 
@@ -259,19 +259,15 @@ def _round_trip_excess(actual: np.ndarray, expected: np.ndarray, top: float,
     return excess
 
 
-def _symmetric_close(actual: np.ndarray, expected: np.ndarray, top: float) -> bool:
-    """_round_trip_excess is at most zero entrywise, for two bitwise symmetric
-    matrices and top = max|expected|.
-
-    Only the upper tile pairs (numkernel.tile_pairs) are read, in their two
-    work tiles, up to the first tile with a violation or a NaN.
-    This is exact, not a looser test: entry (j, i) of each matrix is entry
-    (i, j) bit for bit, so its excess and its allowance are those of (i, j).
-    distance_matrix returns such a matrix, and so does validation.
+def _reproduces(spheres: list[KissingSphere], d: np.ndarray, top: float) -> bool:
+    """The round trip: _round_trip_excess is at most zero on each upper tile
+    of the spheres' squared distances (kissing._distance_tiles) against d's,
+    top = max D, checked as each tile is formed, up to the first tile with a
+    violation or a NaN. This is exact, not a looser test: both matrices are
+    bitwise symmetric, so entry (j, i) has the excess and allowance of (i, j).
     """
-    for rows, cols, allowed, excess in numkernel.tile_pairs(expected.shape[0]):
-        _round_trip_excess(actual[rows, cols], expected[rows, cols], top, allowed, excess)
-        if not float(excess.max()) <= 0.0:
+    for rows, cols, tile, scratch in _distance_tiles(spheres):
+        if not float(_round_trip_excess(tile, d[rows, cols], top, scratch, tile).max()) <= 0.0:
             return False
     return True
 
@@ -284,10 +280,11 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     signature rule raises GramInfeasibleError, whose inertia, reason and
     exact are check_kissing's InertiaWitness. Identically zero data, which
     the rule lets pass at rank zero, is realized directly by spheres sharing
-    one tangent point. Otherwise the factor columns are oriented to the future (a global
-    sign flip when every time coordinate is negative), mapped back to spheres
-    by one from_lightcone call on the whole factor, and validated by a round
-    trip at 1e-7 relative. A zero factor row, a factor row that is off the
+    one tangent point. Otherwise the factor columns are oriented to the
+    future (a global sign flip when every time coordinate is negative),
+    mapped back to spheres by one from_lightcone call on the whole factor,
+    and validated by a round trip at 1e-7 relative that forms no m x m
+    array (_reproduces). A zero factor row, a factor row that is off the
     future cone or not future-directed, or a failed round trip raise
     RealizationError: the certificate passed, but the factor gives no
     sphere set, as on the degenerate zero-distance patterns the signature
@@ -312,7 +309,7 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
         spheres = from_lightcone(vectors)
     except InverseMapError as exc:
         raise RealizationError(f"factor row {exc.row} is not a future null vector: {exc}") from exc
-    if not _symmetric_close(distance_matrix(spheres), d, top):
+    if not _reproduces(spheres, d, top):
         raise RealizationError("round trip failed: realized distances do not reproduce the input")
     return spheres
 
@@ -351,7 +348,7 @@ def schur_embedding(matrix, n: int, pivot: tuple[int, int]) -> list[KissingSpher
     out[a] = Sphere(tangent=(0.0,) * (n - 1), diameter=1.0 / d[a, b])
     for i, point, diameter in zip(rest, points, phi):
         out[i] = Sphere(tangent=point, diameter=diameter)
-    if not _symmetric_close(distance_matrix(out), d, top):
+    if not _reproduces(out, d, top):
         raise RealizationError("round trip failed: Schur construction does not reproduce the input")
     return out
 

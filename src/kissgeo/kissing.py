@@ -265,7 +265,6 @@ def normalize_pair(p: KissingSphere, q: KissingSphere) -> InversionSphere | None
     return InversionSphere(center=center, radius=gap / (root_p + root_q))
 
 
-@np.errstate(all="ignore")
 def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     """Symmetric matrix of squared pairwise distances with zero diagonal.
 
@@ -279,13 +278,34 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     result is bit-identical to distance_sq wherever no squared gap is
     subnormal. Rows and columns of hyperplanes
     are h / phi against spheres and zero against each other. Each pair of
-    mirrored tiles (numkernel.tile_pairs) is computed once, into the upper
-    tile, and copied to its mirror, so the only full-size array is the
-    result and it is bitwise symmetric: (t_i - t_j)^2 and phi_i phi_j are
+    mirrored tiles (numkernel.tile_pairs) is formed once, by _distance_tiles,
+    and copied to its place and its mirror, so the only full-size array is
+    the result and it is bitwise symmetric: (t_i - t_j)^2 and phi_i phi_j are
     exactly (t_j - t_i)^2 and phi_j phi_i. A distance beyond the float range
     comes out inf, silently; the caller decides whether to refuse it.
     """
     items = list(spheres)
+    out = np.empty((len(items), len(items)))
+    # Both copies are written from the contiguous work tile: a mirror written
+    # from out itself would first be copied by numpy.
+    for rows, cols, tile, _ in _distance_tiles(items):
+        out[rows, cols] = tile
+        if cols.start > rows.start:
+            out[cols, rows] = tile.T
+    return out
+
+
+def _distance_tiles(items: list[KissingSphere]):
+    """(rows, cols, tile, scratch) for each upper tile of tile_pairs(m), tile
+    holding the squared distances of the block (rows, cols) as
+    distance_matrix returns them and scratch free for the caller; both are
+    overwritten at the next step.
+
+    On the per-pair route, the gaps of each pair are divided by 2^h and its
+    diameter product, of mantissas, by 4^h, h its mean exponent, as in
+    distance_sq. Each step's arithmetic ignores floating-point errors in its
+    own errstate, which leaves the caller's code between steps alone.
+    """
     if not items:
         raise ValueError("need at least one sphere")
     dims = {s.ambient_dim for s in items if isinstance(s, Sphere)}
@@ -295,54 +315,41 @@ def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     origin = (0.0,) * (dims.pop() - 1 if dims else 0)
     top = max((s.diameter for s in items if isinstance(s, Sphere)), default=1.0)
     unit = power_of_two_below(top)
-    # Hyperplanes sit at the origin with the largest diameter until their rows are overwritten.
+    # Hyperplanes sit at the origin with diameter inf until their rows and
+    # columns are written as h / phi, which is zero between two planes.
     points = np.array([origin if isinstance(s, Plane) else s.tangent for s in items]).reshape(m, len(origin))
-    phi = np.array([top if isinstance(s, Plane) else s.diameter for s in items])
-    tangent, diameter = points / unit, phi / unit
-    planes = [i for i, s in enumerate(items) if isinstance(s, Plane)]
-    out = np.empty((m, m))
+    phi = np.array([math.inf if isinstance(s, Plane) else s.diameter for s in items])
+    height = np.array([s.height if isinstance(s, Plane) else 0.0 for s in items])
+    with np.errstate(all="ignore"):
+        tangent, diameter = points / unit, phi / unit
+    exponent = None
     # Scaled diameters of at least 2^-200 keep every diameter product above
     # 2^-400, a normal number, so a squared gap is subnormal only where the
     # squared distance is below 2^-622.
     if float(diameter.min()) < 2.0**-200 or not np.isfinite(tangent).all():
-        mantissa, exponent = np.frexp(phi)
-        _fill_tiles(out, points, mantissa, exponent)
-    else:
-        _fill_tiles(out, tangent, diameter)
-    if planes:
-        heights = np.array([items[i].height for i in planes])
-        out[planes] = heights[:, None] / phi
-        out[:, planes] = out[planes].T
-        out[np.ix_(planes, planes)] = 0.0
-    return out
-
-
-def _fill_tiles(out: np.ndarray, tangent: np.ndarray, diameter: np.ndarray,
-                exponent: np.ndarray | None = None) -> None:
-    """Given exponent, tangent holds the unscaled points and diameter the
-    mantissas of phi, and each pair is scaled at its own mean exponent h, as
-    in distance_sq: its gaps over 2^h, its diameter product over 4^h."""
-    for rows, cols, tile, scratch in tile_pairs(len(diameter)):
-        # Formed in a contiguous work tile, and both copies written from it:
-        # a mirror written from out itself would first be copied by numpy.
-        if exponent is not None:
-            total = np.add.outer(exponent[rows], exponent[cols])
-            half = total >> 1
-        if not tangent.shape[1]:
-            tile.fill(0.0)
-        for k, coordinate in enumerate(tangent.T):
-            # The first squared coordinate is written, not added to zero: 0 + x is x.
-            gap = scratch if k else tile
-            np.subtract.outer(coordinate[rows], coordinate[cols], out=gap)
+        tangent, (diameter, exponent) = points, np.frexp(phi)
+    for rows, cols, tile, scratch in tile_pairs(m):
+        with np.errstate(all="ignore"):
             if exponent is not None:
-                np.ldexp(gap, -half, out=gap)
-            np.multiply(gap, gap, out=gap)
-            if k:
-                tile += gap
-        np.multiply.outer(diameter[rows], diameter[cols], out=scratch)
-        if exponent is not None:
-            np.ldexp(scratch, total - 2 * half, out=scratch)
-        tile /= scratch
-        out[rows, cols] = tile
-        if cols.start > rows.start:
-            out[cols, rows] = tile.T
+                total = np.add.outer(exponent[rows], exponent[cols])
+                half = total >> 1
+            if not tangent.shape[1]:
+                tile.fill(0.0)
+            for k, coordinate in enumerate(tangent.T):
+                # The first squared coordinate is written, not added to zero: 0 + x is x.
+                gap = scratch if k else tile
+                np.subtract.outer(coordinate[rows], coordinate[cols], out=gap)
+                if exponent is not None:
+                    np.ldexp(gap, -half, out=gap)
+                np.multiply(gap, gap, out=gap)
+                if k:
+                    tile += gap
+            np.multiply.outer(diameter[rows], diameter[cols], out=scratch)
+            if exponent is not None:
+                np.ldexp(scratch, total - 2 * half, out=scratch)
+            tile /= scratch
+            for i in np.flatnonzero(height[rows]):
+                np.divide(height[rows.start + i], phi[cols], out=tile[i])
+            for j in np.flatnonzero(height[cols]):
+                np.divide(height[cols.start + j], phi[rows], out=tile[:, j])
+        yield rows, cols, tile, scratch

@@ -43,11 +43,6 @@ def minkowski_inner(x, y) -> float:
     return float(vx[:-1] @ vy[:-1] - vx[-1] * vy[-1])
 
 
-def distance_sq(x, y) -> float:
-    """Squared pre-metric on the future lightcone: minus the inner product."""
-    return -minkowski_inner(x, y)
-
-
 def is_future(x) -> bool:
     return float(_as_vector(x)[-1]) > 0.0
 

@@ -3,7 +3,7 @@
 import numpy as np
 
 from kissgeo import LengthGraph, Plane, Sphere, distance
-from kissgeo.embed import _symmetric_close
+from kissgeo.embed import _round_trip_excess
 from kissgeo.numkernel import max_abs
 from kissgeo.kissing import InversionSphere
 
@@ -128,7 +128,9 @@ def shared_point_chordal_graph(rng, vertices, n=3, shared_share=0.03, max_clique
 
 
 def round_trip_close(actual, expected):
-    """The round-trip rule of the embedding routes on two symmetric matrices,
-    with the largest entry of expected as its floor."""
+    """The round-trip rule of the embedding routes on two matrices, entry by
+    entry, with the largest entry of expected as its floor."""
     expected = np.asarray(expected, dtype=float)
-    return _symmetric_close(np.asarray(actual, dtype=float), expected, max_abs(expected))
+    allowed, excess = np.empty_like(expected), np.empty_like(expected)
+    _round_trip_excess(np.asarray(actual, dtype=float), expected, max_abs(expected), allowed, excess)
+    return float(excess.max()) <= 0.0

@@ -500,7 +500,7 @@ class TestDegenerationBridges:
 
 
 class TestRoundTripRule:
-    """embed._symmetric_close: |actual - expected| <= 1e-7 (|expected| + max|expected|)."""
+    """embed._round_trip_excess: |actual - expected| <= 1e-7 (|expected| + max|expected|)."""
 
     def test_rejects_a_large_error_at_small_scale(self):
         expected = 1e-9 * TRIANGLE_345

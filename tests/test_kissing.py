@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kissgeo.kissing import (
     Reflection,
     Sphere,
     Translation,
+    _distance_tiles,
     apply_generator,
     classify_pair,
     distance,
@@ -354,6 +356,19 @@ class TestExtremeScales:
         assert classify_pair(p, q) is PairClass.DISJOINT
         d = distance_matrix([p, q])
         assert d[0, 1] == d[1, 0] == math.inf and not np.diag(d).any()
+
+    def test_floating_point_errors_stay_inside_each_tile(self):
+        """Overflowing gaps and heights come out inf without a warning, and
+        the caller's own error state holds between the tiles."""
+        spheres = [Sphere((1e200,), 1e-200), Sphere((-1e200,), 1e-200), Plane(1e300)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = distance_matrix(spheres)
+        assert d[0, 1] == d[0, 2] == math.inf and not np.diag(d).any()
+        with np.errstate(over="raise"):
+            for _ in _distance_tiles(spheres):
+                with pytest.raises(FloatingPointError):
+                    np.float64(1e308) * 10.0
 
     def test_a_tiny_sphere_moves_no_other_entry(self, rng):
         """A sphere 2^-300 times the largest diameter sends the set down the

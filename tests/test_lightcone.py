@@ -12,7 +12,6 @@ from kissgeo.lightcone import (
     AlignmentError,
     InverseMapError,
     _witt_map,
-    distance_sq as minkowski_distance_sq,
     from_lightcone,
     is_future,
     is_lorentz,
@@ -54,13 +53,13 @@ class TestInnerProduct:
     def test_null_self(self):
         x = np.array([1.0, 0.0, 1.0])
         assert minkowski_inner(x, x) == 0.0
-        assert minkowski_distance_sq(x, x) == 0.0
+        assert -minkowski_inner(x, x) == 0.0
 
     def test_cross_term(self):
         x = np.array([SQRT2 / 2, 0.0, SQRT2 / 2])
         y = np.array([0.0, SQRT2 / 2, SQRT2 / 2])
         assert minkowski_inner(x, y) == pytest.approx(-0.5, abs=1e-15)
-        assert minkowski_distance_sq(x, y) == pytest.approx(0.5, abs=1e-15)
+        assert -minkowski_inner(x, y) == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_timelike(self):
         x = np.array([0.0, 0.0, 1.0])
@@ -80,7 +79,7 @@ class TestToLightcone:
         out = to_lightcone(Sphere((1.0,), 2.0))
         assert np.allclose(out, [0.0, SQRT2 / 2, SQRT2 / 2], atol=1e-15)
         other = to_lightcone(Sphere((0.0,), 1.0))
-        assert minkowski_distance_sq(out, other) == pytest.approx(0.5, abs=1e-12)
+        assert -minkowski_inner(out, other) == pytest.approx(0.5, abs=1e-12)
 
     def test_plane(self):
         out = to_lightcone(Plane(3.0), n=2)
@@ -98,7 +97,7 @@ class TestToLightcone:
             kind = rng.uniform()
             p = random_plane(rng) if kind < 0.15 else random_sphere(rng, 3)
             q = random_plane(rng) if kind > 0.9 else random_sphere(rng, 3)
-            got = minkowski_distance_sq(to_lightcone(p, 3), to_lightcone(q, 3))
+            got = -minkowski_inner(to_lightcone(p, 3), to_lightcone(q, 3))
             want = distance_sq(p, q)
             assert abs(got - want) <= 1e-9 * (1.0 + want)
 
@@ -462,8 +461,8 @@ class TestLorentzPredicates:
             transform = random_lorentz(rng, 4)
             x = to_lightcone(random_sphere(rng, 3))
             y = to_lightcone(random_sphere(rng, 3))
-            before = minkowski_distance_sq(x, y)
-            after = minkowski_distance_sq(transform @ x, transform @ y)
+            before = -minkowski_inner(x, y)
+            after = -minkowski_inner(transform @ x, transform @ y)
             assert abs(after - before) <= 1e-9 * (1.0 + abs(before))
 
 
