@@ -126,8 +126,7 @@ def _cmd_lightcone(args) -> int:
         _emit(io.dump_sphere_set(n, recovered))
         return EXIT_OK
     n, sphere_set = io.load_sphere_set(payload)
-    vectors = [lightcone.to_lightcone(s, n) for s in sphere_set]
-    _emit(io.dump_vectors(n, np.stack(vectors)))
+    _emit(io.dump_vectors(n, lightcone.to_lightcone(sphere_set, n)))
     return EXIT_OK
 
 

@@ -414,7 +414,7 @@ def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
         check, spheres = _realize_clique(graph, clique, n)
         if spheres is None:
             return CompletionResult(INFEASIBLE, witness=check)
-        own.append({v: to_lightcone(s, n) for v, s in zip(clique, spheres)})
+        own.append(dict(zip(clique, to_lightcone(spheres, n))))
 
     neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in cliques]
     for i, j, separator in chordality.tree.edges:

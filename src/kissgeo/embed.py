@@ -19,8 +19,8 @@ import numpy as np
 
 from . import numkernel
 from .kissing import KissingSphere, Plane, Sphere, _distance_tiles
-from .lightcone import InverseMapError, from_lightcone
-from .numkernel import EIG_ZERO, GramInfeasibleError, Inertia
+from .lightcone import InverseMapError, from_lightcone, to_lightcone
+from .numkernel import _EPS, EIG_ZERO, RESIDUAL, GramInfeasibleError, Inertia
 
 EMBEDDABLE = "Embeddable"
 NOT_EMBEDDABLE = "NotEmbeddable"
@@ -272,6 +272,61 @@ def _reproduces(spheres: list[KissingSphere], d: np.ndarray, top: float) -> bool
     return True
 
 
+def _proves_round_trip(spheres: list[KissingSphere], x: np.ndarray, top: float) -> bool:
+    """True when every pair of the spheres provably passes _reproduces against
+    d, the validated matrix that gram_factor_lorentz factored as x (rows
+    oriented as given to from_lightcone, with spheres = from_lightcone(x)),
+    top = max D; O(m n) work. False means only that the proof did not close.
+
+    It rests on gram_factor_lorentz raising unless its computed residual
+    max|a - x (-eta) x^T| is at most RESIDUAL * max|a|, here RESIDUAL * top.
+    With u = 2^-53, gamma_k = k u / (1 - k u), N = n + 1 and
+    g = (n + 10) eps >= gamma_{2n+20}, where the guard below keeps every
+    underflow under u times the quantities it is compared with:
+    - Y = to_lightcone(spheres, n) is formed in at most n + 3 roundings, and
+      its factor c = sqrt(2) / (2 phi), subnormal for the largest diameters,
+      is off by at most u + 2^-50.5. So the exact images of the spheres lie
+      within g M of Y entrywise, M the largest |entry| of x and Y. With
+      e_0 = max|Y - x| entrywise, e = sqrt(N) (e_0 + g M)(1 + g) bounds every
+      row's |Y_i - x_i|_2, and R = sqrt(N) M (1 + g) every |x_i|_2 and
+      |Y_i|_2, exact images included; the factor 1 + g also covers the
+      rounding of e_0 and of these products.
+    - The isometry makes delta_ij = -<Y_i, Y_j> the exact squared distance of
+      spheres i and j, and |<p, q>| <= |p|_2 |q|_2 gives
+      |delta_ij + <x_i, x_j>| <= 2 e R + e^2.
+    - Each residual entry is an N-term dot, off by at most gamma_N R^2, then
+      one subtraction, and the threshold is rounded once: so
+      |D_ij + <x_i, x_j>| <= RESIDUAL top (1 + g) + g R^2.
+    - The tile kernel forms delta_ij with at most n + 3 roundings, so within
+      g delta_ij, plus n 2^-270 top for underflow: its scaled diameter
+      products are at least 2^-400.
+    - _round_trip_excess accepts when |d - D| <= ROUND_TRIP_RTOL (D + top)
+      (1 - 3u): it rounds the difference once and the allowance twice.
+    With B = 2 e R + e^2 + g R^2 + RESIDUAL top (1 + g), the kernel's
+    distances are within (1 + g) B + g D + n 2^-270 top of D. That is inside
+    the rule when g <= ROUND_TRIP_RTOL / 2 and
+    (1 + g)^2 ((1 + g) B + n 2^-270 top) <= ROUND_TRIP_RTOL top, the squared
+    factor covering 1 - 3u and the rounding of this test. The guard
+    2^-400 <= top <= 2^400 bounds M^2 >= top / (2N) from below, so no
+    underflow matters, and keeps R^2, which the test bounds by
+    ROUND_TRIP_RTOL top / g, far from overflow, so the residual was finite
+    when it was checked. A NaN or an inf fails the test.
+    """
+    if not 2.0**-400 <= top <= 2.0**400:
+        return False
+    n = x.shape[1] - 1
+    images = to_lightcone(spheres, n)
+    with np.errstate(all="ignore"):
+        drift = float(np.abs(images - x).max())
+        reach = max(float(np.abs(x).max()), float(np.abs(images).max()))
+        g = (n + 10) * _EPS
+        e = math.sqrt(n + 1) * (drift + g * reach) * (1.0 + g)
+        r = math.sqrt(n + 1) * reach * (1.0 + g)
+        bound = 2.0 * e * r + e * e + g * r * r + RESIDUAL * top * (1.0 + g)
+        total = (1.0 + g) ** 2 * ((1.0 + g) * bound + n * 2.0**-270 * top)
+    return g <= ROUND_TRIP_RTOL / 2.0 and total <= ROUND_TRIP_RTOL * top
+
+
 def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     """Kissing spheres realizing the matrix, via null-vector factorization.
 
@@ -283,10 +338,13 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     one tangent point. Otherwise the factor columns are oriented to the
     future (a global sign flip when every time coordinate is negative),
     mapped back to spheres by one from_lightcone call on the whole factor,
-    and validated by a round trip at 1e-7 relative that forms no m x m
-    array (_reproduces). A zero factor row, a factor row that is off the
-    future cone or not future-directed, or a failed round trip raise
-    RealizationError: the certificate passed, but the factor gives no
+    and held to the round trip at 1e-7 relative. _proves_round_trip proves
+    it in O(m n) from the factor, resting on gram_factor_lorentz raising
+    when its residual exceeds RESIDUAL * max|a|; only where that proof does
+    not close does the tile walk _reproduces run, which forms no m x m
+    array, so the outcome is the walk's. A zero factor row, a factor row
+    that is off the future cone or not future-directed, or a failed round
+    trip raise RealizationError: the certificate passed, but the factor gives no
     sphere set, as on the degenerate zero-distance patterns the signature
     rule does not exclude.
     """
@@ -309,7 +367,7 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
         spheres = from_lightcone(vectors)
     except InverseMapError as exc:
         raise RealizationError(f"factor row {exc.row} is not a future null vector: {exc}") from exc
-    if not _reproduces(spheres, d, top):
+    if not (_proves_round_trip(spheres, vectors, top) or _reproduces(spheres, d, top)):
         raise RealizationError("round trip failed: realized distances do not reproduce the input")
     return spheres
 

@@ -24,8 +24,8 @@ from .numkernel import power_of_two_below, tile_pairs
 
 
 def _as_point(coords) -> tuple[float, ...]:
-    point = tuple(float(c) for c in coords)
-    if not all(math.isfinite(c) for c in point):
+    point = tuple(map(float, coords))
+    if not all(map(math.isfinite, point)):
         raise ValueError("coordinates must be finite")
     return point
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from typing import Sequence
 
 import numpy as np
 
@@ -47,26 +48,44 @@ def is_future(x) -> bool:
     return float(_as_vector(x)[-1]) > 0.0
 
 
-def to_lightcone(p: KissingSphere, n: int | None = None) -> np.ndarray:
-    """Null image of a kissing sphere; n is required for hyperplanes."""
-    if isinstance(p, Sphere):
-        if n is not None and n != p.ambient_dim:
-            raise ValueError(f"sphere has ambient dimension {p.ambient_dim}, not {n}")
-        n = p.ambient_dim
-        t = np.asarray(p.tangent, dtype=float)
-        norm_sq = float(t @ t)
-        c = SQRT2 / (2.0 * p.diameter)
-        out = np.empty(n + 1)
-        out[0] = c * (1.0 - norm_sq)
-        out[1:n] = 2.0 * c * t
-        out[n] = c * (1.0 + norm_sq)
-        return out
+def to_lightcone(p: KissingSphere | Sequence[KissingSphere], n: int | None = None) -> np.ndarray:
+    """Null image of a kissing sphere, or the (m, n+1) stack of the images of
+    a sequence of m of them, as from_lightcone reads one; n is required when
+    no finite sphere gives it, and every finite sphere must have it.
+
+    Each row is the single sphere's image bit for bit, whatever the rest of
+    the stack holds: |t|^2 is _self_dots's BLAS dot, which t @ t also takes,
+    and every product keeps the association of the formula in the module
+    docstring, c = sqrt(2) / (2 phi) times 1 - |t|^2, 2c times t and c times
+    1 + |t|^2, or -h * sqrt(2) / 2 and h * sqrt(2) / 2 for a hyperplane.
+    """
+    single = isinstance(p, (Sphere, Plane))
+    items = [p] if single else list(p)
+    balls = [s for s in items if isinstance(s, Sphere)]
+    dims = sorted({s.ambient_dim for s in balls})
     if n is None:
-        raise ValueError("ambient dimension is required for a hyperplane")
-    out = np.zeros(n + 1)
-    out[0] = -p.height * SQRT2 / 2.0
-    out[-1] = p.height * SQRT2 / 2.0
-    return out
+        if not dims:
+            raise ValueError("ambient dimension is required for a hyperplane")
+        n = dims[0]
+    for dim in dims:
+        if dim != n:
+            raise ValueError(f"sphere has ambient dimension {dim}, not {n}")
+    # n may be any number equal to the spheres' dimension, which is an int.
+    n = dims[0] if dims else n
+    ball = np.array([isinstance(s, Sphere) for s in items], dtype=bool)
+    t = np.array([s.tangent for s in balls], dtype=float).reshape(len(balls), n - 1)
+    heights = np.array([s.height for s in items if not isinstance(s, Sphere)], dtype=float)
+    phi = np.array([s.diameter for s in balls], dtype=float)
+    out = np.zeros((len(items), n + 1))
+    with np.errstate(all="ignore"):
+        norm_sq = _self_dots(t)
+        c = SQRT2 / (2.0 * phi)
+        out[ball, 0] = c * (1.0 - norm_sq)
+        out[ball, 1:n] = (2.0 * c)[:, None] * t
+        out[ball, n] = c * (1.0 + norm_sq)
+        out[~ball, 0] = -heights * SQRT2 / 2.0
+        out[~ball, n] = heights * SQRT2 / 2.0
+    return out[0] if single else out
 
 
 class InverseMapError(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gen import coincident_sphere_set, graph_from_configuration, random_sphere_set
-from kissgeo import numkernel
+from kissgeo import completion, numkernel
 from kissgeo.cli import main
 from kissgeo.kissing import distance_matrix
 
@@ -341,6 +341,15 @@ class TestComplete:
         assert d.shape == (3, 3)
         assert d[0, 1] == pytest.approx(1.0, rel=1e-9)
         assert len(payload["embedding"]) == 3
+
+    def test_failed_target_verification_exits_1(self, tmp_path, capsys, monkeypatch):
+        report = completion.TargetReport(True, False, True, True, ("edge (0, 1) off",))
+        monkeypatch.setattr(completion, "verify_target_matrix", lambda *args: report)
+        graph = {"vertices": 3, "edges": [{"u": 0, "v": 1, "len": 1.0}, {"u": 1, "v": 2, "len": 1.0}]}
+        code, out, _ = run(capsys, ["complete", write(tmp_path, "g.json", graph), "--n", "2"])
+        assert code == 1
+        assert json.loads(out) == {"verdict": "Infeasible",
+                                   "diagnostic": "target verification failed: edge (0, 1) off"}
 
     @pytest.mark.parametrize("length", [1e-10, 1e10])
     def test_path_graph_at_extreme_scales(self, tmp_path, capsys, length):

@@ -418,6 +418,16 @@ class TestCompleteChordal:
         assert result.verdict == COMPLETED
         assert round_trip_close(result.full_matrix, np.ones((3, 3)) - np.eye(3))
 
+    def test_failed_target_verification_is_infeasible(self, monkeypatch):
+        """A completion whose report fails is Infeasible, with the report's
+        failures as the witness."""
+        failures = ("edge (0, 1) entry 2.0 != squared length 1.0", "rank 4 exceeds n + 1 = 3")
+        report = completion.TargetReport(True, False, False, True, failures)
+        monkeypatch.setattr(completion, "verify_target_matrix", lambda *args: report)
+        result = complete_chordal(LengthGraph(3, ((0, 1, 1.0), (1, 2, 1.0))), 2)
+        assert result.verdict == INFEASIBLE and result.full_matrix is None
+        assert result.witness == "target verification failed: " + "; ".join(failures)
+
     def test_four_cycle_is_not_chordal(self):
         result = complete_chordal(cycle_graph(4), 2)
         assert result.verdict == NOT_CHORDAL

@@ -431,6 +431,91 @@ class TestRoundTripGuards:
             schur_embedding(d, 3, (0, 4))
 
 
+def proof_spy(monkeypatch, d, factors=()):
+    """Record each _proves_round_trip outcome of construct_embedding on d in
+    the returned list, and check that it implies _reproduces, for the
+    spheres given and for each copy with one sphere's diameter, first or
+    last, times a factor."""
+    real = embed._proves_round_trip
+    outcomes = []
+
+    def spy(spheres, x, top):
+        outcomes.append(real(spheres, x, top))
+        rows = [i for i in (0, len(spheres) - 1) if isinstance(spheres[i], Sphere)]
+        variants = [spheres] + [spheres[:i] + [Sphere(spheres[i].tangent, f * spheres[i].diameter)]
+                                + spheres[i + 1:] for i in rows for f in factors]
+        for variant in variants:
+            if real(variant, x, top):
+                assert embed._reproduces(variant, d, top)
+        return outcomes[-1]
+
+    monkeypatch.setattr(embed, "_proves_round_trip", spy)
+    return outcomes
+
+
+class TestRoundTripProof:
+    """construct_embedding proves its round trip from the factor, and the
+    tile walk runs only where the proof does not close: a closed proof must
+    never accept what the walk refuses."""
+
+    FACTORS = [1.0 + 10.0**-k for k in (3, 5, 6, 7, 8, 9, 11)]
+
+    @pytest.mark.parametrize("m", [40, 127, 128, 129, 300, 2000])
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e10])
+    def test_a_closed_proof_implies_the_walk_on_benchmark_matrices(self, monkeypatch, m, scale):
+        from bench.inputs import embeddable_matrix
+
+        d = scale * embeddable_matrix(np.random.default_rng(m), m).d2
+        outcomes = proof_spy(monkeypatch, d, self.FACTORS)
+        construct_embedding(d, 3)
+        assert outcomes == [True]
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e10])
+    def test_a_closed_proof_implies_the_walk_on_random_sets(self, rng, monkeypatch, scale):
+        for size, n in [(5, 2), (8, 3), (20, 2), (60, 4), (130, 3), (260, 3)]:
+            spheres = coincident_sphere_set(rng, size, n, planes=2, shared=max(1, size // 10))
+            d = scale * distance_matrix(spheres)
+            outcomes = proof_spy(monkeypatch, d, self.FACTORS)
+            construct_embedding(d, n)
+            assert outcomes == [True], (size, n)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e10])
+    def test_a_wrong_diameter_is_refused(self, monkeypatch, scale):
+        """One returned sphere's diameter times 1 + 1e-6 leaves the proof
+        open, and the walk refuses it: either sphere of the largest distance,
+        whose change, 1e-6 max D, is five times the rule's allowance."""
+        from bench.inputs import embeddable_matrix
+
+        d = scale * embeddable_matrix(np.random.default_rng(129), 129).d2
+        real = embed.from_lightcone
+        spheres = construct_embedding(d, 3)
+        far = np.unravel_index(np.argmax(d), d.shape)
+        rows = [int(i) for i in far if isinstance(spheres[i], Sphere)]
+        assert rows
+        for row in rows:
+            def stretch(stack, row=row):
+                spheres = real(stack)
+                spheres[row] = Sphere(spheres[row].tangent, (1.0 + 1e-6) * spheres[row].diameter)
+                return spheres
+
+            monkeypatch.setattr(embed, "from_lightcone", stretch)
+            outcomes = proof_spy(monkeypatch, d)
+            with pytest.raises(RealizationError, match="^round trip failed"):
+                construct_embedding(d, 3)
+            assert outcomes == [False]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("k", [-450, 450])
+    def test_the_walk_runs_beyond_the_guard(self, monkeypatch, k):
+        """Outside 2^-400 <= max D <= 2^400 the proof is not attempted, and
+        the walk accepts the same spheres."""
+        d = 2.0**k * distance_matrix(TestRoundTripGuards.SPHERES)
+        outcomes = proof_spy(monkeypatch, d)
+        assert round_trip_close(distance_matrix(construct_embedding(d, 3)), d)
+        assert outcomes == [False]
+
+
 class TestSchurRelations:
     def test_tangent_triple(self):
         report = verify_schur_relations(TANGENT_TRIPLE, (0, 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_plane, random_sphere, random_sphere_set
+from gen import coincident_sphere_set, random_plane, random_sphere, random_sphere_set
 from kissgeo.kissing import Plane, Sphere, distance, distance_sq
 from kissgeo.lightcone import (
     SQRT2,
@@ -106,6 +106,50 @@ class TestToLightcone:
             to_lightcone(Sphere((0.0,), 1.0), n=5)
         with pytest.raises(ValueError):
             to_lightcone(Plane(1.0))
+        with pytest.raises(ValueError, match="^sphere has ambient dimension 3, not 2$"):
+            to_lightcone([Sphere((0.0,), 1.0), Sphere((0.0, 1.0), 1.0)])
+        with pytest.raises(ValueError, match="^ambient dimension is required"):
+            to_lightcone([Plane(1.0), Plane(2.0)])
+        assert to_lightcone([], 3).shape == (0, 4)
+        # n equal to the spheres' own dimension may be any number type.
+        spheres = [Sphere((1.0,), 2.0), Plane(1.0)]
+        assert to_lightcone(spheres, 2.0).tobytes() == to_lightcone(spheres, np.int64(2)).tobytes()
+
+
+def single_image(p, n):
+    """The image of one kissing sphere, by the formula and association of the
+    module docstring: 1-d t @ t and Python float products."""
+    out = np.zeros(n + 1)
+    if isinstance(p, Plane):
+        out[0] = -p.height * SQRT2 / 2.0
+        out[-1] = p.height * SQRT2 / 2.0
+        return out
+    t = np.asarray(p.tangent, dtype=float)
+    norm_sq = float(t @ t)
+    c = SQRT2 / (2.0 * p.diameter)
+    out[0] = c * (1.0 - norm_sq)
+    out[1:n] = 2.0 * c * t
+    out[n] = c * (1.0 + norm_sq)
+    return out
+
+
+class TestToLightconeStack:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [-500, 0, 500])
+    def test_rows_equal_single_calls_bit_for_bit(self, rng, n, k):
+        """Each row of the stacked form is the single sphere's image, byte for
+        byte, with hyperplanes and shared tangent points mixed in, at scales
+        2^-500, 1 and 2^500 of the tangent points, diameters and heights."""
+        spheres = coincident_sphere_set(rng, 40, n, planes=3, shared=5)
+        spheres = [Plane(2.0**k * s.height) if isinstance(s, Plane)
+                   else Sphere(tuple(2.0**k * c for c in s.tangent), 2.0**k * s.diameter)
+                   for s in spheres]
+        stack = to_lightcone(spheres, n)
+        assert stack.shape == (40, n + 1)
+        for row, p in zip(stack, spheres):
+            assert row.tobytes() == to_lightcone(p, n).tobytes() == single_image(p, n).tobytes()
+        assert to_lightcone(spheres[::-1], n)[::-1].tobytes() == stack.tobytes()
+        assert to_lightcone(tuple(spheres), n).tobytes() == stack.tobytes()
 
 
 class TestFromLightcone:
