@@ -132,11 +132,8 @@ def _cmd_lightcone(args) -> int:
 
 def _cmd_spheres(args) -> int:
     n, sphere_set = io.load_euclidean_spheres(_read_json(args.input))
-    matrix = spheres.separation_matrix(sphere_set)
-    payload = io.dump_matrix(matrix, diagonal=-1.0)
-    payload["n"] = n
-    payload["hyperboloid"] = [spheres.hyperboloid_embed(s).tolist() for s in sphere_set]
-    _emit(payload)
+    _emit({"d2": spheres.separation_matrix(sphere_set).tolist(), "diag": -1, "n": n,
+           "hyperboloid": [spheres.hyperboloid_embed(s).tolist() for s in sphere_set]})
     return EXIT_OK
 
 

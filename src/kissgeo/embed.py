@@ -127,14 +127,14 @@ def cayley_menger(matrix) -> np.ndarray:
     return _border(validate_squared_distances(matrix), 1.0)
 
 
-def _data_border(d: np.ndarray) -> np.ndarray:
-    """The Cayley-Menger matrix with its border scaled to max D (1 if D is zero).
+def _data_border(d: np.ndarray, top: float) -> np.ndarray:
+    """The Cayley-Menger matrix with its border scaled to top = max D (1 if zero).
 
     It is congruent to cayley_menger(d) through diag(1, ..., 1, max D), so by
     Sylvester's law it has the same inertia and rank, while every entry scales
     with the data.
     """
-    return _border(d, float(d.max()) or 1.0)
+    return _border(d, top or 1.0)
 
 
 def _inertia_certificate(found: Inertia, max_negative: int, method: str, exact: bool = True,
@@ -168,7 +168,7 @@ def _signed_minor(d: np.ndarray, subset: tuple[int, ...], bordered: bool) -> flo
     return minor if len(subset) % 2 == 0 else -minor
 
 
-def _minors_certificate(d: np.ndarray, rank_bound: int, bordered: bool) -> Certificate:
+def _minors_certificate(d: np.ndarray, top: float, rank_bound: int, bordered: bool) -> Certificate:
     """The minors route: signed principal minors, then the rank.
 
     Over the nonempty subsets J in lexicographic order
@@ -179,14 +179,14 @@ def _minors_certificate(d: np.ndarray, rank_bound: int, bordered: bool) -> Certi
     with its signed minor (-1)^|J| det M_J; a single point's D_J is [0] and
     never violates. Then the rank of D, or of D bordered at its own scale,
     must be at most rank_bound. As in verify_schur_relations, all tests run
-    on D divided exactly by 2^e, the power of two below max D, so no power of
-    max D leaves the float range. The minor is reported at the data's own
+    on D divided exactly by 2^e, the power of two below top = max D, so no
+    power of max D leaves the float range. The minor is reported at the data's own
     scale, or for D / 2^e, with e times its degree, where that is not finite
     and nonzero.
     """
-    unit = numkernel.power_of_two_below(float(d.max()))
+    unit = numkernel.power_of_two_below(top)
     scaled = d / unit
-    top = float(scaled.max())
+    top /= unit
     shift = 1 if bordered else 0
     for subset in numkernel.principal_subsets(d.shape[0]):
         signed = _signed_minor(scaled, subset, bordered)
@@ -198,7 +198,7 @@ def _minors_certificate(d: np.ndarray, rank_bound: int, bordered: bool) -> Certi
                 return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, own))
             exponent = degree * (math.frexp(unit)[1] - 1)
             return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed, exponent))
-    rank = numkernel.inertia(_data_border(scaled) if bordered else scaled).rank
+    rank = numkernel.inertia(_data_border(scaled, top) if bordered else scaled).rank
     if rank > rank_bound:
         return Certificate(NOT_EMBEDDABLE, "minors", RankWitness(rank, rank_bound))
     return Certificate(EMBEDDABLE, "minors")
@@ -213,13 +213,13 @@ def check_kissing(matrix, n: int, method: str = "inertia") -> Certificate:
     every principal subset of size >= 2 plus rank <= n + 1, and reports the
     lexicographically first violation; it is capped at order 12.
     """
-    d = validate_squared_distances(matrix)
+    d, top = _validated(matrix)
     n = numkernel.dimension(n)
     if method == "inertia":
         return _spectrum_certificate(d, n, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
-    return _minors_certificate(d, n + 1, bordered=False)
+    return _minors_certificate(d, top, n + 1, bordered=False)
 
 
 def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
@@ -232,13 +232,13 @@ def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
     has the inertia of the Cayley-Menger matrix. On the plain distance matrix
     the counts, a necessary condition only, are check_kissing(matrix, n + 1).
     """
-    d = validate_squared_distances(matrix)
+    d, top = _validated(matrix)
     n = numkernel.dimension(n)
     if method == "inertia":
-        return _spectrum_certificate(_data_border(d), n + 1, method)
+        return _spectrum_certificate(_data_border(d, top), n + 1, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
-    return _minors_certificate(d, n + 2, bordered=True)
+    return _minors_certificate(d, top, n + 2, bordered=True)
 
 
 def _round_trip_excess(actual: np.ndarray, expected: np.ndarray, top: float,
@@ -460,15 +460,15 @@ def verify_schur_relations(matrix, pivot: tuple[int, int]) -> SchurReport:
     (near-zero) determinants at noise level.
     det_full and det_expected are reported at the data's own scale.
     """
-    d = validate_squared_distances(matrix)
+    d, top = _validated(matrix)
     m = d.shape[0]
     a, b = _pivot(pivot, m)
     comp = numkernel.schur_complement(d, (a, b))
     det_full, det_expected = _pivot_determinants(d, comp, a, b)
     # The identity is tested on D / unit, an exact rescale with max in [1, 2).
-    unit = numkernel.power_of_two_below(float(d.max()))
+    unit = numkernel.power_of_two_below(top)
     full, expected = _pivot_determinants(d / unit, comp / unit, a, b)
-    det_scale = max(abs(full), abs(expected), (float(d.max()) / unit) ** m)
+    det_scale = max(abs(full), abs(expected), (top / unit) ** m)
     det_ok = abs(full - expected) <= ROUND_TRIP_RTOL * det_scale
     inertia_full = numkernel.inertia(d)
     inertia_comp = numkernel.inertia(comp) if comp.size else Inertia(0, 0, 0)

@@ -140,13 +140,6 @@ def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarra
     return labels, matrix
 
 
-def dump_matrix(matrix, diagonal: float = 0.0) -> dict:
-    out = {"d2": np.asarray(matrix, dtype=float).tolist()}
-    if diagonal == -1.0:
-        out["diag"] = -1
-    return out
-
-
 def load_graph(obj) -> LengthGraph:
     """{"vertices": int, "edges": [{"u": int, "v": int, "len": real}, ...]}; LengthGraph checks it."""
     _require(isinstance(obj, dict), "graph input must be a JSON object")

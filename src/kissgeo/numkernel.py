@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -96,8 +96,10 @@ def _residual_tiles(a: np.ndarray, left: np.ndarray, right: np.ndarray):
     a[rows, cols] - left[rows] right[cols]^T: the product, formed in scratch,
     is subtracted from a contiguous copy of a's tile, which no ufunc buffers."""
     for rows, cols, tile, product in tile_pairs(a.shape[0]):
-        np.copyto(tile, a[rows, cols])
-        tile -= np.matmul(left[rows], right[cols].T, out=product)
+        # An inf or NaN stays in the tile, for the caller's test to refuse, unannounced.
+        with np.errstate(all="ignore"):
+            np.copyto(tile, a[rows, cols])
+            tile -= np.matmul(left[rows], right[cols].T, out=product)
         yield rows, cols, tile
 
 
@@ -206,7 +208,10 @@ def signature_form(dim: int) -> np.ndarray:
 
 
 def sym_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues in descending order with matching orthonormal eigenvector columns."""
+    """Eigenvalues in descending order with matching orthonormal eigenvector
+    columns, which must reconstruct the matrix to RESIDUAL * max|a| on every
+    entry or raise NonConvergenceError; a NaN residual, as from eigenvalues
+    that overflow at the matrix's own scale, raises too."""
     a, high, low = symmetric_extent(matrix)
     try:
         values, vectors = np.linalg.eigh(a)
@@ -216,10 +221,13 @@ def sym_eigen(matrix) -> tuple[np.ndarray, np.ndarray]:
     values = values[order]
     vectors = vectors[:, order]
     scale = max(high, -low)
-    # max|a - (V diag(values)) V^T| over the upper tiles: the exact residual is
-    # symmetric, and a computed entry is its mirror's up to rounding far below RESIDUAL.
-    residual = max(max_abs(tile) for _, _, tile in _residual_tiles(a, vectors * values, vectors))
-    if residual > RESIDUAL * scale:
+    with np.errstate(all="ignore"):  # an overflowed eigenvalue is the residual test's to refuse
+        left = vectors * values
+    # max|a - (V diag(values)) V^T| over the upper tiles, which np.max keeps
+    # NaN: the exact residual is symmetric, and a computed entry is its
+    # mirror's up to rounding far below RESIDUAL.
+    residual = float(np.max([max_abs(tile) for _, _, tile in _residual_tiles(a, left, vectors)]))
+    if not residual <= RESIDUAL * scale:
         raise NonConvergenceError(
             f"reconstruction residual {residual:.3g} exceeds {RESIDUAL * scale:.3g}"
         )
@@ -317,22 +325,36 @@ def certified_eigen(matrix, rank: int) -> Spectrum:
     "interlacing", lower-bound counts). Otherwise, and for m < 3 w, sym_eigen
     decides exactly as inertia() does (route "eigh"). matrix must be exactly
     symmetric, as as_symmetric returns it; it is not validated again.
+
+    The scale is decided once, before any product, for both routes: where
+    |A|_F^2 is not in [2^-800, 2^800], so that a product, an eigenvalue or
+    a squared cutoff might leave the normal range, A is divided exactly by
+    the power of two below max|A| (the zero matrix stays as it is). Both
+    routes run on that matrix and count its inertia there, so route, counts
+    and exact are those at scale one; values and cutoff are multiplied back
+    once, silently, to inf where they leave the float range.
     """
+    norm_sq = float(np.vdot(matrix, matrix))
+    unit = 1.0
+    if not 2.0**-800 <= norm_sq <= 2.0**800:
+        unit = power_of_two_below(max_abs(matrix))
+        matrix = matrix / unit
+        norm_sq = float(np.vdot(matrix, matrix))
+    found = None
     if matrix.shape[0] >= 3 * (rank + SKETCH_OVERSAMPLE):
-        found = _sketched_spectrum(matrix, rank)
-        if found is not None:
-            return found
-    values, vectors = sym_eigen(matrix)
-    return Spectrum(values, vectors, eigen_cutoff(values),
-                    inertia_of_values(values), "eigh")
+        found = _sketched_spectrum(matrix, rank, norm_sq)
+    if found is None:
+        values, vectors = sym_eigen(matrix)
+        found = Spectrum(values, vectors, eigen_cutoff(values), inertia_of_values(values), "eigh")
+    with np.errstate(over="ignore"):
+        return Spectrum(found.values * unit, found.vectors, found.cutoff * unit, found.inertia,
+                        found.route)
 
 
-def _sketched_spectrum(a: np.ndarray, rank: int) -> Spectrum | None:
-    """The certified Spectrum from a range sketch of a, or None. Where max|mu|
-    is not finite or leaves [2^-400, 2^400], so that its square or |A|_F^2
-    might not be a normal number, the sketch runs on a divided exactly by the
-    power of two below max|a|, and its values and cutoff are scaled back;
-    the zero matrix stays as it is."""
+def _sketched_spectrum(a: np.ndarray, rank: int, norm_sq: float) -> Spectrum | None:
+    """The certified Spectrum from a range sketch of a, or None; norm_sq is
+    the computed |A|_F^2, which certified_eigen keeps in the normal range.
+    A NaN anywhere refuses the certificate."""
     m = a.shape[0]
     width = rank + SKETCH_OVERSAMPLE
     omega = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
@@ -342,16 +364,9 @@ def _sketched_spectrum(a: np.ndarray, rank: int) -> Spectrum | None:
     mu, v = np.linalg.eigh((ritz + ritz.T) / 2.0)
     mu, v = mu[::-1], v[:, ::-1]
     top = float(np.abs(mu).max())
-    unit = 1.0 if 2.0**-400 <= top <= 2.0**400 else power_of_two_below(max_abs(a))
-    if unit != 1.0:
-        found = _sketched_spectrum(a / unit, rank)
-        if found is not None:
-            found = replace(found, values=found.values * unit, cutoff=found.cutoff * unit)
-        return found
     c_mid = EIG_ZERO * top
     # |A - Q Q^T A Q Q^T|_F^2 >= |A|_F^2 - |AQ|_F^2. The rounding slack is
     # generous: a needless rejection only hands the matrix to sym_eigen.
-    norm_sq = float(np.vdot(a, a))
     tail_sq = norm_sq - float(np.vdot(aq, aq)) - (m + width) ** 2 * _EPS * norm_sq
     if tail_sq > c_mid * c_mid:
         return _interlacing_refusal(q, mu, v, norm_sq, rank)
@@ -370,7 +385,8 @@ def _sketched_spectrum(a: np.ndarray, rank: int) -> Spectrum | None:
     c_lo = EIG_ZERO * (top - delta)
     c_hi = EIG_ZERO * (top + delta)
     size = np.abs(mu)
-    if delta >= c_lo or np.any((size <= c_hi + delta) & (size >= c_lo - delta)):
+    # Written so that a NaN fails: each mu must clear the band by delta.
+    if not (delta < c_lo and np.all((size > c_hi + delta) | (size < c_lo - delta))):
         return None
     positive = int(np.sum(mu > c_hi))
     negative = int(np.sum(mu < -c_hi))
@@ -515,19 +531,23 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     if violation is not None:
         raise GramInfeasibleError(spectrum.inertia, violation, spectrum.exact)
     values, vectors = spectrum.values, spectrum.vectors
-    x = np.zeros((m, n + 1))
-    x[:, n] = math.sqrt(values[0]) * vectors[:, 0]
     negatives = np.flatnonzero(values < -spectrum.cutoff)
     negatives = negatives[np.argsort(values[negatives], kind="stable")]
-    x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
-    # max|a - (x (-eta)) x^T| = max|x eta x^T + a| over the upper tiles:
-    # (x (-eta))_ik = -+x_ik exactly, so the products for (i, j) and (j, i)
-    # are bitwise equal, and the exact residual is symmetric.
-    residual = max(max_abs(tile) for _, _, tile in _residual_tiles(a, x @ -signature_form(n + 1), x))
+    x = np.zeros((m, n + 1))
+    # An eigenvalue beyond the float range leaves an inf or NaN in x, which
+    # the residual test refuses; numpy is not asked to warn of it.
+    with np.errstate(all="ignore"):
+        x[:, n] = math.sqrt(values[0]) * vectors[:, 0]
+        x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
+        left = x @ -signature_form(n + 1)
+    # max|a - (x (-eta)) x^T| = max|x eta x^T + a| over the upper tiles, NaN
+    # kept: (x (-eta))_ik = -+x_ik exactly, so the products for (i, j) and
+    # (j, i) are bitwise equal, and the exact residual is symmetric.
+    residual = float(np.max([max_abs(tile) for _, _, tile in _residual_tiles(a, left, x)]))
     # Each row's extent max|a_i|, from one contiguous pass along the rows.
     row_top = np.maximum(a.max(axis=1), -a.min(axis=1))
     scale = float(row_top.max())
-    if residual > RESIDUAL * scale:
+    if not residual <= RESIDUAL * scale:
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")
     degenerate = np.flatnonzero(row_top <= EIG_ZERO * scale)
     return GramFactor(x, tuple(int(i) for i in degenerate))

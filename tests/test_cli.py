@@ -636,6 +636,20 @@ class TestInputHandling:
         assert capsys.readouterr().out == ""
         assert not out_path.exists()
 
+    def test_module_entry_point_exits_with_the_status(self, tmp_path, capsys, monkeypatch):
+        """python -m kissgeo.cli passes main's status to sys.exit."""
+        import runpy
+
+        path = write(tmp_path, "triple.json", TANGENT_TRIPLE_MATRIX)
+        monkeypatch.setattr("sys.argv", ["kissgeo", "embed", "--n", "1", path])
+        with warnings.catch_warnings():
+            # runpy notes that kissgeo.cli is already imported, which is harmless here.
+            warnings.filterwarnings("ignore", "'kissgeo.cli' found in sys.modules", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("kissgeo.cli", run_name="__main__")
+        assert exc.value.code == 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == "NotEmbeddable"
+
     def test_numerical_failure_document_goes_to_stdout(self, tmp_path, capsys):
         path = write(tmp_path, "deg.json", {"d2": [[0, 0, 0], [0, 0, 1], [0, 1, 0]]})
         code, out, err = run(capsys, ["embed", "--n", "2", path])

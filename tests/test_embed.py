@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from kissgeo.kissing import Plane, Sphere, distance_matrix
 from kissgeo.numkernel import (
     GramInfeasibleError,
     Inertia,
+    NonConvergenceError,
     SingularPivotError,
     gram_factor_lorentz,
     schur_complement,
@@ -756,6 +758,45 @@ class TestScaleCovariance:
             for scale in [1e40] + [math.ldexp(1.0, k) for k in range(-1000, 1001, 100)]:
                 spheres = construct_embedding(scale * d, N)
                 assert round_trip_close(distance_matrix(spheres), scale * d), (seed, scale)
+
+    # Largest entries near the float maximum, where eigenvalues and the
+    # products that form them leave the float range unless divided first.
+    NEAR_MAX = (1e306, 1e307, 5e307, 1e308, 1.7e308)
+
+    @pytest.mark.parametrize("m", [5, 12, 20, 35, 40, 300])
+    def test_certificates_near_the_float_maximum(self, m):
+        """Both eigen routes, eigh (m < 36 at n = 3) and the sketch, decide D
+        divided by a power of two, so near the largest double the verdicts and
+        inertia witnesses are those at unit scale, with no warning: refusals
+        no longer read as rank zero, nor raise numpy's LinAlgError."""
+        from bench.inputs import N, embeddable_matrix, not_embeddable_matrix
+
+        for make in (embeddable_matrix, not_embeddable_matrix):
+            d = make(np.random.default_rng(m), m).d2
+            want = [check_kissing(d, N), check_euclidean(d, N)]
+            assert want[0].embeddable == (make is embeddable_matrix)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for top in self.NEAR_MAX:
+                    scaled = top / d.max() * d
+                    assert [check_kissing(scaled, N), check_euclidean(scaled, N)] == want, top
+
+    def test_construction_near_the_float_maximum(self):
+        """At max D = 1e307 the factor is realized; above, where the largest
+        eigenvalue may leave the float range, the factor residual refuses it
+        as NonConvergenceError, silently."""
+        from bench.inputs import N, embeddable_matrix
+
+        for m in (40, 300):
+            d = embeddable_matrix(np.random.default_rng(40), m).d2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert len(construct_embedding(1e307 / d.max() * d, N)) == m
+                for top in self.NEAR_MAX[2:]:
+                    try:
+                        assert len(construct_embedding(top / d.max() * d, N)) == m
+                    except NonConvergenceError:
+                        pass
 
     def test_construct_embedding_at_extreme_scales(self, rng):
         for scale in (1e-20, 1e-10, 1e10, 1e20):

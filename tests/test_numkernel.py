@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -107,6 +109,39 @@ class TestSymEigen:
         monkeypatch.setattr(numkernel.np.linalg, "eigh", off_by_a_millionth)
         with pytest.raises(NonConvergenceError, match="^reconstruction residual"):
             sym_eigen(np.diag([3.0, 1.0, -2.0]))
+
+    def test_nan_in_a_later_tile_is_nonconvergence(self, rng, monkeypatch):
+        """A NaN in the last eigenvector row reaches only the tiles after the
+        first; the residual keeps it, and a NaN fails the test."""
+        real = np.linalg.eigh
+
+        def nan_last_row(a):
+            values, vectors = real(a)
+            vectors[-1] = np.nan
+            return values, vectors
+
+        monkeypatch.setattr(numkernel.np.linalg, "eigh", nan_last_row)
+        with pytest.raises(NonConvergenceError, match="^reconstruction residual nan"):
+            sym_eigen(embeddable(rng, TILE + 1, 3))
+
+    @pytest.mark.parametrize("m", [5, 20, 40])
+    def test_overflowed_eigenvalues_are_nonconvergence(self, m):
+        """At max D = 1.7e308 the eigenvalues leave the float range and the
+        residual is not a number: that fails, silently, where a NaN once
+        passed and read as rank zero."""
+        from bench.inputs import not_embeddable_matrix
+
+        d = not_embeddable_matrix(np.random.default_rng(m), m).d2
+        # A block whose eigenvalue 2 * 1.7e308 overflows, beside one whose
+        # eigenvectors are exactly zero on it: inf times zero is a NaN.
+        blocks = np.zeros((m, m))
+        blocks[:3, :3] = 1.7e308 * (np.ones((3, 3)) - np.eye(3))
+        blocks[3, 4] = blocks[4, 3] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (1.7e308 / d.max() * d, blocks):
+                with pytest.raises(NonConvergenceError, match="^reconstruction residual"):
+                    inertia(a)
 
     def test_rejects_asymmetric_at_small_scale(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -246,6 +281,23 @@ class TestGramFactorLorentz:
         bumped[at, at] = 1e-6 * d.max()
         with pytest.raises(NonConvergenceError, match="^factorization residual"):
             gram_factor_lorentz(bumped, 3)
+
+    def test_nan_factor_row_is_nonconvergence(self, rng, monkeypatch):
+        """A NaN in the last row of the factor reaches only the tiles after
+        the first; the residual keeps it, and a NaN fails the test."""
+        real = numkernel.certified_eigen
+
+        def nan_last_row(a, rank):
+            found = real(a, rank)
+            vectors = found.vectors.copy()
+            vectors[-1] = np.nan
+            return dataclasses.replace(found, vectors=vectors)
+
+        monkeypatch.setattr(numkernel, "certified_eigen", nan_last_row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="^factorization residual nan"):
+                gram_factor_lorentz(embeddable(rng, TILE + 1, 3), 3)
 
     def test_reconstruction(self, rng):
         from gen import random_sphere_set
@@ -400,9 +452,40 @@ class TestCertifiedEigen:
         assert found.route == "eigh" and found.exact
         assert found.inertia == inertia(d)
 
+    @pytest.mark.parametrize("k", [-1000, -420, 420, 1000])
+    def test_scale_is_decided_once_before_the_sketch(self, monkeypatch, k):
+        """Where |A|_F^2 leaves [2^-800, 2^800], the one sketch runs on A
+        divided by the power of two below max|A|, and only the values and the
+        cutoff are multiplied back."""
+        from bench.inputs import not_embeddable_matrix
+
+        d = not_embeddable_matrix(np.random.default_rng(2), 200).d2
+        base = certified_eigen(d, 4)
+        seen = []
+        real = numkernel._sketched_spectrum
+
+        def spy(a, *rest):
+            seen.append(float(a.max()))
+            return real(a, *rest)
+
+        monkeypatch.setattr(numkernel, "_sketched_spectrum", spy)
+        unit = numkernel.power_of_two_below(math.ldexp(d.max(), k))
+        found = certified_eigen(math.ldexp(1.0, k) * d, 4)
+        assert len(seen) == 1 and 1.0 <= seen[0] < 2.0
+        assert (found.route, found.inertia) == (base.route, base.inertia)
+        assert found.cutoff / unit == certified_eigen(math.ldexp(1.0, k) * d / unit, 4).cutoff
+
+    def test_nan_residual_refuses_the_sketch(self, rng, monkeypatch, eigh_orders):
+        """A residual that is not a number proves no bound: sym_eigen decides."""
+        d = embeddable(rng, 120, 3)
+        monkeypatch.setattr(numkernel, "_sketch_residual", lambda *args: math.nan)
+        found = certified_eigen(d, 4)
+        assert found.route == "eigh" and eigh_orders == [120]
+        assert found.inertia == inertia(d)
+
     def test_zero_matrix_is_not_rescaled(self):
-        """The sketch's values are all zero, outside the range it rescales
-        for; dividing by the power of two below max|A| = 0 would be no step."""
+        """|A|_F^2 = 0 is outside the normal range, but dividing by the power
+        of two below max|A| = 0 would be no step: the zero matrix stays."""
         spectrum = certified_eigen(np.zeros((40, 40)), 4)
         assert spectrum.route == "eigh" and spectrum.inertia == Inertia(0, 0, 40)
         assert check_kissing(np.zeros((40, 40)), 3).embeddable
