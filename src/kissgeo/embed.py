@@ -421,9 +421,11 @@ def _pivot(pivot, m: int) -> tuple[int, int]:
 
 
 def _pivot_determinants(d: np.ndarray, comp: np.ndarray, a: int, b: int) -> tuple[float, float]:
-    """det D and -det P * D[a, b]^2; the empty complement has determinant one."""
-    det_comp = float(np.linalg.det(comp)) if comp.size else 1.0
-    return float(np.linalg.det(d)), -det_comp * float(d[a, b]) ** 2
+    """det D and -det P * D[a, b]^2; the empty complement has determinant one.
+    Beyond the float range they are numpy's +-inf (or 0), unannounced."""
+    with np.errstate(all="ignore"):
+        det_comp = np.linalg.det(comp) if comp.size else 1.0
+        return float(np.linalg.det(d)), float(-det_comp * np.square(d[a, b]))
 
 
 @dataclass(frozen=True)

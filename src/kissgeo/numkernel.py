@@ -128,16 +128,26 @@ def _least(x: float, y: float) -> float:
     return y if y < x or (y == x and math.copysign(1.0, y) < 0.0) else x
 
 
+def _widened(high: float, low: float, block: np.ndarray) -> tuple[float, float]:
+    """high and low widened by the extent of block, whose entries must be finite."""
+    top, bottom = _extent(block)
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ValueError("matrix entries must be finite")
+    return max(high, top), _least(low, bottom)
+
+
 def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, float]:
     """The finite square matrix, if max|a - a^T| <= rtol * max|a|, exactly
     symmetric and read-only, with its largest and least entries (see _extent
     for the sign of a zero minimum).
 
-    Two read-only passes: one over contiguous bands of TILE rows checks
-    that the entries are finite, which outranks an asymmetry anywhere, and
-    gathers the extent; one over pairs of mirrored TILE x TILE tiles
-    (tile_pairs) compares each tile with its mirror bit for bit and measures
-    max|a - a^T| where they differ. A bitwise symmetric matrix is returned
+    One read-only pass over pairs of mirrored TILE x TILE tiles (tile_pairs)
+    compares each tile with its mirror bit for bit and gathers the extent
+    of the upper tile, which is its mirror's while the pair is equal. From
+    the first pair that differs on, it gathers the extent of both tiles and
+    measures max|a - a^T|. A non-finite entry raises as soon as its tile's
+    extent is read, and asymmetry only after the whole pass, so finiteness
+    outranks an asymmetry anywhere. A bitwise symmetric matrix is returned
     as a read-only view of the input, or of its transpose if
     Fortran-ordered, with no full-size allocation; only a non-contiguous
     one is copied, to C order. Any other
@@ -150,31 +160,37 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a square matrix of order >= 1, got shape {a.shape}")
     m = a.shape[0]
+    # A Fortran-ordered array is read as its transpose, which is C-ordered,
+    # symmetric exactly when a is, and has the same mean (a + a^T) / 2.
+    if a.flags.f_contiguous:
+        a = a.T
     high, low = -math.inf, math.inf
-    # A Fortran-ordered array is read by rows of its transpose, which holds the same entries.
-    by_rows = a.T if a.flags.f_contiguous else a
-    for i in range(0, m, TILE):
-        top, bottom = _extent(by_rows[i:i + TILE])
-        if not (math.isfinite(top) and math.isfinite(bottom)):
-            raise ValueError("matrix entries must be finite")
-        high, low = max(high, top), _least(low, bottom)
     skew = 0.0
     mirrored = True
-    for rows, cols, work, _ in tile_pairs(m):
-        upper, lower = a[rows, cols], a[cols, rows].T
+    for rows, cols, upper, scratch in tile_pairs(m):
+        # The upper tile is copied to a work tile, where the compare and its
+        # extent read it from cache; the mirror is read along its own rows,
+        # against the work tile's transpose.
+        np.copyto(upper, a[rows, cols])
+        lower = a[cols, rows]
         # Bit patterns, so that +0.0 opposite -0.0 counts as a difference;
-        # after the first difference only the skew is left to measure. The
-        # flags fill the work tile's first bytes as a contiguous bool tile:
-        # an int64 XOR into the whole tile made this pass 10% slower.
-        bits = work.reshape(-1).view(bool)[:work.size].reshape(work.shape)
-        if not mirrored or np.not_equal(upper.view(np.int64), lower.view(np.int64), out=bits).any():
-            mirrored = False
-            skew = max(skew, max_abs(np.subtract(upper, lower, out=work)))
-    del work, _, bits  # views of this pass's buffer, freed before a second pass allocates its own
+        # after the first difference they are not compared again. The flags
+        # fill the scratch tile's first bytes as a contiguous bool tile: an
+        # int64 XOR into the whole tile made this pass 10% slower.
+        flags = scratch.reshape(-1).view(bool)[:scratch.size].reshape(lower.shape)
+        if mirrored and not np.not_equal(lower.view(np.int64), upper.T.view(np.int64),
+                                         out=flags).any():
+            high, low = _widened(high, low, upper)
+            continue
+        mirrored = False
+        # Both extents first, so that an inf refuses before it is subtracted.
+        high, low = _widened(*_widened(high, low, upper), lower)
+        skew = max(skew, max_abs(np.subtract(lower, upper.T, out=scratch.reshape(lower.shape))))
+    del upper, scratch, flags  # views of this pass's buffer, freed before a second pass allocates its own
     if skew > rtol * max(high, -low):
         raise ValueError("matrix is not symmetric")
     if mirrored:
-        out = np.ascontiguousarray(by_rows).view()
+        out = np.ascontiguousarray(a).view()
     else:
         out = np.empty((m, m))
         high, low = -math.inf, math.inf
@@ -358,8 +374,10 @@ def _sketched_spectrum(a: np.ndarray, rank: int, norm_sq: float) -> Spectrum | N
     m = a.shape[0]
     width = rank + SKETCH_OVERSAMPLE
     omega = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
-    q, _ = np.linalg.qr(a @ omega)
-    aq = a @ q
+    # a is exactly symmetric, so a @ b is (b^T @ a)^T, which BLAS forms
+    # faster; aq is kept C-ordered, as ritz and tail_sq read it.
+    q, _ = np.linalg.qr((omega.T @ a).T)
+    aq = np.ascontiguousarray((q.T @ a).T)
     ritz = q.T @ aq
     mu, v = np.linalg.eigh((ritz + ritz.T) / 2.0)
     mu, v = mu[::-1], v[:, ::-1]
@@ -523,7 +541,7 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     coordinate; negative directions fill spatial slots in order of magnitude.
     Column signs are left to callers.
     """
-    a = as_symmetric(matrix)
+    a, high, low = symmetric_extent(matrix)
     n = dimension(n)
     m = a.shape[0]
     spectrum = certified_eigen(a, n + 1)
@@ -544,10 +562,13 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     # kept: (x (-eta))_ik = -+x_ik exactly, so the products for (i, j) and
     # (j, i) are bitwise equal, and the exact residual is symmetric.
     residual = float(np.max([max_abs(tile) for _, _, tile in _residual_tiles(a, left, x)]))
-    # Each row's extent max|a_i|, from one contiguous pass along the rows.
-    row_top = np.maximum(a.max(axis=1), -a.min(axis=1))
-    scale = float(row_top.max())
+    scale = max(high, -low)
     if not residual <= RESIDUAL * scale:
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")
-    degenerate = np.flatnonzero(row_top <= EIG_ZERO * scale)
-    return GramFactor(x, tuple(int(i) for i in degenerate))
+    # A row is degenerate when max|a_i| <= EIG_ZERO * max|a|. Its first TILE
+    # entries exceed that bound on almost every row, and only a row whose
+    # first entries lie within it is read whole.
+    bound = EIG_ZERO * scale
+    head = a[:, :TILE]
+    near_zero = np.flatnonzero(np.maximum(head.max(axis=1), -head.min(axis=1)) <= bound)
+    return GramFactor(x, tuple(int(i) for i in near_zero if max_abs(a[i]) <= bound))

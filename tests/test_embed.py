@@ -562,6 +562,20 @@ class TestSchurRelations:
         d = c * distance_matrix(random_sphere_set(rng, 40, 3))
         assert verify_schur_relations(d, (0, 1)).satisfied
 
+    @pytest.mark.parametrize("top", [1e160, 1e300])
+    def test_determinants_beyond_the_float_range(self, top):
+        """The identity is decided on D / 2^e; the own-scale determinants,
+        whose pivot entry squared overflows, are reported as numpy's inf,
+        with no error or warning."""
+        from bench.inputs import embeddable_matrix
+
+        d = embeddable_matrix(np.random.default_rng(12), 12).d2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_schur_relations(top / d.max() * d, (0, 1))
+        assert report.satisfied
+        assert math.isinf(report.det_full) and math.isinf(report.det_expected)
+
 
 class TestDegenerationBridges:
     def test_unit_diameters_are_euclidean(self, rng):

@@ -299,6 +299,37 @@ class TestGramFactorLorentz:
             with pytest.raises(NonConvergenceError, match="^factorization residual nan"):
                 gram_factor_lorentz(embeddable(rng, TILE + 1, 3), 3)
 
+    def test_degenerate_rows_read_past_the_first_tile(self, rng):
+        """Rows that are zero in their first TILE columns but not beyond are
+        not degenerate; a zero row is, wherever it lies."""
+        m = TILE + 40
+        tangent = rng.normal(size=(m, 2))
+        tangent[:TILE + 1] = tangent[0]
+        diameter = np.exp(rng.uniform(-1.0, 1.0, size=m))
+        d = distance_matrix([Sphere(tuple(t), p) for t, p in zip(tangent, diameter)])
+        assert not d[:TILE + 1, :TILE].any()
+        assert gram_factor_lorentz(d, 3).degenerate_rows == ()
+        for row in (0, TILE, m - 1):
+            zeroed = d.copy()
+            zeroed[row] = zeroed[:, row] = 0.0
+            assert gram_factor_lorentz(zeroed, 3).degenerate_rows == (row,)
+
+    @pytest.mark.parametrize("m", [40, TILE + 40, 300])
+    def test_degenerate_rows_follow_the_full_row_rule(self, m):
+        """degenerate_rows is max|a_i| <= EIG_ZERO * max|a| on every row.
+        Scaling a row and its column keeps the inertia (a congruence), so
+        the rows scaled by 0 and 1e-12 are degenerate and the factor exists."""
+        from bench.inputs import embeddable_matrix
+
+        d = embeddable_matrix(np.random.default_rng(m), m).d2.copy()
+        for row, c in ((0, 0.0), (m // 2, 1e-12), (m - 1, 1e-8)):
+            d[row] *= c
+            d[:, row] *= c
+        extent = np.abs(d).max(axis=1)
+        want = tuple(int(i) for i in np.flatnonzero(extent <= EIG_ZERO * extent.max()))
+        assert want[:2] == (0, m // 2)
+        assert gram_factor_lorentz(d, 3).degenerate_rows == want
+
     def test_reconstruction(self, rng):
         from gen import random_sphere_set
 
@@ -714,9 +745,29 @@ class TestTiledPasses:
         m = 2 * TILE + 44
         s = rng.random((m, m)) + 1.0
         a = s + s.T
+        # A NaN mirrored bit for bit passes the compare, and is still refused.
+        nan = a.copy()
+        nan[at] = nan[at[::-1]] = np.nan
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_symmetric(nan)
+        # -0.0 opposite +0.0 differs bit for bit: the mean is a new array,
+        # and its least entry is that pair's +0.0. A mirrored -0.0 is a view,
+        # and the least entry; a Fortran-ordered one is a view of its transpose.
+        zeros = a.copy()
+        zeros[at], zeros[at[::-1]] = -0.0, 0.0
+        out, high, low = numkernel.symmetric_extent(zeros)
+        assert out.flags.owndata and out.tobytes() == ((zeros + zeros.T) / 2.0).tobytes()
+        assert high == zeros.max() and low == 0.0 and math.copysign(1.0, low) == 1.0
+        zeros[at[::-1]] = -0.0
+        for given in (zeros, np.asfortranarray(zeros)):
+            out, high, low = numkernel.symmetric_extent(given)
+            assert np.shares_memory(out, given) and out.flags.c_contiguous and not out.flags.writeable
+            assert out.tobytes() == zeros.tobytes()
+            assert high == zeros.max() and low == 0.0 and math.copysign(1.0, low) == -1.0
         a[at] *= 2.0
-        with pytest.raises(ValueError, match="^matrix is not symmetric$"):
-            as_symmetric(a)
+        for given in (a, np.asfortranarray(a)):
+            with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+                as_symmetric(given)
         # A non-finite entry outranks an asymmetry anywhere else.
         a[1, 0] *= 2.0
         a[at] = np.inf
