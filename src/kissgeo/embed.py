@@ -298,8 +298,13 @@ def _proves_round_trip(spheres: list[KissingSphere], x: np.ndarray, top: float) 
       one subtraction, and the threshold is rounded once: so
       |D_ij + <x_i, x_j>| <= RESIDUAL top (1 + g) + g R^2.
     - The tile kernel forms delta_ij with at most n + 3 roundings, so within
-      g delta_ij, plus n 2^-270 top for underflow: its scaled diameter
-      products are at least 2^-400.
+      g delta_ij, plus underflow. It divides each gap by 2^h and the
+      diameter product, formed from mantissas, by 4^h, h the pair's mean
+      exponent, which leaves that product in [1/4, 2). So the underflowed
+      squares and quotient are off by at most n 2^-1072 in all, absolute:
+      far inside n 2^-270 top, as top >= 2^-400. No gap overflows: the
+      image's last entry c (1 + |t|^2) is at most M, so |t|^2 < 2 M phi <
+      2^1025 M, and the test bounds M by 2^213.
     - _round_trip_excess accepts when |d - D| <= ROUND_TRIP_RTOL (D + top)
       (1 - 3u): it rounds the difference once and the allowance twice.
     With B = 2 e R + e^2 + g R^2 + RESIDUAL top (1 + g), the kernel's
@@ -420,14 +425,6 @@ def _pivot(pivot, m: int) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _pivot_determinants(d: np.ndarray, comp: np.ndarray, a: int, b: int) -> tuple[float, float]:
-    """det D and -det P * D[a, b]^2; the empty complement has determinant one.
-    Beyond the float range they are numpy's +-inf (or 0), unannounced."""
-    with np.errstate(all="ignore"):
-        det_comp = np.linalg.det(comp) if comp.size else 1.0
-        return float(np.linalg.det(d)), float(-det_comp * np.square(d[a, b]))
-
-
 @dataclass(frozen=True)
 class SchurReport:
     """Determinant, inertia, and rank identities tying a matrix to the Schur
@@ -454,24 +451,30 @@ def verify_schur_relations(matrix, pivot: tuple[int, int]) -> SchurReport:
     det D = -det P * D[a, b]^2, inertia D = (1, 1, 0) + inertia P, and
     rank D = rank P + 2, where P is the Schur complement of the pair {a, b}.
     The determinant identity is tested on D and P divided exactly by the
-    greatest power of two at most max D, so that (max D)^m neither
-    overflows nor underflows and the test is the same at every scale. Its
-    residual, normalized by the larger determinant or by that matrix's
-    (max D)^m, the natural scale of a determinant, must be at most
-    ROUND_TRIP_RTOL, so that rank-deficient instances compare their
-    (near-zero) determinants at noise level.
+    greatest power of two at most max D, so that the test is the same at
+    every scale, and in the log domain (slogdet), so that no determinant or
+    power of max D overflows at any order. Its residual, normalized by the
+    larger determinant or by that matrix's (max D)^m, the natural scale of
+    a determinant, must be at most ROUND_TRIP_RTOL, so that rank-deficient
+    instances compare their (near-zero) determinants at noise level.
     det_full and det_expected are reported at the data's own scale.
     """
     d, top = _validated(matrix)
     m = d.shape[0]
     a, b = _pivot(pivot, m)
     comp = numkernel.schur_complement(d, (a, b))
-    det_full, det_expected = _pivot_determinants(d, comp, a, b)
-    # The identity is tested on D / unit, an exact rescale with max in [1, 2).
+    with np.errstate(all="ignore"):  # beyond the float range: numpy's +-inf (or 0), unannounced
+        det_full = float(np.linalg.det(d))
+        det_expected = float(-np.linalg.det(comp) * np.square(d[a, b]))
+    # The identity is tested on D / unit, an exact rescale with max in [1, 2), in
+    # logs, each side divided by the largest of the two determinants and (max D)^m;
+    # the pivot D[a, b] is nonzero, or schur_complement would have raised.
     unit = numkernel.power_of_two_below(top)
-    full, expected = _pivot_determinants(d / unit, comp / unit, a, b)
-    det_scale = max(abs(full), abs(expected), (top / unit) ** m)
-    det_ok = abs(full - expected) <= ROUND_TRIP_RTOL * det_scale
+    s_full, l_full = np.linalg.slogdet(d / unit)
+    s_comp, l_comp = np.linalg.slogdet(comp / unit)
+    l_expected = l_comp + 2.0 * math.log(abs(d[a, b]) / unit)
+    scale = max(l_full, l_expected, m * math.log(top / unit))
+    det_ok = abs(s_full * math.exp(l_full - scale) + s_comp * math.exp(l_expected - scale)) <= ROUND_TRIP_RTOL
     inertia_full = numkernel.inertia(d)
     inertia_comp = numkernel.inertia(comp) if comp.size else Inertia(0, 0, 0)
     inertia_ok = inertia_full == Inertia(

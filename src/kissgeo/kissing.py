@@ -20,7 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .numkernel import power_of_two_below, tile_pairs
+from .numkernel import tile_pairs
 
 
 def _as_point(coords) -> tuple[float, ...]:
@@ -106,8 +106,6 @@ def distance_sq(p: KissingSphere, q: KissingSphere) -> float:
         return p.height / q.diameter
     if isinstance(q, Plane):
         return q.height / p.diameter
-    if p.tangent == q.tangent:
-        return 0.0
     (m_p, e_p), (m_q, e_q) = math.frexp(p.diameter), math.frexp(q.diameter)
     shift = (e_p + e_q) // 2
     return _gap_sq(p, q, shift) / math.ldexp(m_p * m_q, e_p + e_q - 2 * shift)
@@ -268,19 +266,16 @@ def normalize_pair(p: KissingSphere, q: KissingSphere) -> InversionSphere | None
 def distance_matrix(spheres: Sequence[KissingSphere]) -> np.ndarray:
     """Symmetric matrix of squared pairwise distances with zero diagonal.
 
-    Whole-array form of distance_sq: tangent points and diameters are divided
-    exactly by the power of two below the largest diameter (a dilation by 2^k
-    changes no entry), the squared tangent gaps accumulate one boundary
-    coordinate at a time, then divide by the diameter products; shared
-    tangent points give an exact zero. Where a scaled diameter is below
-    2^-200 or a scaled coordinate overflows, each pair is scaled at its own
-    mean exponent instead, as in distance_sq. Up to two coordinates the
-    result is bit-identical to distance_sq wherever no squared gap is
-    subnormal. Rows and columns of hyperplanes
-    are h / phi against spheres and zero against each other. Each pair of
-    mirrored tiles (numkernel.tile_pairs) is formed once, by _distance_tiles,
-    and copied to its place and its mirror, so the only full-size array is
-    the result and it is bitwise symmetric: (t_i - t_j)^2 and phi_i phi_j are
+    Whole-array form of distance_sq: each pair is scaled at the mean
+    exponent of its two diameters (a dilation by 2^k changes no entry), the
+    squared scaled tangent gaps accumulate one boundary coordinate at a
+    time, then divide by the scaled diameter products; shared tangent points
+    give an exact zero. Up to two coordinates the result is bit-identical to
+    distance_sq. Rows and columns of hyperplanes are h / phi against spheres
+    and zero against each other. Each pair of mirrored tiles
+    (numkernel.tile_pairs) is formed once, by _distance_tiles, and copied to
+    its place and its mirror, so the only full-size array is the result and
+    it is bitwise symmetric: (t_i - t_j)^2 and phi_i phi_j are
     exactly (t_j - t_i)^2 and phi_j phi_i. A distance beyond the float range
     comes out inf, silently; the caller decides whether to refuse it.
     """
@@ -301,10 +296,10 @@ def _distance_tiles(items: list[KissingSphere]):
     distance_matrix returns them and scratch free for the caller; both are
     overwritten at the next step.
 
-    On the per-pair route, the gaps of each pair are divided by 2^h and its
-    diameter product, of mantissas, by 4^h, h its mean exponent, as in
-    distance_sq. Each step's arithmetic ignores floating-point errors in its
-    own errstate, which leaves the caller's code between steps alone.
+    The gaps of each pair are divided by 2^h and its diameter product, of
+    mantissas, by 4^h, h its mean exponent, as in distance_sq. Each step's
+    arithmetic ignores floating-point errors in its own errstate, which
+    leaves the caller's code between steps alone.
     """
     if not items:
         raise ValueError("need at least one sphere")
@@ -313,40 +308,28 @@ def _distance_tiles(items: list[KissingSphere]):
         raise ValueError("mixed ambient dimensions")
     m = len(items)
     origin = (0.0,) * (dims.pop() - 1 if dims else 0)
-    top = max((s.diameter for s in items if isinstance(s, Sphere)), default=1.0)
-    unit = power_of_two_below(top)
     # Hyperplanes sit at the origin with diameter inf until their rows and
     # columns are written as h / phi, which is zero between two planes.
     points = np.array([origin if isinstance(s, Plane) else s.tangent for s in items]).reshape(m, len(origin))
     phi = np.array([math.inf if isinstance(s, Plane) else s.diameter for s in items])
     height = np.array([s.height if isinstance(s, Plane) else 0.0 for s in items])
-    with np.errstate(all="ignore"):
-        tangent, diameter = points / unit, phi / unit
-    exponent = None
-    # Scaled diameters of at least 2^-200 keep every diameter product above
-    # 2^-400, a normal number, so a squared gap is subnormal only where the
-    # squared distance is below 2^-622.
-    if float(diameter.min()) < 2.0**-200 or not np.isfinite(tangent).all():
-        tangent, (diameter, exponent) = points, np.frexp(phi)
+    mantissa, exponent = np.frexp(phi)
     for rows, cols, tile, scratch in tile_pairs(m):
         with np.errstate(all="ignore"):
-            if exponent is not None:
-                total = np.add.outer(exponent[rows], exponent[cols])
-                half = total >> 1
-            if not tangent.shape[1]:
+            total = np.add.outer(exponent[rows], exponent[cols])
+            half = total >> 1
+            if not points.shape[1]:
                 tile.fill(0.0)
-            for k, coordinate in enumerate(tangent.T):
+            for k, coordinate in enumerate(points.T):
                 # The first squared coordinate is written, not added to zero: 0 + x is x.
                 gap = scratch if k else tile
                 np.subtract.outer(coordinate[rows], coordinate[cols], out=gap)
-                if exponent is not None:
-                    np.ldexp(gap, -half, out=gap)
+                np.ldexp(gap, -half, out=gap)
                 np.multiply(gap, gap, out=gap)
                 if k:
                     tile += gap
-            np.multiply.outer(diameter[rows], diameter[cols], out=scratch)
-            if exponent is not None:
-                np.ldexp(scratch, total - 2 * half, out=scratch)
+            np.multiply.outer(mantissa[rows], mantissa[cols], out=scratch)
+            np.ldexp(scratch, total - 2 * half, out=scratch)
             tile /= scratch
             for i in np.flatnonzero(height[rows]):
                 np.divide(height[rows.start + i], phi[cols], out=tile[i])

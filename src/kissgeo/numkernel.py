@@ -150,11 +150,11 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     outranks an asymmetry anywhere. A bitwise symmetric matrix is returned
     as a read-only view of the input, or of its transpose if
     Fortran-ordered, with no full-size allocation; only a non-contiguous
-    one is copied, to C order. Any other
-    matrix takes a second tiled pass, which writes (a + a^T) / 2, bit for
-    bit, into a new read-only array and gathers the extent of that. Only
-    that array owns its data (flags.owndata), so a caller may correct it in
-    place.
+    one is copied, to C order. Any other matrix takes a second tiled pass,
+    which writes (a + a^T) / 2, bit for bit wherever a + a^T is finite and
+    as a / 2 + a^T / 2 where it overflows, into a new read-only array and
+    gathers the extent of that. Only that array owns its data
+    (flags.owndata), so a caller may correct it in place.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
@@ -185,7 +185,8 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
         mirrored = False
         # Both extents first, so that an inf refuses before it is subtracted.
         high, low = _widened(*_widened(high, low, upper), lower)
-        skew = max(skew, max_abs(np.subtract(lower, upper.T, out=scratch.reshape(lower.shape))))
+        with np.errstate(over="ignore"):  # an overflowed difference is an inf skew, refused below
+            skew = max(skew, max_abs(np.subtract(lower, upper.T, out=scratch.reshape(lower.shape))))
     del upper, scratch, flags  # views of this pass's buffer, freed before a second pass allocates its own
     if skew > rtol * max(high, -low):
         raise ValueError("matrix is not symmetric")
@@ -197,12 +198,17 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
         for rows, cols, half, _ in tile_pairs(m):
             # Both copies are written from the work tile: a mirror written
             # from out itself would first be copied by numpy.
-            np.add(a[rows, cols], a[cols, rows].T, out=half)
+            with np.errstate(over="ignore"):
+                np.add(a[rows, cols], a[cols, rows].T, out=half)
             half /= 2.0
+            top, bottom = _extent(half)
+            if math.isinf(top) or math.isinf(bottom):  # finite entries whose sum overflowed
+                wide = np.isinf(half)
+                half[wide] = a[rows, cols][wide] / 2.0 + a[cols, rows].T[wide] / 2.0
+                top, bottom = _extent(half)
             out[rows, cols] = half
             if cols.start > rows.start:
                 out[cols, rows] = half.T
-            top, bottom = _extent(half)
             high, low = max(high, top), _least(low, bottom)
     out.setflags(write=False)
     return out, high, low

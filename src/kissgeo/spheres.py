@@ -11,9 +11,7 @@ fixed one land on a lightcone through it.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,23 +43,18 @@ class EuclideanSphere:
 
 
 def separation(p: EuclideanSphere, q: EuclideanSphere) -> float:
-    """Signed separation; never square-rooted (it may be negative). Where a
-    square or the product of the radii would leave the normal float range,
-    the numerator is divided exactly by 4^e, for the power of two 2^e above
-    the largest length, and the denominator by the powers of two above each
-    radius; the quotient is scaled back, to +-inf beyond the float range."""
+    """Signed separation; never square-rooted (it may be negative). The
+    numerator is divided exactly by 4^e, for the power of two 2^e above the
+    largest length, and squares by product, which rounds correctly; the
+    denominator is divided by the powers of two above each radius. The
+    quotient is scaled back, to +-inf beyond the float range, so a dilation
+    by 2^k that keeps every length normal changes no bit."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     gaps = [a - b for a, b in zip(p.center, q.center)]
-    with contextlib.suppress(OverflowError):
-        squares = (math.fsum(g**2 for g in gaps), p.radius**2, q.radius**2)
-        numerator = squares[0] - squares[1] - squares[2]
-        denominator = 2.0 * p.radius * q.radius
-        if min(squares[1:]) >= sys.float_info.min and math.isfinite(numerator) and denominator < math.inf:
-            return numerator / denominator
     e = math.frexp(max([p.radius, q.radius, *map(abs, gaps)]))[1]
-    gap_sq = math.fsum(math.ldexp(g, -e) ** 2 for g in gaps)
-    numerator = gap_sq - math.ldexp(p.radius, -e) ** 2 - math.ldexp(q.radius, -e) ** 2
+    r_p, r_q, *scaled = (math.ldexp(x, -e) for x in (p.radius, q.radius, *gaps))
+    numerator = math.fsum(g * g for g in scaled) - r_p * r_p - r_q * r_q
     (m_p, e_p), (m_q, e_q) = math.frexp(p.radius), math.frexp(q.radius)
     try:
         return math.ldexp(numerator / (2.0 * m_p * m_q), 2 * e - e_p - e_q)
@@ -112,13 +105,13 @@ def hyperboloid_embed(sphere: EuclideanSphere) -> np.ndarray:
     """Unit-pseudonorm vector of signature (n+1, 1) representing the sphere.
 
     Minus the inner product of two images equals their separation; the
-    self-product is one. Where |c|^2 or r^2 overflows, c and r are first
-    divided exactly by the power of two 2^e above the largest length, the 1
-    by 4^e, and the first and last entries are multiplied back by 2^e.
+    self-product is one. c and r are first divided exactly by 2^e, the power
+    of two above the largest length or 1 if that is smaller, the 1 by 4^e,
+    and the first and last entries are multiplied back by 2^e.
     """
     c = np.asarray(sphere.center, dtype=float)
     r = sphere.radius
-    e = 0 if math.isfinite(float(c @ c) + r * r) else math.frexp(float(np.abs(c).max(initial=r)))[1]
+    e = max(0, math.frexp(float(np.abs(c).max(initial=r)))[1])
     c, r, one = np.ldexp(c, -e), math.ldexp(r, -e), math.ldexp(1.0, -2 * e)
     norm_sq = float(c @ c)
     out = np.empty(c.size + 2)

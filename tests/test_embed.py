@@ -576,6 +576,17 @@ class TestSchurRelations:
         assert report.satisfied
         assert math.isinf(report.det_full) and math.isinf(report.det_expected)
 
+    def test_order_beyond_the_float_range_of_max_d_to_the_m(self):
+        """At m = 1100 and max D = 1.99, (max D)^m overflows: the identity
+        is decided on log-determinants, with no error or warning."""
+        from bench.inputs import embeddable_matrix
+
+        d = embeddable_matrix(np.random.default_rng(3), 1100).d2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_schur_relations(1.99 / d.max() * d, (0, 1))
+        assert report.satisfied
+
 
 class TestDegenerationBridges:
     def test_unit_diameters_are_euclidean(self, rng):

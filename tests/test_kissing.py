@@ -371,10 +371,9 @@ class TestExtremeScales:
                     np.float64(1e308) * 10.0
 
     def test_a_tiny_sphere_moves_no_other_entry(self, rng):
-        """A sphere 2^-300 times the largest diameter sends the set down the
-        pair-scaled path; each other pair, scaled at its own mean exponent
-        rather than by the largest diameter, keeps its bits, with squares
-        summed in the same order (ten coordinates here)."""
+        """A sphere 2^-300 times the largest diameter moves no other entry:
+        each pair is scaled at its own mean exponent, whatever else the set
+        holds, with squares summed in the same order (ten coordinates here)."""
         spheres = coincident_sphere_set(rng, 40, 11, planes=3, shared=3)
         top = max(s.diameter for s in spheres if isinstance(s, Sphere))
         want = distance_matrix(spheres)
@@ -385,7 +384,8 @@ class TestExtremeScales:
 
     def test_pair_scaled_rows_with_planes(self, rng):
         # One sphere 1e250 times smaller than the rest, sharing a tangent
-        # point, sends the whole set through the tiles scaled pair by pair.
+        # point: its pair is scaled at its own mean exponent and keeps the
+        # exact zero, beside the hyperplanes' rows.
         spheres = coincident_sphere_set(rng, 40, 3, planes=3, shared=3)
         first = next(s for s in spheres if isinstance(s, Sphere))
         spheres.append(Sphere(first.tangent, 1e-250 * first.diameter))

@@ -764,6 +764,17 @@ class TestTiledPasses:
             assert np.shares_memory(out, given) and out.flags.c_contiguous and not out.flags.writeable
             assert out.tobytes() == zeros.tobytes()
             assert high == zeros.max() and low == 0.0 and math.copysign(1.0, low) == -1.0
+        # A near-maximum pair one ulp apart: the sum overflows, the mean does
+        # not. Opposite signs, the difference overflows and is refused.
+        big = a.copy()
+        big[at], big[at[::-1]] = 1.7e308, np.nextafter(1.7e308, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, high, low = numkernel.symmetric_extent(big)
+            assert np.isfinite(out).all() and high == out[at] == out[at[::-1]] == 1.7e308
+            big[at[::-1]] = -1.7e308
+            with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+                as_symmetric(big)
         a[at] *= 2.0
         for given in (a, np.asfortranarray(a)):
             with pytest.raises(ValueError, match="^matrix is not symmetric$"):

@@ -299,18 +299,16 @@ class TestExtremeScales:
 
     def test_dilation_by_a_power_of_two(self, rng):
         spheres = [EuclideanSphere(tuple(rng.normal(size=3)), float(np.exp(rng.uniform(-1, 1))))
-                   for _ in range(20)]
+                   for _ in range(200)]
 
         def dilated(k):
             return separation_matrix([EuclideanSphere(tuple(2.0**k * c for c in s.center),
                                                       2.0**k * s.radius) for s in spheres])
 
-        # Where a radius squared leaves the normal range, lengths are divided
-        # exactly by powers of two, so these agree bit for bit; at unit scale
-        # the squares are taken as they are, and ** 2 rounds on its own.
+        # Lengths are divided exactly by powers of two at every scale, so
+        # these agree bit for bit.
         want = dilated(1000).tobytes()
-        assert all(dilated(k).tobytes() == want for k in (-1000, -600, 600))
-        assert np.allclose(dilated(600), separation_matrix(spheres), rtol=1e-14, atol=0.0)
+        assert all(dilated(k).tobytes() == want for k in (-1000, -600, -7, 0, 7, 600))
 
     def test_minors_route_at_a_huge_separation_scale(self):
         # Separations near 1e61: their 12th power overflows a double.
