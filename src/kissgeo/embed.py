@@ -147,10 +147,11 @@ def _inertia_certificate(found: Inertia, max_negative: int, method: str, exact: 
     return Certificate(EMBEDDABLE, method)
 
 
-def _spectrum_certificate(matrix: np.ndarray, max_negative: int, method: str,
+def _spectrum_certificate(matrix: np.ndarray, top: float, max_negative: int, method: str,
                           exactly_one: bool = True) -> Certificate:
-    """The inertia certificate of a matrix, decided by certified_eigen."""
-    spectrum = numkernel.certified_eigen(matrix, max_negative + 1)
+    """The inertia certificate of a matrix, decided by certified_eigen at
+    numkernel.unit_scale; top is max|matrix|, or 0 for a border of 1."""
+    spectrum = numkernel.certified_eigen(numkernel.unit_scale(matrix, top)[0], max_negative + 1)
     return _inertia_certificate(spectrum.inertia, max_negative, method, spectrum.exact,
                                 exactly_one)
 
@@ -216,7 +217,7 @@ def check_kissing(matrix, n: int, method: str = "inertia") -> Certificate:
     d, top = _validated(matrix)
     n = numkernel.dimension(n)
     if method == "inertia":
-        return _spectrum_certificate(d, n, method)
+        return _spectrum_certificate(d, top, n, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
     return _minors_certificate(d, top, n + 1, bordered=False)
@@ -235,7 +236,7 @@ def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
     d, top = _validated(matrix)
     n = numkernel.dimension(n)
     if method == "inertia":
-        return _spectrum_certificate(_data_border(d, top), n + 1, method)
+        return _spectrum_certificate(_data_border(d, top), top, n + 1, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
     return _minors_certificate(d, top, n + 2, bordered=True)
@@ -276,13 +277,13 @@ def _proves_round_trip(spheres: list[KissingSphere], x: np.ndarray, top: float) 
     """True when every pair of the spheres provably passes _reproduces against
     d, the validated matrix that gram_factor_lorentz factored as x (rows
     oriented as given to from_lightcone, with spheres = from_lightcone(x)),
-    top = max D; O(m n) work. False means only that the proof did not close.
+    top = max D, in [2^-400, 2^400] as numkernel.unit_scale leaves it; O(m n)
+    work. False means only that the proof did not close.
 
     It rests on gram_factor_lorentz raising unless its computed residual
     max|a - x (-eta) x^T| is at most RESIDUAL * max|a|, here RESIDUAL * top.
     With u = 2^-53, gamma_k = k u / (1 - k u), N = n + 1 and
-    g = (n + 10) eps >= gamma_{2n+20}, where the guard below keeps every
-    underflow under u times the quantities it is compared with:
+    g = (n + 10) eps >= gamma_{2n+20}:
     - Y = to_lightcone(spheres, n) is formed in at most n + 3 roundings, and
       its factor c = sqrt(2) / (2 phi), subnormal for the largest diameters,
       is off by at most u + 2^-50.5. So the exact images of the spheres lie
@@ -298,27 +299,21 @@ def _proves_round_trip(spheres: list[KissingSphere], x: np.ndarray, top: float) 
       one subtraction, and the threshold is rounded once: so
       |D_ij + <x_i, x_j>| <= RESIDUAL top (1 + g) + g R^2.
     - The tile kernel forms delta_ij with at most n + 3 roundings, so within
-      g delta_ij, plus underflow. It divides each gap by 2^h and the
-      diameter product, formed from mantissas, by 4^h, h the pair's mean
-      exponent, which leaves that product in [1/4, 2). So the underflowed
-      squares and quotient are off by at most n 2^-1072 in all, absolute:
-      far inside n 2^-270 top, as top >= 2^-400. No gap overflows: the
-      image's last entry c (1 + |t|^2) is at most M, so |t|^2 < 2 M phi <
-      2^1025 M, and the test bounds M by 2^213.
+      g delta_ij, plus underflow: its mantissa product lies in [1/4, 2), so
+      the underflowed squares and quotient are off by at most n 2^-1072 in
+      all, far inside n 2^-270 top.
     - _round_trip_excess accepts when |d - D| <= ROUND_TRIP_RTOL (D + top)
       (1 - 3u): it rounds the difference once and the allowance twice.
     With B = 2 e R + e^2 + g R^2 + RESIDUAL top (1 + g), the kernel's
     distances are within (1 + g) B + g D + n 2^-270 top of D. That is inside
     the rule when g <= ROUND_TRIP_RTOL / 2 and
     (1 + g)^2 ((1 + g) B + n 2^-270 top) <= ROUND_TRIP_RTOL top, the squared
-    factor covering 1 - 3u and the rounding of this test. The guard
-    2^-400 <= top <= 2^400 bounds M^2 >= top / (2N) from below, so no
-    underflow matters, and keeps R^2, which the test bounds by
-    ROUND_TRIP_RTOL top / g, far from overflow, so the residual was finite
-    when it was checked. A NaN or an inf fails the test.
+    factor covering 1 - 3u and the rounding of this test. The range of top
+    bounds M^2 >= top / (2N) from below, so no underflow of the other steps
+    matters, and keeps R^2, which the test bounds by ROUND_TRIP_RTOL top / g,
+    far from overflow, so the residual was finite when it was checked. A NaN
+    or an inf fails the test.
     """
-    if not 2.0**-400 <= top <= 2.0**400:
-        return False
     n = x.shape[1] - 1
     images = to_lightcone(spheres, n)
     with np.errstate(all="ignore"):
@@ -332,6 +327,18 @@ def _proves_round_trip(spheres: list[KissingSphere], x: np.ndarray, top: float) 
     return g <= ROUND_TRIP_RTOL / 2.0 and total <= ROUND_TRIP_RTOL * top
 
 
+def _dilated(spheres: list[KissingSphere], j: int) -> list[KissingSphere] | None:
+    """The spheres with squared distances 4^j times theirs, exactly: diameters
+    times 2^-j, heights times 2^j; None where one of these is not normal."""
+    planes = [isinstance(s, Plane) for s in spheres]
+    with np.errstate(over="ignore"):
+        sizes = np.ldexp([s.height if p else s.diameter for s, p in zip(spheres, planes)],
+                         np.where(planes, j, -j))
+    if not np.all((sizes >= 2.0**-1022) & (sizes < math.inf)):
+        return None
+    return [Plane(z) if p else Sphere(s.tangent, z) for s, p, z in zip(spheres, planes, sizes.tolist())]
+
+
 def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     """Kissing spheres realizing the matrix, via null-vector factorization.
 
@@ -343,13 +350,17 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     one tangent point. Otherwise the factor columns are oriented to the
     future (a global sign flip when every time coordinate is negative),
     mapped back to spheres by one from_lightcone call on the whole factor,
-    and held to the round trip at 1e-7 relative. _proves_round_trip proves
-    it in O(m n) from the factor, resting on gram_factor_lorentz raising
-    when its residual exceeds RESIDUAL * max|a|; only where that proof does
-    not close does the tile walk _reproduces run, which forms no m x m
-    array, so the outcome is the walk's. A zero factor row, a factor row
-    that is off the future cone or not future-directed, or a failed round
-    trip raise RealizationError: the certificate passed, but the factor gives no
+    and held to the round trip at 1e-7 relative. All of this, and the
+    O(m n) proof _proves_round_trip, resting on gram_factor_lorentz raising
+    when its residual exceeds RESIDUAL * max|a|, runs on D / 4^j, D at
+    numkernel.unit_scale; the spheres are then dilated back (_dilated), so
+    the result for 4^k D is that for D with diameters times 2^-k and heights
+    times 2^k, wherever these are normal. Only where the proof does not
+    close or a dilated size is not normal (the spheres are then read from
+    the factor times 2^j) does the tile walk _reproduces hold them to D,
+    with no m x m array. A zero factor row, a factor row that is off the
+    future cone or not future-directed, or a failed round trip raise
+    RealizationError: the certificate passed, but the factor gives no
     sphere set, as on the degenerate zero-distance patterns the signature
     rule does not exclude.
     """
@@ -360,7 +371,8 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     if not any(row.any() for row in d):
         origin = (0.0,) * (n - 1)
         return [Sphere(tangent=origin, diameter=float(i + 1)) for i in range(m)]
-    factor = numkernel.gram_factor_lorentz(d, n)
+    unit, j = numkernel.unit_scale(d, top)
+    factor = numkernel.gram_factor_lorentz(unit, n)
     if factor.degenerate_rows:
         raise RealizationError(
             f"degenerate zero-distance pattern: zero factor rows {factor.degenerate_rows}"
@@ -370,9 +382,14 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
         vectors = -vectors
     try:
         spheres = from_lightcone(vectors)
+        proved = _proves_round_trip(spheres, vectors, math.ldexp(top, -2 * j))
+        if j:
+            dilated = _dilated(spheres, j)
+            proved = proved and dilated is not None
+            spheres = dilated if dilated is not None else from_lightcone(np.ldexp(vectors, j))
     except InverseMapError as exc:
         raise RealizationError(f"factor row {exc.row} is not a future null vector: {exc}") from exc
-    if not (_proves_round_trip(spheres, vectors, top) or _reproduces(spheres, d, top)):
+    if not (proved or _reproduces(spheres, d, top)):
         raise RealizationError("round trip failed: realized distances do not reproduce the input")
     return spheres
 

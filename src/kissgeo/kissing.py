@@ -85,11 +85,13 @@ class InversionSphere:
 
 
 def _gap_sq(p: Sphere, q: Sphere, shift: int = 0) -> float:
-    """|t_p - t_q|^2 / 4^shift, each gap divided by 2^shift after the subtraction."""
+    """|t_p - t_q|^2 / 4^shift, each gap divided by 2^shift after subtracting (before, if that overflows)."""
     if len(p.tangent) != len(q.tangent):
         raise ValueError("ambient dimensions differ")
     try:
-        gaps = [math.ldexp(a - b, -shift) for a, b in zip(p.tangent, q.tangent)]
+        gaps = [math.ldexp(g, -shift) if math.isfinite(g := a - b)
+                else math.ldexp(a, -shift) - math.ldexp(b, -shift)
+                for a, b in zip(p.tangent, q.tangent)]
         # A product, not ** 2: pow need not round correctly, and distance_matrix squares by product.
         return math.fsum(g * g for g in gaps)
     except OverflowError:  # a gap, or the sum of squares, beyond the float range
@@ -297,7 +299,8 @@ def _distance_tiles(items: list[KissingSphere]):
     overwritten at the next step.
 
     The gaps of each pair are divided by 2^h and its diameter product, of
-    mantissas, by 4^h, h its mean exponent, as in distance_sq. Each step's
+    mantissas, by 4^h, h its mean exponent, as in distance_sq; a gap whose
+    subtraction overflows is formed from coordinates divided first. Each step's
     arithmetic ignores floating-point errors in its own errstate, which
     leaves the caller's code between steps alone.
     """
@@ -314,6 +317,7 @@ def _distance_tiles(items: list[KissingSphere]):
     phi = np.array([math.inf if isinstance(s, Plane) else s.diameter for s in items])
     height = np.array([s.height if isinstance(s, Plane) else 0.0 for s in items])
     mantissa, exponent = np.frexp(phi)
+    huge = bool(points.size) and float(np.abs(points).max()) >= 2.0**1023  # a gap may overflow
     for rows, cols, tile, scratch in tile_pairs(m):
         with np.errstate(all="ignore"):
             total = np.add.outer(exponent[rows], exponent[cols])
@@ -324,7 +328,11 @@ def _distance_tiles(items: list[KissingSphere]):
                 # The first squared coordinate is written, not added to zero: 0 + x is x.
                 gap = scratch if k else tile
                 np.subtract.outer(coordinate[rows], coordinate[cols], out=gap)
+                wide = np.nonzero(np.isinf(gap)) if huge else None
                 np.ldexp(gap, -half, out=gap)
+                if wide:
+                    (i, j), h = wide, -half[wide]
+                    gap[wide] = np.ldexp(coordinate[rows][i], h) - np.ldexp(coordinate[cols][j], h)
                 np.multiply(gap, gap, out=gap)
                 if k:
                     tile += gap

@@ -113,6 +113,16 @@ def power_of_two_below(x: float) -> float:
     return math.ldexp(1.0, math.frexp(x)[1] - 1) if x else 1.0
 
 
+def unit_scale(a: np.ndarray, top: float) -> tuple[np.ndarray, int]:
+    """(a, 0) when top = max|a| is 0 or in [2^-400, 2^400], else (a / 4^j, j)
+    with max in [1, 4), exact but for entries that underflow: the one scale
+    rule of the eigen routes, the Gram factor and the round-trip proof."""
+    if top == 0.0 or 2.0**-400 <= top <= 2.0**400:
+        return a, 0
+    j = (math.frexp(top)[1] - 1) // 2
+    return np.ldexp(a, -2 * j), j
+
+
 def _extent(block: np.ndarray) -> tuple[float, float]:
     """max and min of a block's entries, the min being -0.0 when the least
     entry is a zero and some zero carries the sign bit."""
@@ -348,35 +358,22 @@ def certified_eigen(matrix, rank: int) -> Spectrum:
     decides exactly as inertia() does (route "eigh"). matrix must be exactly
     symmetric, as as_symmetric returns it; it is not validated again.
 
-    The scale is decided once, before any product, for both routes: where
-    |A|_F^2 is not in [2^-800, 2^800], so that a product, an eigenvalue or
-    a squared cutoff might leave the normal range, A is divided exactly by
-    the power of two below max|A| (the zero matrix stays as it is). Both
-    routes run on that matrix and count its inertia there, so route, counts
-    and exact are those at scale one; values and cutoff are multiplied back
-    once, silently, to inf where they leave the float range.
+    max|A| must be 0 or in [2^-400, 2^400], as unit_scale leaves it, so that
+    no product, eigenvalue or squared cutoff of either route leaves the
+    normal range.
     """
-    norm_sq = float(np.vdot(matrix, matrix))
-    unit = 1.0
-    if not 2.0**-800 <= norm_sq <= 2.0**800:
-        unit = power_of_two_below(max_abs(matrix))
-        matrix = matrix / unit
-        norm_sq = float(np.vdot(matrix, matrix))
-    found = None
     if matrix.shape[0] >= 3 * (rank + SKETCH_OVERSAMPLE):
-        found = _sketched_spectrum(matrix, rank, norm_sq)
-    if found is None:
-        values, vectors = sym_eigen(matrix)
-        found = Spectrum(values, vectors, eigen_cutoff(values), inertia_of_values(values), "eigh")
-    with np.errstate(over="ignore"):
-        return Spectrum(found.values * unit, found.vectors, found.cutoff * unit, found.inertia,
-                        found.route)
+        found = _sketched_spectrum(matrix, rank)
+        if found is not None:
+            return found
+    values, vectors = sym_eigen(matrix)
+    return Spectrum(values, vectors, eigen_cutoff(values), inertia_of_values(values), "eigh")
 
 
-def _sketched_spectrum(a: np.ndarray, rank: int, norm_sq: float) -> Spectrum | None:
-    """The certified Spectrum from a range sketch of a, or None; norm_sq is
-    the computed |A|_F^2, which certified_eigen keeps in the normal range.
-    A NaN anywhere refuses the certificate."""
+def _sketched_spectrum(a: np.ndarray, rank: int) -> Spectrum | None:
+    """The certified Spectrum from a range sketch of a, or None; a NaN
+    anywhere refuses the certificate."""
+    norm_sq = float(np.vdot(a, a))
     m = a.shape[0]
     width = rank + SKETCH_OVERSAMPLE
     omega = np.random.default_rng(SKETCH_SEED).standard_normal((m, width))
@@ -545,11 +542,14 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     most n negative ones, or rank zero, where every row is zero and flagged
     degenerate. The single positive eigendirection is placed in the time
     coordinate; negative directions fill spatial slots in order of magnitude.
-    Column signs are left to callers.
+    Column signs are left to callers. All of it runs on a / 4^j, a at
+    unit_scale, and the vectors are returned times 2^j.
     """
     a, high, low = symmetric_extent(matrix)
     n = dimension(n)
     m = a.shape[0]
+    a, j = unit_scale(a, max(high, -low))
+    scale = math.ldexp(max(high, -low), -2 * j)
     spectrum = certified_eigen(a, n + 1)
     violation = signature_violation(spectrum.inertia, n, exact=spectrum.exact)
     if violation is not None:
@@ -558,17 +558,13 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     negatives = np.flatnonzero(values < -spectrum.cutoff)
     negatives = negatives[np.argsort(values[negatives], kind="stable")]
     x = np.zeros((m, n + 1))
-    # An eigenvalue beyond the float range leaves an inf or NaN in x, which
-    # the residual test refuses; numpy is not asked to warn of it.
-    with np.errstate(all="ignore"):
-        x[:, n] = math.sqrt(values[0]) * vectors[:, 0]
-        x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
-        left = x @ -signature_form(n + 1)
+    x[:, n] = math.sqrt(values[0]) * vectors[:, 0]
+    x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])
+    left = x @ -signature_form(n + 1)
     # max|a - (x (-eta)) x^T| = max|x eta x^T + a| over the upper tiles, NaN
     # kept: (x (-eta))_ik = -+x_ik exactly, so the products for (i, j) and
     # (j, i) are bitwise equal, and the exact residual is symmetric.
     residual = float(np.max([max_abs(tile) for _, _, tile in _residual_tiles(a, left, x)]))
-    scale = max(high, -low)
     if not residual <= RESIDUAL * scale:
         raise NonConvergenceError(f"factorization residual {residual:.3g} out of tolerance")
     # A row is degenerate when max|a_i| <= EIG_ZERO * max|a|. Its first TILE
@@ -577,4 +573,4 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     bound = EIG_ZERO * scale
     head = a[:, :TILE]
     near_zero = np.flatnonzero(np.maximum(head.max(axis=1), -head.min(axis=1)) <= bound)
-    return GramFactor(x, tuple(int(i) for i in near_zero if max_abs(a[i]) <= bound))
+    return GramFactor(np.ldexp(x, j), tuple(int(i) for i in near_zero if max_abs(a[i]) <= bound))

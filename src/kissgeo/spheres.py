@@ -88,16 +88,21 @@ def validate_separation_matrix(matrix) -> np.ndarray:
     this function allocates no m x m array and check_spheres holds under a
     fifth of one beyond its input.
     """
+    return _validated_separations(matrix)[0]
+
+
+def _validated_separations(matrix) -> tuple[np.ndarray, float]:
+    """validate_separation_matrix with the input's max|S| (the diagonal moves it only near 1)."""
     a, high, low = numkernel.symmetric_extent(matrix)
     diagonal = np.diagonal(a)
     if float(np.abs(diagonal + 1.0).max()) > 1e-12 * max(high, -low):
         raise ValueError("separation matrix must have diagonal -1")
     if np.all(diagonal == -1.0):
-        return a
+        return a, max(high, -low)
     out = a.copy()
     np.fill_diagonal(out, -1.0)
     out.setflags(write=False)
-    return out
+    return out, max(high, -low)
 
 
 @np.errstate(over="ignore")
@@ -161,10 +166,10 @@ def check_spheres(matrix, n: int, method: str = "inertia") -> Certificate:
     counts purely from determinant sums via Descartes' rule and is capped at
     order 12; it reads S divided exactly by the power of two below max|S|.
     """
-    s = validate_separation_matrix(matrix)
+    s, top = _validated_separations(matrix)
     n = numkernel.dimension(n)
     if method == "inertia":
-        return _spectrum_certificate(s, n + 1, method, exactly_one=False)
+        return _spectrum_certificate(s, top, n + 1, method, exactly_one=False)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
     s = s / numkernel.power_of_two_below(numkernel.max_abs(s))

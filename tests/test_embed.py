@@ -34,7 +34,6 @@ from kissgeo.kissing import Plane, Sphere, distance_matrix
 from kissgeo.numkernel import (
     GramInfeasibleError,
     Inertia,
-    NonConvergenceError,
     SingularPivotError,
     gram_factor_lorentz,
     schur_complement,
@@ -433,13 +432,21 @@ class TestRoundTripGuards:
             schur_embedding(d, 3, (0, 4))
 
 
+def dilated(spheres, k):
+    """The spheres whose squared distances are 4^k times theirs: diameters
+    times 2^-k, heights times 2^k, tangent points unchanged."""
+    return [Plane(math.ldexp(s.height, k)) if isinstance(s, Plane)
+            else Sphere(s.tangent, math.ldexp(s.diameter, -k)) for s in spheres]
+
+
 def proof_spy(monkeypatch, d, factors=()):
     """Record each _proves_round_trip outcome of construct_embedding on d in
-    the returned list, and check that it implies _reproduces, for the
-    spheres given and for each copy with one sphere's diameter, first or
-    last, times a factor."""
+    the returned list, and check that it implies _reproduces against the
+    matrix it proves, d at numkernel.unit_scale, for the spheres given and
+    for each copy with one sphere's diameter, first or last, times a factor."""
     real = embed._proves_round_trip
     outcomes = []
+    unit = numkernel.unit_scale(d, float(d.max()))[0]
 
     def spy(spheres, x, top):
         outcomes.append(real(spheres, x, top))
@@ -448,7 +455,7 @@ def proof_spy(monkeypatch, d, factors=()):
                                 + spheres[i + 1:] for i in rows for f in factors]
         for variant in variants:
             if real(variant, x, top):
-                assert embed._reproduces(variant, d, top)
+                assert embed._reproduces(variant, unit, top)
         return outcomes[-1]
 
     monkeypatch.setattr(embed, "_proves_round_trip", spy)
@@ -509,13 +516,35 @@ class TestRoundTripProof:
             monkeypatch.undo()
 
     @pytest.mark.parametrize("k", [-450, 450])
-    def test_the_walk_runs_beyond_the_guard(self, monkeypatch, k):
-        """Outside 2^-400 <= max D <= 2^400 the proof is not attempted, and
-        the walk accepts the same spheres."""
-        d = 2.0**k * distance_matrix(TestRoundTripGuards.SPHERES)
+    @pytest.mark.parametrize("spheres", [TestRoundTripGuards.SPHERES, [Sphere((0.0, 0.0), 1.0), Plane(2.0)]],
+                             ids=["spheres", "pair"])
+    def test_the_proof_closes_beyond_the_window(self, monkeypatch, k, spheres):
+        """Outside 2^-400 <= max D <= 2^400 the proof closes on D / 4^j, and
+        the spheres are those of D dilated, a plane's height times 2^(k/2)
+        (the pair comes back as a plane and a sphere)."""
+        base = distance_matrix(spheres)
+        want = dilated(construct_embedding(base, 3), k // 2)
+        d = 2.0**k * base
         outcomes = proof_spy(monkeypatch, d)
+        realized = construct_embedding(d, 3)
+        assert outcomes == [True]
+        assert realized == want
+        assert round_trip_close(distance_matrix(realized), d)
+
+    def test_the_walk_decides_where_a_dilated_size_is_not_normal(self, monkeypatch):
+        """Where a dilated diameter or height would not be a normal float, the
+        spheres are read from the factor at D's own scale and walked."""
+        assert embed._dilated([Sphere((0.0,), 2.0**600)], -500) is None
+        assert embed._dilated([Sphere((0.0,), 1.0), Plane(2.0**-600)], -500) is None
+        assert embed._dilated([Sphere((0.0,), 1.0), Plane(2.0)], -500) == [
+            Sphere((0.0,), 2.0**500), Plane(2.0**-499)]
+        d = 2.0**-900 * distance_matrix(TestRoundTripGuards.SPHERES)
+        monkeypatch.setattr(embed, "_dilated", lambda spheres, j: None)
+        walks = []
+        real = embed._reproduces
+        monkeypatch.setattr(embed, "_reproduces", lambda *args: walks.append(1) or real(*args))
         assert round_trip_close(distance_matrix(construct_embedding(d, 3)), d)
-        assert outcomes == [False]
+        assert walks == [1]
 
 
 class TestSchurRelations:
@@ -775,7 +804,9 @@ class TestScaleCovariance:
 
     def test_round_trip_floor_scales_with_the_data(self):
         """A shared tangent point's zero comes back as rounding at the scale
-        of max D, which a floor capped at 1 refused from about 1e30 on."""
+        of max D, which a floor capped at 1 refused from about 1e30 on. At
+        4^k D, k from -500 to 500, where every entry is normal, the spheres
+        are those of D with every diameter times 2^-k, bit for bit."""
         from bench.inputs import N, embeddable_matrix
 
         for seed, m in ((1, 127), (4, 300)):
@@ -783,6 +814,10 @@ class TestScaleCovariance:
             for scale in [1e40] + [math.ldexp(1.0, k) for k in range(-1000, 1001, 100)]:
                 spheres = construct_embedding(scale * d, N)
                 assert round_trip_close(distance_matrix(spheres), scale * d), (seed, scale)
+            base = construct_embedding(d, N)
+            assert d[d > 0.0].min() >= 2.0**-20 and d.max() <= 2.0**20  # 4^k D stays normal
+            for k in range(-500, 501, 20):
+                assert construct_embedding(math.ldexp(1.0, 2 * k) * d, N) == dilated(base, k), (seed, k)
 
     # Largest entries near the float maximum, where eigenvalues and the
     # products that form them leave the float range unless divided first.
@@ -807,21 +842,22 @@ class TestScaleCovariance:
                     assert [check_kissing(scaled, N), check_euclidean(scaled, N)] == want, top
 
     def test_construction_near_the_float_maximum(self):
-        """At max D = 1e307 the factor is realized; above, where the largest
-        eigenvalue may leave the float range, the factor residual refuses it
-        as NonConvergenceError, silently."""
+        """Up to the largest double the matrix is realized, with no warning,
+        as the exact dilation of the realization of D / 4^j, the matrix at
+        unit scale; gram_factor_lorentz returns 2^j times its factor."""
         from bench.inputs import N, embeddable_matrix
 
-        for m in (40, 300):
-            d = embeddable_matrix(np.random.default_rng(40), m).d2
+        for m, seed in ((40, 40), (300, 40), (300, 300)):
+            d = embeddable_matrix(np.random.default_rng(seed), m).d2
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert len(construct_embedding(1e307 / d.max() * d, N)) == m
-                for top in self.NEAR_MAX[2:]:
-                    try:
-                        assert len(construct_embedding(top / d.max() * d, N)) == m
-                    except NonConvergenceError:
-                        pass
+                for top in self.NEAR_MAX:
+                    scaled = top / d.max() * d
+                    unit, j = numkernel.unit_scale(scaled, float(scaled.max()))
+                    assert 1.0 <= unit.max() < 4.0
+                    assert construct_embedding(scaled, N) == dilated(construct_embedding(unit, N), j), (m, top)
+                factor = gram_factor_lorentz(scaled, N)
+                assert np.array_equal(factor.vectors, np.ldexp(gram_factor_lorentz(unit, N).vectors, j))
 
     def test_construct_embedding_at_extreme_scales(self, rng):
         for scale in (1e-20, 1e-10, 1e10, 1e20):

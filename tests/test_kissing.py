@@ -357,6 +357,19 @@ class TestExtremeScales:
         d = distance_matrix([p, q])
         assert d[0, 1] == d[1, 0] == math.inf and not np.diag(d).any()
 
+    def test_a_gap_beyond_the_float_range_with_a_finite_distance(self):
+        """The gap 2e308 overflows, but the squared distance is 4: that gap
+        is formed again from coordinates divided by 2^h before the
+        subtraction, and the pair-by-pair and tiled kernels agree."""
+        p, q = Sphere((-1e308,), 1e308), Sphere((1e308,), 1e308)
+        assert distance_sq(p, q) == distance_sq(q, p) == 4.0
+        assert distance_matrix([p, q]).tolist() == [[0.0, 4.0], [4.0, 0.0]]
+        spheres = [Sphere((-1e308, 1.0), 1e308), Sphere((1e308, -2.0), 1e307),
+                   Sphere((0.0, 0.0), 1.0), Plane(1.0)]
+        d = distance_matrix(spheres)
+        assert np.array_equal(d, pairwise_distance_matrix(spheres))
+        assert d[0, 1] == pytest.approx(40.0, rel=1e-15)
+
     def test_floating_point_errors_stay_inside_each_tile(self):
         """Overflowing gaps and heights come out inf without a warning, and
         the caller's own error state holds between the tiles."""

@@ -485,13 +485,15 @@ class TestCertifiedEigen:
 
     @pytest.mark.parametrize("k", [-1000, -420, 420, 1000])
     def test_scale_is_decided_once_before_the_sketch(self, monkeypatch, k):
-        """Where |A|_F^2 leaves [2^-800, 2^800], the one sketch runs on A
-        divided by the power of two below max|A|, and only the values and the
-        cutoff are multiplied back."""
+        """Where max|A| leaves [2^-400, 2^400], unit_scale divides A exactly
+        by the power of four that leaves it in [1, 4); the one sketch runs on
+        that matrix, with the route and inertia of A at scale one, and
+        check_kissing goes the same way."""
         from bench.inputs import not_embeddable_matrix
 
         d = not_embeddable_matrix(np.random.default_rng(2), 200).d2
         base = certified_eigen(d, 4)
+        certificate = check_kissing(d, 3)
         seen = []
         real = numkernel._sketched_spectrum
 
@@ -500,11 +502,14 @@ class TestCertifiedEigen:
             return real(a, *rest)
 
         monkeypatch.setattr(numkernel, "_sketched_spectrum", spy)
-        unit = numkernel.power_of_two_below(math.ldexp(d.max(), k))
-        found = certified_eigen(math.ldexp(1.0, k) * d, 4)
-        assert len(seen) == 1 and 1.0 <= seen[0] < 2.0
+        scaled = math.ldexp(1.0, k) * d
+        unit, j = numkernel.unit_scale(scaled, float(scaled.max()))
+        assert np.array_equal(unit, math.ldexp(1.0, k - 2 * j) * d)
+        found = certified_eigen(unit, 4)
+        assert len(seen) == 1 and 1.0 <= seen[0] < 4.0
         assert (found.route, found.inertia) == (base.route, base.inertia)
-        assert found.cutoff / unit == certified_eigen(math.ldexp(1.0, k) * d / unit, 4).cutoff
+        assert check_kissing(scaled, 3) == certificate
+        assert len(seen) == 2 and seen[1] == seen[0]
 
     def test_nan_residual_refuses_the_sketch(self, rng, monkeypatch, eigh_orders):
         """A residual that is not a number proves no bound: sym_eigen decides."""
@@ -515,8 +520,9 @@ class TestCertifiedEigen:
         assert found.inertia == inertia(d)
 
     def test_zero_matrix_is_not_rescaled(self):
-        """|A|_F^2 = 0 is outside the normal range, but dividing by the power
-        of two below max|A| = 0 would be no step: the zero matrix stays."""
+        """max|A| = 0 has no power of four to divide by: unit_scale leaves
+        the zero matrix as it is."""
+        assert numkernel.unit_scale(np.zeros((40, 40)), 0.0)[1] == 0
         spectrum = certified_eigen(np.zeros((40, 40)), 4)
         assert spectrum.route == "eigh" and spectrum.inertia == Inertia(0, 0, 40)
         assert check_kissing(np.zeros((40, 40)), 3).embeddable
