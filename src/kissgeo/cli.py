@@ -82,11 +82,10 @@ def _cmd_dist(args) -> int:
 
 def _cmd_classify(args) -> int:
     n, sphere_set = io.load_sphere_set(_read_json(args.input))
-    pairs = []
-    for i in range(len(sphere_set)):
-        for j in range(i + 1, len(sphere_set)):
-            relation = kissing.classify_pair(sphere_set[i], sphere_set[j])
-            pairs.append({"i": i, "j": j, "class": relation.value})
+    # One distance_matrix, its pairs read by classify_pair's rule.
+    dist = np.sqrt(kissing.distance_matrix(sphere_set)).tolist()
+    pairs = [{"i": i, "j": j, "class": kissing._pair_class(dist[i][j]).value}
+             for i in range(len(dist)) for j in range(i + 1, len(dist))]
     _emit({"n": n, "pairs": pairs})
     return EXIT_OK
 

@@ -249,11 +249,15 @@ def _round_trip_excess(actual: np.ndarray, expected: np.ndarray, top: float,
 
     The one closeness rule: an entry matches where this is at most zero, and
     a NaN never does. With top the largest entry of the data given, the rule
-    commutes with D -> cD.
+    commutes with D -> cD. The allowance is formed as (|expected| / 2 +
+    top / 2) (2 ROUND_TRIP_RTOL), which is finite up to the float maximum
+    and equals the plain product wherever |expected| + top is finite, but
+    for a halving's rounding of a subnormal.
     """
     np.abs(expected, out=allowed)
-    allowed += top
-    allowed *= ROUND_TRIP_RTOL
+    allowed *= 0.5
+    allowed += 0.5 * top
+    allowed *= 2.0 * ROUND_TRIP_RTOL
     np.subtract(actual, expected, out=excess)
     np.abs(excess, out=excess)
     excess -= allowed
@@ -301,9 +305,10 @@ def _proves_round_trip(spheres: list[KissingSphere], x: np.ndarray, top: float) 
     - The tile kernel forms delta_ij with at most n + 3 roundings, so within
       g delta_ij, plus underflow: its mantissa product lies in [1/4, 2), so
       the underflowed squares and quotient are off by at most n 2^-1072 in
-      all, far inside n 2^-270 top.
+      all, far inside n 2^-270 top, which also covers the rule's 2^-1074.
     - _round_trip_excess accepts when |d - D| <= ROUND_TRIP_RTOL (D + top)
-      (1 - 3u): it rounds the difference once and the allowance twice.
+      (1 - 3u) - 2^-1074: it rounds the difference once and the allowance
+      twice, and halving a subnormal D rounds by at most 2^-1075.
     With B = 2 e R + e^2 + g R^2 + RESIDUAL top (1 + g), the kernel's
     distances are within (1 + g) B + g D + n 2^-270 top of D. That is inside
     the rule when g <= ROUND_TRIP_RTOL / 2 and
@@ -399,10 +404,15 @@ def schur_embedding(matrix, n: int, pivot: tuple[int, int]) -> list[KissingSpher
 
     Index b becomes the hyperplane at height one and index a the sphere of
     diameter 1 / D[a, b] tangent at the boundary origin. The remaining
-    diameters are 1 / D[i, b]; tangent points come from a Euclidean
+    diameters are phi_i = 1 / D[i, b]; tangent points come from a Euclidean
     factorization of -P/2, where P is the Schur complement of the pivot pair,
     which must be positive semidefinite of rank at most n - 1. Requires
-    D[i, b] > 0 for every i != b, and re-validates by a round trip.
+    D[i, b] > 0 for every i != b, and re-validates by a round trip. The
+    elimination and the factorization run on D / 4^j, D at
+    numkernel.unit_scale, and each point is scaled back by phi_i 2^j, so
+    the result for 4^k D is that for D with tangent points times 2^-k and
+    diameters times 4^-k, wherever these are normal. A diameter beyond the
+    float range raises RealizationError.
     """
     d, top = _validated(matrix)
     n = numkernel.dimension(n)
@@ -412,20 +422,24 @@ def schur_embedding(matrix, n: int, pivot: tuple[int, int]) -> list[KissingSpher
     if column.size and float(column.min()) <= 0.0:
         raise InadmissiblePivotError("every distance to the pivot hyperplane index must be positive")
     rest = [i for i in range(m) if i not in (a, b)]
+    with np.errstate(over="ignore"):  # refused below, with no warning
+        phi = 1.0 / d[rest + [a], b]
+    if not np.all(phi < math.inf):
+        raise RealizationError("a diameter 1 / D[i, b] is beyond the float range")
+    unit, j = numkernel.unit_scale(d, top)
     points = np.zeros((len(rest), n - 1))
     if rest:
-        values, vecs = numkernel.sym_eigen(-numkernel.schur_complement(d, (a, b)) / 2.0)
+        values, vecs = numkernel.sym_eigen(-numkernel.schur_complement(unit, (a, b)) / 2.0)
         counts = numkernel.inertia_of_values(values)
         if counts.negative:
             raise RealizationError("tangent Gram -P/2 is not positive semidefinite to tolerance")
         if counts.positive > n - 1:
             raise RealizationError(f"tangent rank {counts.positive} exceeds n - 1 = {n - 1}")
         points[:, :counts.positive] = vecs[:, :counts.positive] * np.sqrt(values[:counts.positive])
-    phi = 1.0 / d[rest, b]
-    points *= phi[:, None]
+    points *= np.ldexp(phi[:-1], j)[:, None]
     out: list[KissingSphere] = [None] * m  # type: ignore[list-item]
     out[b] = Plane(height=1.0)
-    out[a] = Sphere(tangent=(0.0,) * (n - 1), diameter=1.0 / d[a, b])
+    out[a] = Sphere(tangent=(0.0,) * (n - 1), diameter=phi[-1])
     for i, point, diameter in zip(rest, points, phi):
         out[i] = Sphere(tangent=point, diameter=diameter)
     if not _reproduces(out, d, top):
@@ -440,6 +454,15 @@ def _pivot(pivot, m: int) -> tuple[int, int]:
             and 0 <= a < m and 0 <= b < m):
         raise ValueError("pivot must be two distinct integer indices in range")
     return int(a), int(b)
+
+
+def _det(sign: float, logdet: float) -> float:
+    """sign * exp(logdet), the double numpy's det forms from the factorization
+    slogdet reads, or +-inf where the exponential overflows."""
+    try:
+        return float(sign) * math.exp(logdet)
+    except OverflowError:
+        return float(sign) * math.inf
 
 
 @dataclass(frozen=True)
@@ -467,32 +490,36 @@ def verify_schur_relations(matrix, pivot: tuple[int, int]) -> SchurReport:
 
     det D = -det P * D[a, b]^2, inertia D = (1, 1, 0) + inertia P, and
     rank D = rank P + 2, where P is the Schur complement of the pair {a, b}.
-    The determinant identity is tested on D and P divided exactly by the
-    greatest power of two at most max D, so that the test is the same at
-    every scale, and in the log domain (slogdet), so that no determinant or
-    power of max D overflows at any order. Its residual, normalized by the
-    larger determinant or by that matrix's (max D)^m, the natural scale of
-    a determinant, must be at most ROUND_TRIP_RTOL, so that rank-deficient
-    instances compare their (near-zero) determinants at noise level.
-    det_full and det_expected are reported at the data's own scale.
+    P, the log-determinants and both inertias are formed from D / 4^j, D at
+    numkernel.unit_scale, where no entry of P leaves the float range. The
+    determinant identity is tested in the log domain (slogdet), so that no
+    determinant or power of max D overflows at any order. Its residual,
+    normalized by the larger determinant or by that matrix's (max D)^m,
+    the natural scale of a determinant, must be at most ROUND_TRIP_RTOL,
+    so that rank-deficient instances compare their (near-zero) determinants
+    at noise level. det_full and det_expected are reported at the data's
+    own scale, from the log-determinants grown by log 4^j per order (_det),
+    so inside [2^-400, 2^400] they are numpy's det bit for bit; beyond the
+    float range they are +-inf or 0.
     """
     d, top = _validated(matrix)
     m = d.shape[0]
     a, b = _pivot(pivot, m)
-    comp = numkernel.schur_complement(d, (a, b))
-    with np.errstate(all="ignore"):  # beyond the float range: numpy's +-inf (or 0), unannounced
-        det_full = float(np.linalg.det(d))
-        det_expected = float(-np.linalg.det(comp) * np.square(d[a, b]))
-    # The identity is tested on D / unit, an exact rescale with max in [1, 2), in
-    # logs, each side divided by the largest of the two determinants and (max D)^m;
-    # the pivot D[a, b] is nonzero, or schur_complement would have raised.
-    unit = numkernel.power_of_two_below(top)
-    s_full, l_full = np.linalg.slogdet(d / unit)
-    s_comp, l_comp = np.linalg.slogdet(comp / unit)
-    l_expected = l_comp + 2.0 * math.log(abs(d[a, b]) / unit)
-    scale = max(l_full, l_expected, m * math.log(top / unit))
+    unit, j = numkernel.unit_scale(d, top)
+    comp = numkernel.schur_complement(unit, (a, b))
+    s_full, l_full = np.linalg.slogdet(unit)
+    s_comp, l_comp = np.linalg.slogdet(comp)
+    # At D's own scale each log-determinant grows by log 4^j per order.
+    grow = 2 * j * math.log(2.0)
+    det_full = _det(s_full, l_full + m * grow)
+    with np.errstate(all="ignore"):  # beyond the float range: +-inf (or 0), unannounced
+        det_expected = float(-_det(s_comp, l_comp + (m - 2) * grow) * np.square(d[a, b]))
+    # Each side of the identity is divided by the largest of the two determinants
+    # and (max D)^m; the pivot D[a, b] is nonzero, or schur_complement would have raised.
+    l_expected = l_comp + 2.0 * math.log(abs(unit[a, b]))
+    scale = max(l_full, l_expected, m * math.log(math.ldexp(top, -2 * j)))
     det_ok = abs(s_full * math.exp(l_full - scale) + s_comp * math.exp(l_expected - scale)) <= ROUND_TRIP_RTOL
-    inertia_full = numkernel.inertia(d)
+    inertia_full = numkernel.inertia(unit)
     inertia_comp = numkernel.inertia(comp) if comp.size else Inertia(0, 0, 0)
     inertia_ok = inertia_full == Inertia(
         inertia_comp.positive + 1, inertia_comp.negative + 1, inertia_comp.zero

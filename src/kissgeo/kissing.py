@@ -118,13 +118,17 @@ def distance(p: KissingSphere, q: KissingSphere) -> float:
 
 
 def classify_pair(p: KissingSphere, q: KissingSphere) -> PairClass:
-    """Combinatorial relation read off the distance.
+    """Combinatorial relation read off the distance by _pair_class."""
+    return _pair_class(distance(p, q))
+
+
+def _pair_class(d: float) -> PairClass:
+    """The relation of a pair at distance d, the rule of classify_pair.
 
     The distance is 1 exactly at tangency, above 1 for disjoint pairs, below 1
     for intersecting ones, and 0 when the tangent points coincide; comparisons
     use the relative tolerance 1e-9; an infinite distance is Disjoint.
     """
-    d = distance(p, q)
     if d <= 1e-9:
         return PairClass.SHARED_TANGENT_POINT
     if d < math.inf and abs(d - 1.0) <= 1e-9 * max(1.0, d):

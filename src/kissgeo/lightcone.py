@@ -233,15 +233,18 @@ def _null_partner(v: np.ndarray) -> np.ndarray:
     return np.append(-v[:-1], t) / (2.0 * t * t)
 
 
-def _complement_frame(frame: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _complement_frame(frame: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Basis of the orthogonal complement (w.r.t. the form) of the frame's
-    column span, as columns of norm +1 or -1 under the form, with those
-    signs. Requires the span to be nondegenerate."""
+    column span, as columns of norm +1 under the form. The span holds a
+    timelike direction, as every frame _witt_map keeps does, so the form is
+    positive definite on the complement; a value that is not positive gives
+    a NaN or inf column, silently, which is_lorentz refuses."""
     _, _, vt = np.linalg.svd(frame.T @ eta)
     null_basis = vt[frame.shape[1]:].T
     restricted = null_basis.T @ eta @ null_basis
     values, vecs = np.linalg.eigh((restricted + restricted.T) / 2.0)
-    return null_basis @ vecs / np.sqrt(np.abs(values)), np.sign(values)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return null_basis @ vecs / np.sqrt(values)
 
 
 def _witt_map(x: np.ndarray, y: np.ndarray, gram: np.ndarray, eta: np.ndarray) -> np.ndarray | None:
@@ -253,8 +256,9 @@ def _witt_map(x: np.ndarray, y: np.ndarray, gram: np.ndarray, eta: np.ndarray) -
     By Witt's theorem the Gram matrix fixes the map on the span. With
     (lambda, V) the kept eigenpairs, C = V |lambda|^-1/2 makes x^T C and
     y^T C orthonormal under the form with the signs of lambda. Completed
-    by such bases of their complements to frames F_x and F_y with the signs
-    S, F_x^-1 is S F_x^T eta, so T = F_y S F_x^T eta. Up to three polish
+    by bases of their complements of norm +1 (_complement_frame) to frames
+    F_x and F_y with the signs S, F_x^-1 is S F_x^T eta, so
+    T = F_y S F_x^T eta. Up to three polish
     steps then remove form drift.
     """
     values, vecs = np.linalg.eigh(gram)
@@ -263,10 +267,10 @@ def _witt_map(x: np.ndarray, y: np.ndarray, gram: np.ndarray, eta: np.ndarray) -
         return None
     coefficients = vecs[:, keep] / np.sqrt(np.abs(values[keep]))
     base_x, base_y = x.T @ coefficients, y.T @ coefficients
-    (comp_x, comp_signs), (comp_y, _) = _complement_frame(base_x, eta), _complement_frame(base_y, eta)
+    comp_x, comp_y = _complement_frame(base_x, eta), _complement_frame(base_y, eta)
     frame_x = np.column_stack([base_x, comp_x])
     frame_y = np.column_stack([base_y, comp_y])
-    signs = np.concatenate([np.sign(values[keep]), comp_signs])
+    signs = np.concatenate([np.sign(values[keep]), np.ones(comp_x.shape[1])])
     transform = (frame_y * signs) @ frame_x.T @ eta
 
     identity = np.eye(len(eta))

@@ -116,7 +116,10 @@ def power_of_two_below(x: float) -> float:
 def unit_scale(a: np.ndarray, top: float) -> tuple[np.ndarray, int]:
     """(a, 0) when top = max|a| is 0 or in [2^-400, 2^400], else (a / 4^j, j)
     with max in [1, 4), exact but for entries that underflow: the one scale
-    rule of the eigen routes, the Gram factor and the round-trip proof."""
+    rule of every route that counts, factors or eliminates an m x m matrix
+    (inertia, the eigen routes, the Gram factor, the round-trip proof and the
+    Schur routes). power_of_two_below serves only small stacks: minors of
+    order at most MINORS_MAX_ORDER and lorentz_align's vectors."""
     if top == 0.0 or 2.0**-400 <= top <= 2.0**400:
         return a, 0
     j = (math.frexp(top)[1] - 1) // 2
@@ -281,8 +284,12 @@ def inertia_of_values(values) -> Inertia:
 
 
 def inertia(matrix) -> Inertia:
-    """Counts of positive, negative, and zero eigenvalues under the relative cutoff."""
-    values, _ = sym_eigen(matrix)
+    """Counts of positive, negative, and zero eigenvalues under the relative
+    cutoff, read from sym_eigen on the validated matrix at unit_scale: the
+    counts of a / 4^j are those of a, and no eigenvalue of a matrix whose
+    largest entry is in [1, 4) leaves the float range."""
+    a, high, low = symmetric_extent(matrix)
+    values, _ = sym_eigen(unit_scale(a, max(high, -low))[0])
     return inertia_of_values(values)
 
 
@@ -542,8 +549,15 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     most n negative ones, or rank zero, where every row is zero and flagged
     degenerate. The single positive eigendirection is placed in the time
     coordinate; negative directions fill spatial slots in order of magnitude.
-    Column signs are left to callers. All of it runs on a / 4^j, a at
-    unit_scale, and the vectors are returned times 2^j.
+    On the eigh route, slots that the eigenvalues below -cutoff leave free
+    take the most negative remaining eigenvalues below -m eps max|lambda|.
+    That is a rounding bound: eigh's eigenvalues are exact for a matrix
+    within a small multiple of m eps max|lambda| of a in norm, so beyond it
+    an eigenvalue is data, not rounding, and dropping it leaves a factor row
+    off the cone that a genuine eigenvalue just inside the cutoff would put
+    on it. The counts, and so the certificate, do not change; the sketch
+    route keeps its slots. Column signs are left to callers. All of it runs
+    on a / 4^j, a at unit_scale, and the vectors are returned times 2^j.
     """
     a, high, low = symmetric_extent(matrix)
     n = dimension(n)
@@ -555,8 +569,9 @@ def gram_factor_lorentz(matrix, n: int) -> GramFactor:
     if violation is not None:
         raise GramInfeasibleError(spectrum.inertia, violation, spectrum.exact)
     values, vectors = spectrum.values, spectrum.vectors
-    negatives = np.flatnonzero(values < -spectrum.cutoff)
-    negatives = negatives[np.argsort(values[negatives], kind="stable")]
+    floor = m * _EPS * max_abs(values) if spectrum.route == "eigh" else spectrum.cutoff
+    negatives = np.flatnonzero(values < -floor)
+    negatives = negatives[np.argsort(values[negatives], kind="stable")][:n]
     x = np.zeros((m, n + 1))
     x[:, n] = math.sqrt(values[0]) * vectors[:, 0]
     x[:, :negatives.size] = vectors[:, negatives] * np.sqrt(-values[negatives])

@@ -74,6 +74,20 @@ def cycle_graph(length, edge_len=1.0):
     return LengthGraph(length, edges)
 
 
+# Four spheres at n = 3, the last of diameter 1e8, whose distances are at most
+# 6.5e-9 of max D: above the zero-row bound, but its eigenvalue is below the
+# Gram factor's rounding bound m eps max|lambda|, so its factor row passes the
+# factor's residual check but lies off the null cone at its own scale.
+FAR_SPHERES = [Sphere((0.0, 0.0), 1.0), Sphere((1.0, 0.0), 1.0), Sphere((0.0, 1.0), 2.0),
+               Sphere((0.3, 0.4), 1e8)]
+
+
+def far_sphere_graph():
+    """The complete length graph of FAR_SPHERES: one clique, (0, 1, 2, 3)."""
+    return LengthGraph(4, tuple((u, v, distance(FAR_SPHERES[u], FAR_SPHERES[v]))
+                                for u in range(4) for v in range(u + 1, 4)))
+
+
 def coincident_sphere_set(rng, size, n, planes=2, shared=3):
     """Random spheres with `planes` hyperplanes and `shared` spheres that reuse
     an earlier sphere's tangent point at a new diameter, in shuffled order, so

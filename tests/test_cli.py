@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gen import coincident_sphere_set, graph_from_configuration, random_sphere_set
+from gen import FAR_SPHERES, coincident_sphere_set, far_sphere_graph, random_sphere_set
 from kissgeo import completion, numkernel
 from kissgeo.cli import main
 from kissgeo.kissing import distance_matrix
@@ -33,13 +33,6 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def off_cone_graph():
-    """A realizable graph at n = 3 whose clique (1, 5, 6, 18) has a Gram
-    factor row inside the factor's residual check but off the null cone."""
-    graph, _ = graph_from_configuration(np.random.default_rng(257), 38, 3)
-    return graph
 
 
 class TestDist:
@@ -89,6 +82,23 @@ class TestClassify:
         pairs = {(p["i"], p["j"]): p["class"] for p in json.loads(out)["pairs"]}
         assert pairs[(0, 1)] == "Tangent"
         assert pairs[(0, 2)] == "Disjoint"
+
+    def test_classes_are_classify_pair_on_one_distance_matrix(self, tmp_path, capsys):
+        # n = 4, where distance_matrix and distance_sq may differ in their
+        # last bits, with two planes, shared tangent points and a tangent pair.
+        from kissgeo.io import dump_sphere_set
+        from kissgeo.kissing import Sphere, classify_pair
+
+        items = coincident_sphere_set(np.random.default_rng(5), 40, 4, planes=2, shared=4)
+        items += [Sphere((0.0, 0.0, 0.0), 1.0), Sphere((1.0, 0.0, 0.0), 1.0)]
+        path = write(tmp_path, "set.json", dump_sphere_set(4, items))
+        code, out, _ = run(capsys, ["classify", path])
+        assert code == 0
+        got = [(p["i"], p["j"], p["class"]) for p in json.loads(out)["pairs"]]
+        want = [(i, j, classify_pair(items[i], items[j]).value)
+                for i in range(len(items)) for j in range(i + 1, len(items))]
+        assert got == want
+        assert {c for _, _, c in got} == {"Tangent", "Disjoint", "Intersecting", "SharedTangentPoint"}
 
 
 class TestCheck:
@@ -247,13 +257,10 @@ class TestEmbed:
         assert len(calls) == 1
 
     def test_off_cone_factor_row_is_numerical(self, tmp_path, capsys):
-        graph = off_cone_graph()
-        clique = (1, 5, 6, 18)
-        d2 = [[graph.length(u, v) ** 2 if u != v else 0.0 for v in clique] for u in clique]
-        path = write(tmp_path, "clique.json", {"d2": d2})
+        path = write(tmp_path, "far.json", {"d2": distance_matrix(FAR_SPHERES).tolist()})
         code, out, err = run(capsys, ["embed", path, "--n", "3"])
         assert code == 3
-        assert json.loads(out)["error"].startswith("factor row 1 is not a future null vector: ")
+        assert json.loads(out)["error"].startswith("factor row 3 is not a future null vector: ")
         assert "numerical failure" in err
 
     def test_realization_failure_is_numerical(self, tmp_path, capsys):
@@ -388,16 +395,16 @@ class TestComplete:
         assert payload["diagnostic"] == payload["certificate"]["witness"]["requirement"]
 
     def test_off_cone_factor_row_is_a_clique_verdict(self, tmp_path, capsys):
-        graph = off_cone_graph()
+        graph = far_sphere_graph()
         edges = [{"u": u, "v": v, "len": w} for u, v, w in graph.edges]
         path = write(tmp_path, "graph.json", {"vertices": graph.vertex_count, "edges": edges})
         code, out, _ = run(capsys, ["complete", path, "--n", "3"])
         assert code == 1
         payload = json.loads(out)
         assert payload["verdict"] == "Infeasible"
-        assert payload["clique"] == [1, 5, 6, 18]
+        assert payload["clique"] == [0, 1, 2, 3]
         assert payload["certificate"]["verdict"] == "Embeddable"
-        assert payload["diagnostic"].startswith("factor row 1 is not a future null vector: ")
+        assert payload["diagnostic"].startswith("factor row 3 is not a future null vector: ")
 
     def test_all_zero_triangle_completes_to_zeros(self, tmp_path, capsys):
         # Its placed vectors lie on one ray, so their spheres share one

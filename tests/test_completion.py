@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 
 from gen import (
     cycle_graph,
+    far_sphere_graph,
     graph_from_configuration,
     random_chordal_graph,
     random_sphere,
@@ -569,19 +571,28 @@ class TestOneDecisionPerClique:
             assert complete_chordal(graph, n).verdict == INFEASIBLE
 
     def test_off_cone_factor_row_is_a_clique_verdict(self):
-        # A realizable graph whose clique (1, 5, 6, 18) has a Gram factor with
-        # an all-zero spatial column: row 1 lies inside the factor's residual
-        # check but 4.6e-8 off the cone relative to its own size.
-        graph, _ = graph_from_configuration(np.random.default_rng(257), 38, 3)
-        result = complete_chordal(graph, 3)
+        # Four realizable spheres whose last has distances of at most 6.5e-9
+        # of max D: its factor row lies inside the factor's residual check
+        # but off the cone relative to its own size.
+        result = complete_chordal(far_sphere_graph(), 3)
         assert result.verdict == INFEASIBLE
         check = result.witness
-        assert check.clique == (1, 5, 6, 18)
+        assert check.clique == (0, 1, 2, 3)
         assert check.certificate.embeddable and not check.realized
-        assert check.diagnostic.startswith("factor row 1 is not a future null vector: ")
-        ok, checks = clique_feasible(graph, 3)
+        assert check.diagnostic.startswith("factor row 3 is not a future null vector: ")
+        ok, checks = clique_feasible(far_sphere_graph(), 3)
         assert not ok
         assert [c for c in checks if not c.realized] == [check]
+
+    def test_a_genuine_eigenvalue_inside_the_cutoff_is_realized(self):
+        # sm257: clique (1, 5, 6, 18) has a negative eigenvalue at 0.92 of the
+        # cutoff, which the factor's free slot now takes.
+        graph, _ = graph_from_configuration(np.random.default_rng(257), 38, 3)
+        result = complete_chordal(graph, 3)
+        assert result.verdict == COMPLETED
+        assert verify_target_matrix(result.full_matrix, graph, 3).satisfied
+        ok, checks = clique_feasible(graph, 3)
+        assert ok and all(c.realized for c in checks)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("graph", [
@@ -684,6 +695,22 @@ class TestVerifyTargetMatrix:
         assert report.diagonal_ok and not report.edges_ok
         report = verify_target_matrix(result.full_matrix + 1e-14 * np.eye(3), g, 2)
         assert not report.diagonal_ok and report.edges_ok
+
+    def test_a_wrong_largest_entry_is_refused_up_to_the_float_maximum(self):
+        # The 3-4-5 triangle with max l^2 = top, whose largest entry comes back
+        # 1.5 times too small; the allowance must not overflow to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for top in (1e300, 1e307, 1e308, 1.7e308):
+                unit = math.sqrt(top) / 5.0
+                g = LengthGraph(3, ((0, 1, 3.0 * unit), (1, 2, 4.0 * unit), (0, 2, 5.0 * unit)))
+                d = np.zeros((3, 3))
+                for u, v, length in g.edges:
+                    d[u, v] = d[v, u] = length * length
+                assert verify_target_matrix(d, g, 2).satisfied, top
+                d[0, 2] = d[2, 0] = d[0, 2] / 1.5
+                report = verify_target_matrix(d, g, 2)
+                assert not report.edges_ok and report.failures[0].startswith("edge (0, 2) entry "), top
 
     def test_signature_violation_named(self):
         g = LengthGraph(4, ((0, 1, 1.0), (2, 3, 1.0)))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import (
+    FAR_SPHERES,
     coincident_sphere_set,
     graph_from_configuration,
     random_sphere,
@@ -32,6 +33,7 @@ from kissgeo import embed, numkernel
 from kissgeo.completion import LengthGraph, clique_feasible, complete_chordal
 from kissgeo.kissing import Plane, Sphere, distance_matrix
 from kissgeo.numkernel import (
+    EIG_ZERO,
     GramInfeasibleError,
     Inertia,
     SingularPivotError,
@@ -312,15 +314,38 @@ class TestConstructEmbedding:
         assert round_trip_close(distance_matrix(spheres), d)
 
     def test_off_cone_factor_row_is_a_realization_error(self):
-        # Clique (1, 5, 6, 18) of a realizable graph at n = 3: its factor row 1
-        # passes the factor's residual check but not from_lightcone's null test.
-        graph, _ = graph_from_configuration(np.random.default_rng(257), 38, 3)
-        clique = (1, 5, 6, 18)
-        d = np.array([[graph.length(u, v) ** 2 if u != v else 0.0 for v in clique]
-                      for u in clique])
+        # Four realizable spheres at n = 3 whose last row is tiny: its factor
+        # row passes the factor's residual check but not from_lightcone's
+        # null test.
+        d = distance_matrix(FAR_SPHERES)
         assert check_kissing(d, 3).embeddable
-        with pytest.raises(RealizationError, match="^factor row 1 is not a future null vector: "):
+        with pytest.raises(RealizationError, match="^factor row 3 is not a future null vector: "):
             construct_embedding(d, 3)
+
+    @pytest.mark.parametrize("clique", ["sm257", "35102"])
+    def test_a_genuine_eigenvalue_inside_the_cutoff_fills_a_free_slot(self, clique):
+        """Cliques of realizable graphs at n = 3 with a negative eigenvalue
+        inside the cutoff but beyond the rounding bound m eps max|lambda|:
+        the free slot takes it, where the factor once left its column zero
+        and the row off the cone, and the clique is realized."""
+        from bench.inputs import chordal_graph
+
+        if clique == "sm257":
+            graph, _ = graph_from_configuration(np.random.default_rng(257), 38, 3)
+            vertices = (1, 5, 6, 18)
+        else:
+            item = chordal_graph(np.random.default_rng([35102, 1]), 3200)
+            graph = LengthGraph(item.vertices, tuple((int(u), int(v), float(w)) for u, v, w in item.edges))
+            vertices = (1, 51, 631, 3134)
+        d = np.array([[graph.length(u, v) ** 2 if u != v else 0.0 for v in vertices]
+                      for u in vertices])
+        values = np.linalg.eigvalsh(d)
+        top = float(np.abs(values).max())
+        assert -EIG_ZERO * top < values[2] < -4 * np.finfo(float).eps * top
+        assert check_kissing(d, 3).embeddable
+        factor = gram_factor_lorentz(d, 3)
+        assert np.all(np.abs(factor.vectors[:, :3]).max(axis=0) > 0.0)
+        assert round_trip_close(distance_matrix(construct_embedding(d, 3)), d)
 
     def test_zero_row_contradiction_detected(self):
         # One point at distance zero from both ends of a unit pair cannot exist.
@@ -373,6 +398,24 @@ class TestSchurEmbedding:
                     continue
                 spheres = schur_embedding(d, n, (0, 4))
                 assert round_trip_close(distance_matrix(spheres), d)
+
+    @pytest.mark.parametrize("m", [12, 40, 127])
+    def test_exact_dilation_by_powers_of_four(self, m):
+        """schur_embedding(4^k D) is schur_embedding(D) with tangent points
+        times 2^-k, diameters times 4^-k and the plane at height one, for D
+        with max in [1, 4), also beyond [2^-400, 2^400], where the
+        elimination runs on D itself."""
+        from bench.inputs import N, embeddable_matrix
+
+        d = embeddable_matrix(np.random.default_rng(m), m).d2
+        d = np.ldexp(d, -2 * ((math.frexp(d.max())[1] - 1) // 2))
+        assert 1.0 <= d.max() < 4.0
+        base = schur_embedding(d, N, (0, 1))
+        for k in (1, -1, 201, -201, 300, -300, 450, -450, 500, -500):
+            want = [s if isinstance(s, Plane) else
+                    Sphere(tuple(math.ldexp(t, -k) for t in s.tangent), math.ldexp(s.diameter, -2 * k))
+                    for s in base]
+            assert schur_embedding(math.ldexp(1.0, 2 * k) * d, N, (0, 1)) == want, k
 
 
 class TestRoundTripGuards:
@@ -674,6 +717,19 @@ class TestRoundTripRule:
             near[0, 1] = near[1, 0] = 1.1e-6 * scale
             assert not round_trip_close(near, scale * expected)
 
+    def test_a_wrong_largest_entry_is_refused_up_to_the_float_maximum(self):
+        """The allowance is formed from halves, so it stays finite where
+        |expected| + top overflows: a largest entry 1.5 times too small is
+        refused, with no warning, where an inf allowance once let it pass."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for top in (1e300, 1e307, 1e308, 1.7e308):
+                expected = top / 25.0 * TRIANGLE_345
+                wrong = expected.copy()
+                wrong[0, 2] = wrong[2, 0] = expected[0, 2] / 1.5
+                assert round_trip_close(expected, expected), top
+                assert not round_trip_close(wrong, expected), top
+
     def test_verdicts_commute_with_powers_of_two(self, rng):
         """Scaling both matrices by 2^k changes no verdict: a wrong entry 1.5
         times too large and a wrong pair in the last, partial tile are
@@ -858,6 +914,36 @@ class TestScaleCovariance:
                     assert construct_embedding(scaled, N) == dilated(construct_embedding(unit, N), j), (m, top)
                 factor = gram_factor_lorentz(scaled, N)
                 assert np.array_equal(factor.vectors, np.ldexp(gram_factor_lorentz(unit, N).vectors, j))
+
+    def test_schur_routes_near_the_float_maximum(self):
+        """inertia, verify_schur_relations and schur_embedding count,
+        eliminate and factor D / 4^j, the matrix at unit scale, so from
+        1e-305 up to the largest double they work with no warning."""
+        from bench.inputs import N, embeddable_matrix
+
+        d = embeddable_matrix(np.random.default_rng(40), 40).d2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for top in (1e-305, 1e-300) + self.NEAR_MAX:
+                scaled = top / d.max() * d
+                assert numkernel.inertia(scaled) == (1, 3, 36), top
+                assert verify_schur_relations(scaled, (0, 1)).satisfied, top
+                spheres = schur_embedding(scaled, N, (0, 1))
+                assert spheres[1] == Plane(1.0) and len(spheres) == 40, top
+
+    def test_schur_diameters_beyond_the_float_range(self):
+        """Where 1 / D[i, b] overflows, schur_embedding raises
+        RealizationError with no warning, while the report holds."""
+        from bench.inputs import N, embeddable_matrix
+
+        d = embeddable_matrix(np.random.default_rng(40), 40).d2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for top in (1e-308, 2.0**-1040):
+                scaled = top / d.max() * d
+                assert verify_schur_relations(scaled, (0, 1)).satisfied, top
+                with pytest.raises(RealizationError, match="^a diameter 1 / D"):
+                    schur_embedding(scaled, N, (0, 1))
 
     def test_construct_embedding_at_extreme_scales(self, rng):
         for scale in (1e-20, 1e-10, 1e10, 1e20):

@@ -126,9 +126,10 @@ class TestSymEigen:
 
     @pytest.mark.parametrize("m", [5, 20, 40])
     def test_overflowed_eigenvalues_are_nonconvergence(self, m):
-        """At max D = 1.7e308 the eigenvalues leave the float range and the
-        residual is not a number: that fails, silently, where a NaN once
-        passed and read as rank zero."""
+        """At max D = 1.7e308 the eigenvalues leave the float range and
+        sym_eigen's residual is not a number: that fails, silently, where a
+        NaN once passed and read as rank zero. inertia counts the matrix at
+        unit_scale, where they do not, and returns the counts of D / 4^j."""
         from bench.inputs import not_embeddable_matrix
 
         d = not_embeddable_matrix(np.random.default_rng(m), m).d2
@@ -139,9 +140,10 @@ class TestSymEigen:
         blocks[3, 4] = blocks[4, 3] = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for a in (1.7e308 / d.max() * d, blocks):
+            for a, counts in ((1.7e308 / d.max() * d, inertia(d)), (blocks, (1, 2, m - 3))):
                 with pytest.raises(NonConvergenceError, match="^reconstruction residual"):
-                    inertia(a)
+                    sym_eigen(a)
+                assert inertia(a) == counts
 
     def test_rejects_asymmetric_at_small_scale(self):
         with pytest.raises(ValueError, match="symmetric"):
