@@ -52,7 +52,6 @@ from .lightcone import (
     from_lightcone,
     is_lorentz,
     lorentz_align,
-    lorentz_inverse,
     minkowski_inner,
     to_lightcone,
     to_lightcone_curved,

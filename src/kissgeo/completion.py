@@ -17,10 +17,9 @@ import heapq
 import math
 import numbers
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -47,7 +46,7 @@ class LengthGraph:
     """Undirected graph with nonnegative edge lengths; edges are normalized to
     (u, v, length) with u < v and sorted. The vertex count and the endpoints
     must be integers (numkernel.is_integer), and each length a finite real
-    number (numbers.Real) other than a bool."""
+    number (numbers.Real) other than a bool, whose square is finite."""
 
     vertex_count: int
     edges: tuple[tuple[int, int, float], ...]
@@ -71,11 +70,14 @@ class LengthGraph:
             # Compared before conversion, so that an integer beyond the float range is refused.
             if not 0.0 <= length <= sys.float_info.max:
                 raise ValueError("edge lengths must be finite and nonnegative")
-            key = (min(u, v), max(u, v))
+            key, length = (min(u, v), max(u, v)), float(length)
             if key in seen:
                 raise ValueError(f"duplicate edge {key}")
+            # A Python float product overflows to inf, silently.
+            if length * length == math.inf:
+                raise ValueError(f"edge {key}: squared length beyond the float range")
             seen.add(key)
-            normalized.append((key[0], key[1], float(length)))
+            normalized.append((key[0], key[1], length))
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
 
     @cached_property
@@ -157,24 +159,26 @@ def mcs_order(graph: LengthGraph) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _shortest_path(adjacency, start: int, goal: int, blocked: set[int]) -> list[int] | None:
-    parents = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in sorted(adjacency[v]):
-                if w in blocked or w in parents:
-                    continue
-                parents[w] = v
-                if w == goal:
-                    path = [w]
-                    while parents[path[-1]] is not None:
-                        path.append(parents[path[-1]])
-                    return path[::-1]
-                nxt.append(w)
-        frontier = nxt
-    return None
+def _breadth_first(neighbors, start: int, blocked=frozenset()) -> dict:
+    """Each node reached from start, avoiding blocked, mapped to its parent and
+    the label of the edge that reached it ((None, None) for start), in visiting
+    order; neighbors[v] lists v's (node, label) pairs in the order visited."""
+    reached = {start: (None, None)}
+    order = [start]
+    for node in order:
+        for child, label in neighbors[node]:
+            if child not in reached and child not in blocked:
+                reached[child] = (node, label)
+                order.append(child)
+    return reached
+
+
+def _path(reached: dict, node: int) -> list[int]:
+    """The path from the search's start to node."""
+    path = [node]
+    while reached[path[-1]][0] is not None:
+        path.append(reached[path[-1]][0])
+    return path[::-1]
 
 
 def _chordless_cycle(graph: LengthGraph) -> tuple[int, ...]:
@@ -186,14 +190,14 @@ def _chordless_cycle(graph: LengthGraph) -> tuple[int, ...]:
     (see is_chordal).
     """
     adjacency = graph.adjacency
+    unlabeled = [[(w, None) for w in sorted(a)] for a in adjacency]
     for v in range(graph.vertex_count):
         for u, w in combinations(sorted(adjacency[v]), 2):
             if w in adjacency[u]:
                 continue
-            blocked = ({v} | set(adjacency[v])) - {u, w}
-            path = _shortest_path(adjacency, u, w, blocked)
-            if path is not None:
-                return (v, *path)
+            reached = _breadth_first(unlabeled, u, ({v} | adjacency[v]) - {u, w})
+            if w in reached:
+                return (v, *_path(reached, w))
 
 
 def is_chordal(graph: LengthGraph) -> Chordality:
@@ -371,23 +375,9 @@ def verify_target_matrix(matrix, graph: LengthGraph, n: int) -> TargetReport:
 def _center(neighbors) -> int:
     """A center of a tree given by its adjacency lists of (node, label): the
     middle node of a longest path, whose ends two breadth-first passes find."""
-
-    def farthest(start: int) -> tuple[int, dict[int, int | None]]:
-        parents: dict[int, int | None] = {start: None}
-        queue = deque([start])
-        while queue:
-            last = queue.popleft()
-            for node, _ in neighbors[last]:
-                if node not in parents:
-                    parents[node] = last
-                    queue.append(node)
-        return last, parents
-
-    end, parents = farthest(farthest(0)[0])
-    path = [end]
-    while parents[path[-1]] is not None:
-        path.append(parents[path[-1]])
-    return path[len(path) // 2]
+    reached = _breadth_first(neighbors, list(_breadth_first(neighbors, 0))[-1])
+    path = _path(reached, list(reached)[-1])
+    return path[(len(path) - 1) // 2]
 
 
 def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
@@ -401,7 +391,8 @@ def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
     separator, inherits its parent's map. A refused alignment makes the graph
     Infeasible with the alignment's reason. The verified matrix is the
     distance_matrix of the placed vectors' spheres, unpatched; a placed
-    vector off the future cone makes the graph Infeasible, naming its vertex.
+    vector off the future cone makes the graph Infeasible, naming its vertex,
+    and so does a completed distance beyond the float range, naming its pair.
     """
     n = numkernel.dimension(n)
     chordality = is_chordal(graph)
@@ -416,6 +407,7 @@ def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
             return CompletionResult(INFEASIBLE, witness=check)
         own.append(dict(zip(clique, to_lightcone(spheres, n))))
 
+    # The tree's edges are sorted, so each list is in ascending node order.
     neighbors: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in cliques]
     for i, j, separator in chordality.tree.edges:
         neighbors[i].append((j, separator))
@@ -423,34 +415,31 @@ def complete_chordal(graph: LengthGraph, n: int) -> CompletionResult:
 
     root = _center(neighbors)
     placed = dict(own[root])
-    # Transports double as the visited set.
     transports = {root: np.eye(n + 1)}
-    queue = deque([root])
-    while queue:
-        parent = queue.popleft()
-        for child, separator in sorted(neighbors[parent]):
-            if child in transports:
-                continue
-            transport = transports[parent]
-            if separator:
-                try:
-                    transport = transport @ lorentz_align(
-                        np.stack([own[child][v] for v in separator]),
-                        np.stack([own[parent][v] for v in separator]))
-                except AlignmentError as exc:
-                    return CompletionResult(INFEASIBLE, witness=f"gluing of clique {cliques[child]}"
-                                            f" onto separator {separator} failed: {exc}")
-            transports[child] = transport
-            queue.append(child)
-            for vertex in cliques[child]:
-                if vertex not in placed:
-                    placed[vertex] = transport @ own[child][vertex]
+    for child, (parent, separator) in islice(_breadth_first(neighbors, root).items(), 1, None):
+        transport = transports[parent]
+        if separator:
+            try:
+                transport = transport @ lorentz_align(
+                    np.stack([own[child][v] for v in separator]),
+                    np.stack([own[parent][v] for v in separator]))
+            except AlignmentError as exc:
+                return CompletionResult(INFEASIBLE, witness=f"gluing of clique {cliques[child]}"
+                                        f" onto separator {separator} failed: {exc}")
+        transports[child] = transport
+        for vertex in cliques[child]:
+            if vertex not in placed:
+                placed[vertex] = transport @ own[child][vertex]
 
     vectors = np.stack([placed[v] for v in range(graph.vertex_count)])
     try:
         full = distance_matrix(from_lightcone(vectors))
     except InverseMapError as exc:
         return CompletionResult(INFEASIBLE, witness=f"placed vector of vertex {exc.row}: {exc}")
+    beyond = np.argwhere(np.isinf(full))
+    if beyond.size:
+        pair = tuple(beyond[0].tolist())
+        return CompletionResult(INFEASIBLE, witness=f"completed distance {pair} is beyond the float range")
     report = verify_target_matrix(full, graph, n)
     if not report.satisfied:
         return CompletionResult(INFEASIBLE, witness="target verification failed: "

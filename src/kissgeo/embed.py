@@ -127,16 +127,6 @@ def cayley_menger(matrix) -> np.ndarray:
     return _border(validate_squared_distances(matrix), 1.0)
 
 
-def _data_border(d: np.ndarray, top: float) -> np.ndarray:
-    """The Cayley-Menger matrix with its border scaled to top = max D (1 if zero).
-
-    It is congruent to cayley_menger(d) through diag(1, ..., 1, max D), so by
-    Sylvester's law it has the same inertia and rank, while every entry scales
-    with the data.
-    """
-    return _border(d, top or 1.0)
-
-
 def _inertia_certificate(found: Inertia, max_negative: int, method: str, exact: bool = True,
                          exactly_one: bool = True) -> Certificate:
     """The certificate for found under signature_violation(found, max_negative,
@@ -199,7 +189,8 @@ def _minors_certificate(d: np.ndarray, top: float, rank_bound: int, bordered: bo
                 return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, own))
             exponent = degree * (math.frexp(unit)[1] - 1)
             return Certificate(NOT_EMBEDDABLE, "minors", MinorWitness(subset, signed, exponent))
-    rank = numkernel.inertia(_data_border(scaled, top) if bordered else scaled).rank
+    # Bordered at the data's own scale (see check_euclidean).
+    rank = numkernel.inertia(_border(scaled, top or 1.0) if bordered else scaled).rank
     if rank > rank_bound:
         return Certificate(NOT_EMBEDDABLE, "minors", RankWitness(rank, rank_bound))
     return Certificate(EMBEDDABLE, "minors")
@@ -236,7 +227,10 @@ def check_euclidean(matrix, n: int, method: str = "inertia") -> Certificate:
     d, top = _validated(matrix)
     n = numkernel.dimension(n)
     if method == "inertia":
-        return _spectrum_certificate(_data_border(d, top), top, n + 1, method)
+        # The border at top = max D (1 if zero) is congruent to cayley_menger(d)
+        # through diag(1, ..., 1, max D), so by Sylvester's law it has the same
+        # inertia and rank, while every entry scales with the data.
+        return _spectrum_certificate(_border(d, top or 1.0), top, n + 1, method)
     if method != "minors":
         raise ValueError(f"unknown method {method!r}")
     return _minors_certificate(d, top, n + 2, bordered=True)
@@ -372,8 +366,8 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     d, top = _validated(matrix)
     n = numkernel.dimension(n)
     m = d.shape[0]
-    # Row by row: a nonzero row, almost always the first, ends the test early.
-    if not any(row.any() for row in d):
+    # After _validated, max D is zero exactly when every entry is +0.0.
+    if top == 0.0:
         origin = (0.0,) * (n - 1)
         return [Sphere(tangent=origin, diameter=float(i + 1)) for i in range(m)]
     unit, j = numkernel.unit_scale(d, top)

@@ -69,13 +69,20 @@ def _fill_rows(out: np.ndarray, rows: list, row_message, entry_message) -> np.nd
     return out
 
 
+def _header(obj, what: str, least: int, key: str) -> tuple[int, list]:
+    """The "n" and the list under key of a document that must be an object
+    (what names it), with "n" an integer >= least and the list nonempty."""
+    _require(isinstance(obj, dict), f"{what} must be a JSON object")
+    n = obj.get("n")
+    _require(is_integer(n) and n >= least, f'"n" must be an integer >= {least}')
+    raw = obj.get(key)
+    _require(isinstance(raw, list) and raw, f'"{key}" must be a nonempty list')
+    return n, raw
+
+
 def load_sphere_set(obj) -> tuple[int, list[KissingSphere]]:
     """{"n": int >= 2, "spheres": [{"t": [...], "phi": real} | {"h": real}, ...]}"""
-    _require(isinstance(obj, dict), "sphere set must be a JSON object")
-    n = obj.get("n")
-    _require(is_integer(n) and n >= 2, '"n" must be an integer >= 2')
-    raw = obj.get("spheres")
-    _require(isinstance(raw, list) and raw, '"spheres" must be a nonempty list')
+    n, raw = _header(obj, "sphere set", 2, "spheres")
     spheres: list[KissingSphere] = []
     for i, item in enumerate(raw):
         _require(isinstance(item, dict), f"sphere {i} must be an object")
@@ -106,12 +113,6 @@ def dump_sphere_set(n: int, spheres: Sequence[KissingSphere]) -> dict:
     return {"n": n, "spheres": items}
 
 
-def _load_square(rows, what: str) -> np.ndarray:
-    _require(isinstance(rows, list) and rows, f'"{what}" must be a nonempty list of rows')
-    return _fill_rows(np.zeros((len(rows), len(rows))), rows, lambda i: f'"{what}" must be square',
-                      lambda i, j: f'"{what}"[{i}][{j}] must be a finite number')
-
-
 def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarray]:
     """{"labels": [...] optional, "d2": [[...]], "diag": -1 marker for separations}.
 
@@ -122,7 +123,10 @@ def load_matrix(obj, diagonal: float = 0.0) -> tuple[list[str] | None, np.ndarra
     exactly symmetric (d2 + d2^T) / 2 is returned.
     """
     _require(isinstance(obj, dict), "matrix input must be a JSON object")
-    matrix = _load_square(obj.get("d2"), "d2")
+    rows = obj.get("d2")
+    _require(isinstance(rows, list) and rows, '"d2" must be a nonempty list of rows')
+    matrix = _fill_rows(np.zeros((len(rows), len(rows))), rows, lambda i: '"d2" must be square',
+                        lambda i, j: f'"d2"[{i}][{j}] must be a finite number')
     labels = obj.get("labels")
     if labels is not None:
         _require(isinstance(labels, list) and all(isinstance(x, str) for x in labels),
@@ -165,12 +169,8 @@ def dump_graph(graph: LengthGraph) -> dict:
 
 
 def load_vectors(obj) -> tuple[int, np.ndarray]:
-    """{"n": int, "vectors": [[n+1 coordinates], ...]}"""
-    _require(isinstance(obj, dict), "vector input must be a JSON object")
-    n = obj.get("n")
-    _require(is_integer(n) and n >= 1, '"n" must be a positive integer')
-    raw = obj.get("vectors")
-    _require(isinstance(raw, list) and raw, '"vectors" must be a nonempty list')
+    """{"n": int >= 1, "vectors": [[n+1 coordinates], ...]}"""
+    n, raw = _header(obj, "vector input", 1, "vectors")
     return n, _fill_rows(np.zeros((len(raw), n + 1)), raw,
                          lambda i: f"vector {i} must list {n + 1} coordinates",
                          lambda i, j: f"vector coordinate [{i}][{j}] must be a finite number")
@@ -181,12 +181,8 @@ def dump_vectors(n: int, vectors) -> dict:
 
 
 def load_euclidean_spheres(obj) -> tuple[int, list[EuclideanSphere]]:
-    """{"n": int, "spheres": [{"c": [...], "r": real}, ...]}"""
-    _require(isinstance(obj, dict), "sphere input must be a JSON object")
-    n = obj.get("n")
-    _require(is_integer(n) and n >= 1, '"n" must be a positive integer')
-    raw = obj.get("spheres")
-    _require(isinstance(raw, list) and raw, '"spheres" must be a nonempty list')
+    """{"n": int >= 1, "spheres": [{"c": [...], "r": real}, ...]}"""
+    n, raw = _header(obj, "sphere input", 1, "spheres")
     spheres = []
     for i, item in enumerate(raw):
         _require(isinstance(item, dict) and {"c", "r"} <= set(item),

@@ -14,7 +14,6 @@ role of the boundary-preserving conformal maps.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -42,10 +41,6 @@ def minkowski_inner(x, y) -> float:
     if vx.size != vy.size:
         raise ValueError("dimension mismatch")
     return float(vx[:-1] @ vy[:-1] - vx[-1] * vy[-1])
-
-
-def is_future(x) -> bool:
-    return float(_as_vector(x)[-1]) > 0.0
 
 
 def to_lightcone(p: KissingSphere | Sequence[KissingSphere], n: int | None = None) -> np.ndarray:
@@ -180,8 +175,8 @@ def to_lightcone_curved(direction, diameter: float, kappa: float) -> np.ndarray:
 
     The diameter is signed (negative when the sphere surrounds the reference
     ball) and may be infinite, in which case the coefficient reduces to
-    sqrt(2)/2. The locus kappa * diameter == -2 collapses to the zero vector;
-    it is flagged with a warning rather than assigned a meaning.
+    sqrt(2)/2. The locus kappa * diameter == -2, where the image collapses
+    to the zero vector, raises ValueError.
     """
     if kappa == 0.0:
         raise ValueError("zero curvature: use to_lightcone")
@@ -199,32 +194,30 @@ def to_lightcone_curved(direction, diameter: float, kappa: float) -> np.ndarray:
     else:
         coeff = SQRT2 / 2.0 + SQRT2 / (kappa * diameter)
     if abs(coeff) <= 1e-12:
-        warnings.warn(
-            "degenerate curved image: curvature * diameter == -2 collapses to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        raise ValueError("degenerate curved image: curvature * diameter == -2 collapses to zero")
     return coeff * np.append(u, 1.0)
 
 
-def lorentz_inverse(transform) -> np.ndarray:
-    mat = np.asarray(transform, dtype=float)
-    eta = signature_form(mat.shape[0])
-    return eta @ mat.T @ eta
+def _form_drift(transform: np.ndarray, eta: np.ndarray) -> tuple[float, float]:
+    """The form drift max|T^T eta T - eta| and the scale max(1, max|T|^2) it
+    is held to: rounding in T^T eta T alone is about max|T|^2 times the
+    machine epsilon. Both are formed with floating-point errors ignored, so
+    either may be inf, or the drift NaN, where T's entries pass about 1.3e154."""
+    top = float(np.abs(transform).max())
+    with np.errstate(all="ignore"):
+        return float(np.abs(transform.T @ eta @ transform - eta).max()), max(1.0, top * top)
 
 
 def is_lorentz(transform) -> bool:
-    """True when the map is finite and preserves the signature form and the direction of time."""
+    """True when the map preserves the signature form and the direction of
+    time: its form drift is at most RESIDUAL times its scale (_form_drift),
+    which must be finite, as the form cannot be checked where max|T|^2
+    overflows. An infinite entry makes the scale infinite, a NaN the drift."""
     mat = np.asarray(transform, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
         return False
-    if not np.isfinite(mat).all():
-        return False
-    eta = signature_form(mat.shape[0])
-    scale = max(1.0, float(np.abs(mat).max()) ** 2)
-    if float(np.abs(mat.T @ eta @ mat - eta).max()) > RESIDUAL * scale:
-        return False
-    return bool(mat[-1, -1] > 0.0)
+    drift, scale = _form_drift(mat, signature_form(mat.shape[0]))
+    return bool(drift <= RESIDUAL * scale < math.inf and mat[-1, -1] > 0.0)
 
 
 def _null_partner(v: np.ndarray) -> np.ndarray:
@@ -275,11 +268,9 @@ def _witt_map(x: np.ndarray, y: np.ndarray, gram: np.ndarray, eta: np.ndarray) -
 
     identity = np.eye(len(eta))
     for _ in range(3):
-        drift = transform.T @ eta @ transform - eta
-        # Relative to max|T|^2, the scale is_lorentz tests at: rounding in
-        # T^T eta T alone is about max|T|^2 times the machine epsilon.
-        size = max(1.0, float(np.abs(transform).max()) ** 2)
-        if float(np.abs(drift).max()) <= RESIDUAL * 1e-3 * size:
+        drift, scale = _form_drift(transform, eta)
+        # A NaN drift or an infinite scale stops too: is_lorentz refuses such a map.
+        if not drift > RESIDUAL * 1e-3 * scale:
             break
         transform = transform @ (1.5 * identity - 0.5 * (eta @ transform.T @ eta @ transform))
     return transform

@@ -123,6 +123,14 @@ class TestIsChordal:
         assert not result.chordal
         assert_is_chordless_cycle(g, result.cycle)
 
+    def test_first_chordless_cycle_of_the_scan(self):
+        # Chordless cycles (0, 1, 3, 7), (0, 1, 5, 7), (1, 3, 7, 5) and
+        # (0, 1, 2, 6, 7), among others: the scan takes vertex 0's first pair,
+        # and the breadth-first search from 1 visits neighbours in ascending order.
+        pairs = ((0, 1), (0, 7), (1, 2), (1, 3), (1, 5), (2, 6), (3, 7), (5, 7), (6, 7))
+        g = LengthGraph(8, tuple((u, v, 1.0) for u, v in pairs))
+        assert is_chordal(g).cycle == (0, 1, 3, 7)
+
     def test_exhaustive_small_graphs_against_cycle_search(self):
         # Oracle: a graph is chordal iff no chordless cycle of length >= 4
         # exists, checked by brute-force cycle enumeration on 5 vertices.
@@ -825,6 +833,35 @@ class TestEdgesAtTheDataScale:
         values = values[np.abs(values) > 1e-9 * np.abs(values).max()]
         assert (values > 0).sum() == 1
         assert values.size <= 4
+
+
+class TestNearTheFloatMaximum:
+    @staticmethod
+    def benchmark_graph(seed, factor=None, top=None):
+        """bench.inputs.chordal_graph(default_rng(seed), 60), every length times
+        factor, or scaled so that the largest length is top."""
+        from bench.inputs import chordal_graph
+
+        instance = chordal_graph(np.random.default_rng(seed), 60)
+        factor = factor if top is None else top / float(instance.edges[:, 2].max())
+        return scaled_lengths(relabelled(instance), factor)
+
+    def test_a_squared_length_beyond_the_float_range_is_refused(self):
+        assert LengthGraph(2, ((0, 1, 1.3e154),)).length(0, 1) == 1.3e154
+        with pytest.raises(ValueError, match=r"^edge \(0, 1\): squared length beyond the float range$"):
+            LengthGraph(2, ((0, 1, 1.4e154),))
+        with pytest.raises(ValueError, match=r"^edge \(23, 34\): squared length beyond the float range$"):
+            self.benchmark_graph(3, factor=1e153)
+
+    def test_a_completed_distance_beyond_the_float_range_is_infeasible(self):
+        # Every square is finite, but a distance between two vertices that
+        # share no edge is not.
+        graph = self.benchmark_graph(7, top=1.3e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = complete_chordal(graph, 3)
+        assert result.verdict == INFEASIBLE
+        assert result.witness == "completed distance (0, 26) is beyond the float range"
 
 
 class TestReadOffTheSpheres:
