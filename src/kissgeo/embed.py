@@ -169,11 +169,10 @@ def _minors_certificate(d: np.ndarray, top: float, rank_bound: int, bordered: bo
     in D: |J|, or |J| - 1 when bordered. The first violation is reported
     with its signed minor (-1)^|J| det M_J; a single point's D_J is [0] and
     never violates. Then the rank of D, or of D bordered at its own scale,
-    must be at most rank_bound. As in verify_schur_relations, all tests run
-    on D divided exactly by 2^e, the power of two below top = max D, so no
-    power of max D leaves the float range. The minor is reported at the data's own
-    scale, or for D / 2^e, with e times its degree, where that is not finite
-    and nonzero.
+    must be at most rank_bound. All tests run on D divided exactly by 2^e,
+    the power of two below top = max D, so no power of max D leaves the
+    float range. The minor is reported at the data's own scale, or for
+    D / 2^e, with e times its degree, where that is not finite and nonzero.
     """
     unit = numkernel.power_of_two_below(top)
     scaled = d / unit

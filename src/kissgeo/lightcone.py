@@ -99,24 +99,26 @@ def _self_dots(rows: np.ndarray) -> np.ndarray:
     return (rows[:, None, :] @ rows[:, :, None]).reshape(-1)
 
 
-def _first_refused(v: np.ndarray) -> tuple[int, str | None]:
-    """The first row of a C-ordered stack that is zero, off the cone at its own
-    scale (|x_s . x_s - t^2| > RESIDUAL * max|row|^2) or not future (t <= 0),
-    with the reason; (len(v), None) when there is none. The null test reads
-    each row divided exactly by the power of two below its largest entry, so
-    that no square overflows or underflows."""
-    t = v[:, -1]
-    top = np.abs(v).max(axis=1)
+def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stack with each row divided exactly by the power of two below its
+    largest entry, and those powers: at that scale no square overflows or underflows."""
+    unit = np.ldexp(1.0, np.frexp(np.abs(v).max(axis=1))[1] - 1)
+    return v / unit[:, None], unit
+
+
+def _first_refused(u: np.ndarray) -> tuple[int, str | None]:
+    """The first row of a C-ordered stack from _unit_rows that is zero, off
+    the cone (|x_s . x_s - t^2| > RESIDUAL * max|row|^2) or not future
+    (t <= 0), with the reason; (len(u), None) when there is none."""
+    t = u[:, -1]
+    top = np.abs(u).max(axis=1)
     zero = top == 0.0
-    unit = np.ldexp(1.0, np.frexp(top)[1] - 1)
-    u, top_u = v / unit[:, None], top / unit
-    t_u = u[:, -1]
     # Non-finite rows give NaN here and are refused when their spheres are built.
     with np.errstate(invalid="ignore"):
-        off_cone = np.abs(_self_dots(u[:, :-1]) - t_u * t_u) > RESIDUAL * top_u * top_u
+        off_cone = np.abs(_self_dots(u[:, :-1]) - t * t) > RESIDUAL * top * top
     refused = zero | off_cone | (t <= 0.0)
     if not refused.any():
-        return len(v), None
+        return len(u), None
     i = int(np.argmax(refused))
     if zero[i]:
         return i, "the zero vector is not on the future lightcone"
@@ -130,16 +132,18 @@ def from_lightcone(x) -> KissingSphere | list[KissingSphere]:
 
     x is one vector, giving one sphere, or an (m, n+1) stack of them, giving
     a list of m spheres; each row is read by the same rule, in whole-array
-    operations. With mid the middle coordinates, the sphere has diameter
-    sqrt(2)/w and tangent point mid/w, where w = x_0 + t. For x_0 < 0 that
-    sum cancels, so w is read from the null relation instead,
-    w = |mid|^2 / (t - x_0); the two agree on the cone and neither cancels
-    on its own side. The vector is the hyperplane at height sqrt(2) * t
-    only when w is zero, which is exactly the image to_lightcone gives a
-    Plane, or when sqrt(2)/w overflows. The null test is relative to the
-    vector's own scale. A refusal raises InverseMapError for the first row
-    refused, as a loop over the rows would. The stack is read in C order, so
-    that a vector maps bit for bit alike in every memory layout.
+    operations, on the copy that the null test reads: the row divided
+    exactly by 2^e, the power of two below its largest entry. With mid the
+    middle coordinates, the sphere has diameter sqrt(2)/w/2^e and tangent
+    point mid/w, where w = x_0 + t. For x_0 < 0 that sum cancels, so w is
+    read from the null relation, w = |mid|^2 / (t - x_0); the two agree on
+    the cone and neither cancels on its own side. The vector is the
+    hyperplane at height sqrt(2) * t only when w is zero, as to_lightcone
+    gives a Plane, or when the diameter overflows. So x * 2^k maps to x's
+    spheres, diameters times 2^-k and heights times 2^k, bit for bit where
+    those are normal. A refusal raises InverseMapError for the first row
+    refused, as a loop over the rows would. The stack is read in C order,
+    so that a vector maps bit for bit alike in every memory layout.
     """
     v = np.asarray(x, dtype=float)
     single = v.ndim == 1
@@ -148,13 +152,14 @@ def from_lightcone(x) -> KissingSphere | list[KissingSphere]:
     elif v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("expected a Minkowski vector or an (m, n+1) stack of them, n >= 1")
     v = np.ascontiguousarray(v)
-    stop, reason = _first_refused(v)
-    x0, mid, t = v[:, 0], v[:, 1:-1], v[:, -1]
+    u, unit = _unit_rows(v)
+    stop, reason = _first_refused(u)
+    x0, mid, t = u[:, 0], u[:, 1:-1], u[:, -1]
     with np.errstate(all="ignore"):
         w = np.where(x0 >= 0.0, x0 + t, _self_dots(mid) / (t - x0))
-        diameter = SQRT2 / w
+        diameter = SQRT2 / w / unit
         tangent = mid / w[:, None]
-        height = SQRT2 * t
+        height = SQRT2 * v[:, -1]
     plane = (w == 0.0) | np.isinf(diameter)
     planes, heights = plane.tolist(), height.tolist()
     points, diameters = tangent.tolist(), diameter.tolist()
@@ -302,7 +307,7 @@ def lorentz_align(source, target) -> np.ndarray:
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("vectors must be finite")
     for rows, label in ((x, "source"), (y, "target")):
-        i, reason = _first_refused(rows)
+        i, reason = _first_refused(_unit_rows(rows)[0])
         if reason is not None:
             raise AlignmentError(f"{label} vector {i}: {reason}")
     eta = signature_form(dim)

@@ -164,8 +164,8 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     as a read-only view of the input, or of its transpose if
     Fortran-ordered, with no full-size allocation; only a non-contiguous
     one is copied, to C order. Any other matrix takes a second tiled pass,
-    which writes (a + a^T) / 2, bit for bit wherever a + a^T is finite and
-    as a / 2 + a^T / 2 where it overflows, into a new read-only array and
+    which writes a / 2 + a^T / 2 (finite for finite entries, and (a + a^T) / 2
+    bit for bit unless a half is subnormal) into a new read-only array and
     gathers the extent of that. Only that array owns its data
     (flags.owndata), so a caller may correct it in place.
     """
@@ -208,17 +208,12 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
     else:
         out = np.empty((m, m))
         high, low = -math.inf, math.inf
-        for rows, cols, half, _ in tile_pairs(m):
+        for rows, cols, half, mirror in tile_pairs(m):
             # Both copies are written from the work tile: a mirror written
             # from out itself would first be copied by numpy.
-            with np.errstate(over="ignore"):
-                np.add(a[rows, cols], a[cols, rows].T, out=half)
-            half /= 2.0
+            np.divide(a[rows, cols], 2.0, out=half)
+            half += np.divide(a[cols, rows].T, 2.0, out=mirror)
             top, bottom = _extent(half)
-            if math.isinf(top) or math.isinf(bottom):  # finite entries whose sum overflowed
-                wide = np.isinf(half)
-                half[wide] = a[rows, cols][wide] / 2.0 + a[cols, rows].T[wide] / 2.0
-                top, bottom = _extent(half)
             out[rows, cols] = half
             if cols.start > rows.start:
                 out[cols, rows] = half.T

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gen import coincident_sphere_set, random_plane, random_sphere, random_sphere_set
@@ -236,24 +236,24 @@ class TestFromLightcone:
 
 def reference_from_lightcone(x):
     """The per-vector rule as scalar code: from_lightcone before it took
-    stacks, reading the vector in C order, with the null test at the row's
-    own scale."""
+    stacks, reading the vector in C order, divided exactly by the power of
+    two below its largest entry, for the null test and the map alike."""
     v = np.ascontiguousarray(x, dtype=float)
     top = float(np.abs(v).max())
     if top == 0.0:
         raise ValueError("the zero vector is not on the future lightcone")
-    # The null test on the row divided exactly by the power of two below top.
-    u = v / power_of_two_below(top)
+    unit = power_of_two_below(top)
+    u = v / unit
     top_u = float(np.abs(u).max())
     if abs(minkowski_inner(u, u)) > RESIDUAL * top_u * top_u:
         raise ValueError("vector is not null to tolerance")
-    x0, t, mid = float(v[0]), float(v[-1]), v[1:-1]
+    x0, t, mid = float(u[0]), float(u[-1]), u[1:-1]
     if t <= 0.0:
         raise ValueError("vector is not future-directed")
     w = x0 + t if x0 >= 0.0 else float(mid @ mid) / (t - x0)
-    if w == 0.0 or math.isinf(SQRT2 / w):
-        return Plane(height=SQRT2 * t)
-    return Sphere(tangent=tuple(mid / w), diameter=SQRT2 / w)
+    if w == 0.0 or math.isinf(SQRT2 / w / unit):
+        return Plane(height=SQRT2 * float(v[-1]))
+    return Sphere(tangent=tuple(mid / w), diameter=SQRT2 / w / unit)
 
 
 def bits(p):
@@ -366,12 +366,25 @@ class TestFromLightconeStack:
         assert (err.value.row, str(err.value)) == (0, reason)
 
     def test_unrepresentable_sphere_names_its_row(self):
-        # Null and future, but |mid|^2 overflows, so w is infinite and the
-        # diameter sqrt(2)/w is zero.
-        stack = np.array([[SQRT2 / 2, 0.0, SQRT2 / 2], [-1e300, 1e300, SQRT2 * 1e300]])
-        with pytest.raises(InverseMapError, match="diameter") as err:
-            from_lightcone(stack)
+        # Null and future, and |mid|^2 overflows unscaled; at the row's own
+        # scale it is the sphere at 1 + sqrt(2) of diameter (2 + sqrt(2)) 1e-300.
+        good = [SQRT2 / 2, 0.0, SQRT2 / 2]
+        small = from_lightcone(np.array([good, [-1e300, 1e300, SQRT2 * 1e300]]))[1]
+        assert small.tangent == pytest.approx((1.0 + SQRT2,), rel=1e-15)
+        assert small.diameter == pytest.approx((2.0 + SQRT2) * 1e-300, rel=1e-15)
+        # A hyperplane whose height sqrt(2) * 1.5e308 overflows is no sphere at all.
+        with pytest.raises(InverseMapError, match="^height must be a positive finite real$") as err:
+            from_lightcone(np.array([good, [-1.5e308, 0.0, 1.5e308]]))
         assert err.value.row == 1
+
+    def test_vectors_whose_squares_overflow(self):
+        # Entries near 1.3e154: |mid|^2 read unscaled would overflow.
+        x = to_lightcone(Sphere((3.0, 1.0), 0.5))
+        assert bits(from_lightcone(x)) == bits(Sphere((3.0, 1.0), 0.5))
+        want = Sphere((3.0, 1.0), 0.5 * 2.0**-512)
+        assert bits(from_lightcone(2.0**512 * x)) == bits(want)
+        stack = from_lightcone(np.stack([x, 2.0**512 * x]))
+        assert [bits(p) for p in stack] == [bits(Sphere((3.0, 1.0), 0.5)), bits(want)]
 
     def test_shapes(self):
         assert from_lightcone(np.zeros((0, 3))) == []
@@ -379,6 +392,45 @@ class TestFromLightconeStack:
         for bad in ([1.0], [[1.0], [2.0]], np.zeros((2, 2, 3)), 1.0):
             with pytest.raises(ValueError):
                 from_lightcone(bad)
+
+
+@st.composite
+def image_stacks(draw):
+    """to_lightcone stacks of 1 to 5 spheres and planes, n = 2 to 4, with
+    tangent coordinates of magnitude 1e-3 to 1e3 and sizes e^-5 to e^5."""
+    n = draw(st.integers(2, 4))
+    sizes = st.floats(min_value=-5.0, max_value=5.0).map(math.exp)
+    coords = st.tuples(st.floats(min_value=-1.0, max_value=1.0),
+                       st.floats(min_value=-3.0, max_value=3.0)).map(lambda f: f[0] * 10.0 ** f[1])
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            items.append(Plane(draw(sizes)))
+        else:
+            tangent = draw(st.lists(coords, min_size=n - 1, max_size=n - 1))
+            items.append(Sphere(tuple(tangent), draw(sizes)))
+    return to_lightcone(items, n)
+
+
+class TestDilation:
+    """x * 2^k maps to the spheres of x with each diameter times 2^-k and
+    each height times 2^k, bit for bit, wherever those sizes are normal."""
+
+    @given(image_stacks(), st.integers(-1000, 1000))
+    @settings(max_examples=400)
+    def test_dilated_stack_maps_to_the_dilated_spheres(self, stack, k):
+        # The scaled stack is 2^k times the stack only where no entry overflows or loses bits.
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(stack, k)
+        assume(np.array_equal(np.ldexp(scaled, -k), stack))
+        base = from_lightcone(stack)
+        planes = [isinstance(p, Plane) for p in base]
+        sizes = np.ldexp([p.height if q else p.diameter for p, q in zip(base, planes)],
+                         np.where(planes, k, -k))
+        assume(np.all((sizes >= 2.0**-1022) & (sizes < math.inf)))
+        want = [Plane(z) if q else Sphere(p.tangent, z) for p, q, z in zip(base, planes, sizes.tolist())]
+        assert [bits(p) for p in from_lightcone(scaled)] == [bits(p) for p in want]
+        assert [bits(from_lightcone(row)) for row in scaled] == [bits(p) for p in want]
 
 
 @st.composite

@@ -772,17 +772,27 @@ class TestTiledPasses:
             assert np.shares_memory(out, given) and out.flags.c_contiguous and not out.flags.writeable
             assert out.tobytes() == zeros.tobytes()
             assert high == zeros.max() and low == 0.0 and math.copysign(1.0, low) == -1.0
-        # A near-maximum pair one ulp apart: the sum overflows, the mean does
-        # not. Opposite signs, the difference overflows and is refused.
+        # A near-maximum pair one ulp apart: the sum overflows, the mean of
+        # the halves does not. Opposite signs, the difference overflows and is refused.
         big = a.copy()
         big[at], big[at[::-1]] = 1.7e308, np.nextafter(1.7e308, 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, high, low = numkernel.symmetric_extent(big)
-            assert np.isfinite(out).all() and high == out[at] == out[at[::-1]] == 1.7e308
+            assert out.tobytes() == (big / 2.0 + big.T / 2.0).tobytes()
+            assert high == out[at] == out[at[::-1]] == 1.7e308
             big[at[::-1]] = -1.7e308
             with pytest.raises(ValueError, match="^matrix is not symmetric$"):
                 as_symmetric(big)
+        # A subnormal pair, 2^-1074 and 5 * 2^-1074: its halves round to 0
+        # and 2^-1073, so the mean is 2^-1073, where (a + a^T) / 2 is 3 * 2^-1074.
+        tiny = a.copy()
+        tiny[at], tiny[at[::-1]] = 2.0**-1074, 5 * 2.0**-1074
+        out, high, low = numkernel.symmetric_extent(tiny)
+        assert out[at] == out[at[::-1]] == 2.0**-1073
+        want = (tiny + tiny.T) / 2.0
+        want[at] = want[at[::-1]] = 2.0**-1073
+        assert out.tobytes() == want.tobytes() == (tiny / 2.0 + tiny.T / 2.0).tobytes()
         a[at] *= 2.0
         for given in (a, np.asfortranarray(a)):
             with pytest.raises(ValueError, match="^matrix is not symmetric$"):
