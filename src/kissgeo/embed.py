@@ -325,16 +325,9 @@ def _proves_round_trip(spheres: list[KissingSphere], x: np.ndarray, top: float) 
     return g <= ROUND_TRIP_RTOL / 2.0 and total <= ROUND_TRIP_RTOL * top
 
 
-def _dilated(spheres: list[KissingSphere], j: int) -> list[KissingSphere] | None:
-    """The spheres with squared distances 4^j times theirs, exactly: diameters
-    times 2^-j, heights times 2^j; None where one of these is not normal."""
-    planes = [isinstance(s, Plane) for s in spheres]
-    with np.errstate(over="ignore"):
-        sizes = np.ldexp([s.height if p else s.diameter for s, p in zip(spheres, planes)],
-                         np.where(planes, j, -j))
-    if not np.all((sizes >= 2.0**-1022) & (sizes < math.inf)):
-        return None
-    return [Plane(z) if p else Sphere(s.tangent, z) for s, p, z in zip(spheres, planes, sizes.tolist())]
+def _normal_sizes(spheres: list[KissingSphere]) -> bool:
+    """True when every diameter and height is a normal float."""
+    return all((s.height if isinstance(s, Plane) else s.diameter) >= 2.0**-1022 for s in spheres)
 
 
 def construct_embedding(matrix, n: int) -> list[KissingSphere]:
@@ -351,16 +344,17 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
     and held to the round trip at 1e-7 relative. All of this, and the
     O(m n) proof _proves_round_trip, resting on gram_factor_lorentz raising
     when its residual exceeds RESIDUAL * max|a|, runs on D / 4^j, D at
-    numkernel.unit_scale; the spheres are then dilated back (_dilated), so
-    the result for 4^k D is that for D with diameters times 2^-k and heights
-    times 2^k, wherever these are normal. Only where the proof does not
-    close or a dilated size is not normal (the spheres are then read from
-    the factor times 2^j) does the tile walk _reproduces hold them to D,
-    with no m x m array. A zero factor row, a factor row that is off the
-    future cone or not future-directed, or a failed round trip raise
-    RealizationError: the certificate passed, but the factor gives no
-    sphere set, as on the degenerate zero-distance patterns the signature
-    rule does not exclude.
+    numkernel.unit_scale; the spheres are then read from the factor times
+    2^j, which from_lightcone maps to their exact dilation wherever that
+    product is exact and the sizes are normal (_normal_sizes). So the result
+    for 4^k D is that for D with diameters times 2^-k and heights times 2^k,
+    wherever these are normal. Only where the proof does not close, that
+    product is not exact or a size is not normal does the tile walk
+    _reproduces hold them to D, with no m x m array. A zero factor row, a
+    factor row that is off the future cone or not future-directed, or a
+    failed round trip raise RealizationError: the certificate passed, but
+    the factor gives no sphere set, as on the degenerate zero-distance
+    patterns the signature rule does not exclude.
     """
     d, top = _validated(matrix)
     n = numkernel.dimension(n)
@@ -382,9 +376,10 @@ def construct_embedding(matrix, n: int) -> list[KissingSphere]:
         spheres = from_lightcone(vectors)
         proved = _proves_round_trip(spheres, vectors, math.ldexp(top, -2 * j))
         if j:
-            dilated = _dilated(spheres, j)
-            proved = proved and dilated is not None
-            spheres = dilated if dilated is not None else from_lightcone(np.ldexp(vectors, j))
+            scaled = np.ldexp(vectors, j)
+            proved = proved and _normal_sizes(spheres) and np.array_equal(np.ldexp(scaled, -j), vectors)
+            spheres = from_lightcone(scaled)
+            proved = proved and _normal_sizes(spheres)
     except InverseMapError as exc:
         raise RealizationError(f"factor row {exc.row} is not a future null vector: {exc}") from exc
     if not (proved or _reproduces(spheres, d, top)):

@@ -100,10 +100,11 @@ def _self_dots(rows: np.ndarray) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stack with each row divided exactly by the power of two below its
-    largest entry, and those powers: at that scale no square overflows or underflows."""
-    unit = np.ldexp(1.0, np.frexp(np.abs(v).max(axis=1))[1] - 1)
-    return v / unit[:, None], unit
+    """The stack with each row divided exactly by 2^e, the power of two below
+    its largest entry (e = -1 for a zero or empty row), and those e: no square
+    of the copy overflows, and only those negligible next to the largest underflow."""
+    e = np.frexp(np.abs(v).max(axis=1, initial=0.0))[1] - 1
+    return v / np.ldexp(1.0, e)[:, None], e
 
 
 def _first_refused(u: np.ndarray) -> tuple[int, str | None]:
@@ -132,13 +133,15 @@ def from_lightcone(x) -> KissingSphere | list[KissingSphere]:
 
     x is one vector, giving one sphere, or an (m, n+1) stack of them, giving
     a list of m spheres; each row is read by the same rule, in whole-array
-    operations, on the copy that the null test reads: the row divided
-    exactly by 2^e, the power of two below its largest entry. With mid the
-    middle coordinates, the sphere has diameter sqrt(2)/w/2^e and tangent
-    point mid/w, where w = x_0 + t. For x_0 < 0 that sum cancels, so w is
-    read from the null relation, w = |mid|^2 / (t - x_0); the two agree on
-    the cone and neither cancels on its own side. The vector is the
-    hyperplane at height sqrt(2) * t only when w is zero, as to_lightcone
+    operations. With mid the middle coordinates, the sphere has diameter
+    sqrt(2)/w and tangent point mid/w, where w = x_0 + t. For x_0 < 0 that
+    sum cancels, so w is read from the null relation, w = |mid|^2 / (t - x_0);
+    the two agree on the cone and neither cancels on its own side. x_0 and t
+    are read from the null test's copy (_unit_rows), and |mid|^2 from mid's
+    own, so w = w_r 2^p with w_r near one, and each size and coordinate is a
+    quotient of numbers near one scaled by one ldexp: nothing overflows, and
+    only squares far below the rounding of |mid|^2 underflow. The vector is
+    the hyperplane at height sqrt(2) * t when w is zero, as to_lightcone
     gives a Plane, or when the diameter overflows. So x * 2^k maps to x's
     spheres, diameters times 2^-k and heights times 2^k, bit for bit where
     those are normal. A refusal raises InverseMapError for the first row
@@ -152,17 +155,19 @@ def from_lightcone(x) -> KissingSphere | list[KissingSphere]:
     elif v.ndim != 2 or v.shape[1] < 2:
         raise ValueError("expected a Minkowski vector or an (m, n+1) stack of them, n >= 1")
     v = np.ascontiguousarray(v)
-    u, unit = _unit_rows(v)
+    u, e = _unit_rows(v)
     stop, reason = _first_refused(u)
-    x0, mid, t = u[:, 0], u[:, 1:-1], u[:, -1]
+    x0, t, mid = u[:, 0], u[:, -1], v[:, 1:-1]
+    mid_g, g = _unit_rows(mid)
+    p = np.where(x0 >= 0.0, 0, 2 * (g - e))  # the scaled row's w is w_r 2^p
+    frac, power = np.frexp(mid)
     with np.errstate(all="ignore"):
-        w = np.where(x0 >= 0.0, x0 + t, _self_dots(mid) / (t - x0))
-        diameter = SQRT2 / w / unit
-        tangent = mid / w[:, None]
+        w_r = np.where(x0 >= 0.0, x0 + t, _self_dots(mid_g) / (t - x0))
+        diameter = np.ldexp(SQRT2 / w_r, -p - e)
+        tangent = np.ldexp(frac / w_r[:, None], power - (e + p)[:, None])
         height = SQRT2 * v[:, -1]
-    plane = (w == 0.0) | np.isinf(diameter)
-    planes, heights = plane.tolist(), height.tolist()
-    points, diameters = tangent.tolist(), diameter.tolist()
+    planes = np.isinf(diameter).tolist()  # also where w_r is zero
+    heights, points, diameters = height.tolist(), tangent.tolist(), diameter.tolist()
     out: list[KissingSphere] = []
     for i in range(stop):
         try:

@@ -224,7 +224,7 @@ def symmetric_extent(matrix, rtol: float = 1e-8) -> tuple[np.ndarray, float, flo
 
 def as_symmetric(matrix) -> np.ndarray:
     """symmetric_extent's matrix at rtol 1e-8: a view of an exactly symmetric
-    input, else a new (a + a^T) / 2; the input is never written."""
+    input, else a new a / 2 + a^T / 2; the input is never written."""
     return symmetric_extent(matrix)[0]
 
 

@@ -575,14 +575,14 @@ class TestRoundTripProof:
         assert round_trip_close(distance_matrix(realized), d)
 
     def test_the_walk_decides_where_a_dilated_size_is_not_normal(self, monkeypatch):
-        """Where a dilated diameter or height would not be a normal float, the
-        spheres are read from the factor at D's own scale and walked."""
-        assert embed._dilated([Sphere((0.0,), 2.0**600)], -500) is None
-        assert embed._dilated([Sphere((0.0,), 1.0), Plane(2.0**-600)], -500) is None
-        assert embed._dilated([Sphere((0.0,), 1.0), Plane(2.0)], -500) == [
-            Sphere((0.0,), 2.0**500), Plane(2.0**-499)]
+        """Where a diameter or height, of the spheres at unit scale or of
+        those read from the factor times 2^j, is not a normal float, the
+        spheres are walked."""
+        assert not embed._normal_sizes([Sphere((0.0,), 2.0**-1023)])
+        assert not embed._normal_sizes([Sphere((0.0,), 1.0), Plane(2.0**-1030)])
+        assert embed._normal_sizes([Sphere((0.0,), 2.0**-1022), Plane(2.0)])
         d = 2.0**-900 * distance_matrix(TestRoundTripGuards.SPHERES)
-        monkeypatch.setattr(embed, "_dilated", lambda spheres, j: None)
+        monkeypatch.setattr(embed, "_normal_sizes", lambda spheres: False)
         walks = []
         real = embed._reproduces
         monkeypatch.setattr(embed, "_reproduces", lambda *args: walks.append(1) or real(*args))

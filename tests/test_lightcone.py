@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,24 +237,34 @@ class TestFromLightcone:
 
 def reference_from_lightcone(x):
     """The per-vector rule as scalar code: from_lightcone before it took
-    stacks, reading the vector in C order, divided exactly by the power of
-    two below its largest entry, for the null test and the map alike."""
+    stacks, reading the vector in C order. The null test reads the vector
+    divided exactly by 2^e, the power of two below its largest entry, and so
+    do x_0 and t in the map. There w = w_r 2^p, with |mid|^2 formed at mid's
+    own power of two 2^g when x_0 < 0, and each diameter and tangent
+    coordinate is one quotient of entries near one, scaled by one ldexp."""
     v = np.ascontiguousarray(x, dtype=float)
     top = float(np.abs(v).max())
     if top == 0.0:
         raise ValueError("the zero vector is not on the future lightcone")
-    unit = power_of_two_below(top)
-    u = v / unit
+    e = math.frexp(top)[1] - 1
+    u = v / math.ldexp(1.0, e)
     top_u = float(np.abs(u).max())
     if abs(minkowski_inner(u, u)) > RESIDUAL * top_u * top_u:
         raise ValueError("vector is not null to tolerance")
-    x0, t, mid = float(u[0]), float(u[-1]), u[1:-1]
+    x0, t, mid = float(u[0]), float(u[-1]), v[1:-1]
     if t <= 0.0:
         raise ValueError("vector is not future-directed")
-    w = x0 + t if x0 >= 0.0 else float(mid @ mid) / (t - x0)
-    if w == 0.0 or math.isinf(SQRT2 / w / unit):
+    if x0 >= 0.0:
+        w, p = x0 + t, 0
+    else:
+        g = math.frexp(float(np.abs(mid).max(initial=0.0)))[1] - 1
+        scaled = mid / math.ldexp(1.0, g)
+        w, p = float(scaled @ scaled) / (t - x0), 2 * (g - e)
+    diameter = float(np.ldexp(SQRT2 / w, -p - e)) if w else math.inf
+    if math.isinf(diameter):
         return Plane(height=SQRT2 * float(v[-1]))
-    return Sphere(tangent=tuple(mid / w), diameter=SQRT2 / w / unit)
+    tangent = [float(np.ldexp(f / w, q - e - p)) for f, q in map(math.frexp, mid.tolist())]
+    return Sphere(tangent=tuple(tangent), diameter=diameter)
 
 
 def bits(p):
@@ -377,6 +388,15 @@ class TestFromLightconeStack:
             from_lightcone(np.array([good, [-1.5e308, 0.0, 1.5e308]]))
         assert err.value.row == 1
 
+    def test_middle_entries_far_below_the_largest(self):
+        # The image of Sphere((1e155,), 1e10): read at the row's scale, |mid|^2
+        # would be subnormal and sqrt(2)/w would overflow.
+        x = np.array([-7.0710678118654755e299, 1.4142135623730951e145, 7.0710678118654755e299])
+        want = Sphere((float.fromhex("0x1.dd55745cbb7edp+514"),), float.fromhex("0x1.2a05f20000000p+33"))
+        assert bits(from_lightcone(x)) == bits(want)
+        stack = from_lightcone(np.stack([x, 2.0**-600 * x]))
+        assert [bits(p) for p in stack] == [bits(want), bits(Sphere(want.tangent, want.diameter * 2.0**600))]
+
     def test_vectors_whose_squares_overflow(self):
         # Entries near 1.3e154: |mid|^2 read unscaled would overflow.
         x = to_lightcone(Sphere((3.0, 1.0), 0.5))
@@ -431,6 +451,42 @@ class TestDilation:
         want = [Plane(z) if q else Sphere(p.tangent, z) for p, q, z in zip(base, planes, sizes.tolist())]
         assert [bits(p) for p in from_lightcone(scaled)] == [bits(p) for p in want]
         assert [bits(from_lightcone(row)) for row in scaled] == [bits(p) for p in want]
+
+
+@st.composite
+def wide_images(draw):
+    """Null images of spheres with tangent coordinates and diameters of
+    magnitude 1e-160 to 1e160, each entry the exact image rounded once, so
+    that a middle entry may be far below the largest, also as a square."""
+    n = draw(st.integers(2, 4))
+    mag = st.floats(min_value=-160.0, max_value=160.0).map(lambda e: 10.0**e)
+    tangent = [Fraction(draw(st.sampled_from([-1.0, 1.0])) * draw(mag)) for _ in range(n - 1)]
+    c = Fraction(SQRT2) / (2 * Fraction(draw(mag)))
+    norm_sq = sum(a * a for a in tangent)
+    exact = [c * (1 - norm_sq), *(2 * c * a for a in tangent), c * (1 + norm_sq)]
+    assume(c * (1 + norm_sq) < Fraction(np.finfo(float).max))
+    return np.array([float(a) for a in exact])
+
+
+def ulps(a, b):
+    assert math.copysign(1.0, a) == math.copysign(1.0, b)
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
+
+
+class TestWideRows:
+    """Each diameter and tangent coordinate is within a few units in the last
+    place of the map's formula evaluated exactly on the given entries, also
+    where the middle entries are far below the largest."""
+
+    @given(wide_images())
+    @settings(max_examples=300)
+    def test_close_to_the_exact_formula(self, x):
+        x0, t, mid = Fraction(x[0]), Fraction(x[-1]), [Fraction(a) for a in x[1:-1]]
+        w = x0 + t if x0 >= 0 else sum(a * a for a in mid) / (t - x0)
+        got = from_lightcone(x)
+        assert ulps(got.diameter, float(Fraction(SQRT2) / w)) <= 4
+        for a, b in zip(got.tangent, mid):
+            assert ulps(a, float(b / w)) <= 4
 
 
 @st.composite
